@@ -2,8 +2,9 @@
 
 Results go to stdout as JSON (CSV for ``bench``); diagnostics go to stderr.
 Exit codes: 0 success, 1 infeasible instance, 2 invalid input or exceeded
-budget, 3 internal invariant violation.  Given the same arguments and seed,
-every subcommand except ``bench`` (whose records carry wall times) writes
+budget, 3 internal error: a violated invariant or any other exception, each
+with one line on stderr.  Given the same arguments and seed, every
+subcommand except ``bench`` (whose records carry wall times) writes
 byte-identical output.
 """
 
@@ -18,13 +19,14 @@ from typing import Optional, Sequence
 
 from . import lattice as lattice_mod
 from . import oracle as oracle_mod
-from .completion import construct_matrix, feasible_min_remaining, geth_vector
+from .completion import construct_matrix, geth_vector
 from .errors import BudgetExceededError, InfeasibleError, InternalInvariantError
 from .majorization import conjugate, default_conjugate_dim
 from .solvers import (
     Instance,
     TiePolicy,
     enumerate_optima,
+    feasible,
     solve,
     _splitmix64,
 )
@@ -38,13 +40,7 @@ _POLICY_FLAGS = {
     "load-order": "load_order",
 }
 
-_INSTANCE_KEYS = {
-    "variant": "variant",
-    "row_sums": "row_sums",
-    "ceiling": "ceiling",
-    "base": "base",
-    "reference": "reference",
-}
+_INSTANCE_KEYS = frozenset(("variant", "row_sums", "ceiling", "base", "reference"))
 
 
 def _parse_vector(text: str, name: str) -> tuple[int, ...]:
@@ -84,7 +80,7 @@ def load_instance(path: str) -> Instance:
             raise ValueError(f"{path}: malformed JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    unknown = set(data) - set(_INSTANCE_KEYS)
+    unknown = set(data) - _INSTANCE_KEYS
     if unknown:
         raise ValueError(f"{path}: unknown field {sorted(unknown)[0]!r}")
     if "variant" not in data:
@@ -129,15 +125,9 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _instance_feasible(inst: Instance) -> bool:
-    if inst.variant == "min_combined":
-        return all(v <= inst.n for v in inst.row_sums)
-    return feasible_min_remaining(inst.ceiling, inst.row_sums)
-
-
 def _cmd_feasible(args) -> int:
     inst = load_instance(args.instance)
-    ok = _instance_feasible(inst)
+    ok = feasible(inst)
     _emit({"feasible": ok})
     return 0 if ok else 1
 
@@ -339,6 +329,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # MemoryError included: a fault, never "infeasible"
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
 
 

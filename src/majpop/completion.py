@@ -3,8 +3,9 @@
 Matrices are numpy ``uint8`` arrays with entries in {0, 1}.  The class of
 interest is all m-by-n such matrices with row sums ``r`` and column sums
 ``x``; it is nonempty exactly when ``x`` is majorized by the conjugate of
-``r`` taken at dimension n.  Everything here is desk-scale except
-:func:`construct_matrix`, which is linear in the matrix size up to sorting.
+``r`` taken at dimension n.  The feasibility tests take O((m + n) log(m + n))
+and :func:`construct_matrix` is one row sweep of the solvers, O(mn) when
+compiled; everything else here is desk-scale.
 """
 
 from itertools import accumulate
@@ -100,8 +101,8 @@ def feasible_min_remaining(c, r) -> bool:
 
     Tests the supermajorization of ``c`` against the conjugate of ``r`` and
     cross-checks the equivalent submajorization of ``r`` against the
-    conjugate of ``c`` (taken at a common lossless dimension); a disagreement
-    would be a bug, not an input problem.
+    conjugate of ``c`` clamped to m (no prefix past the m-th can fail, so
+    m entries suffice); a disagreement would be a bug, not an input problem.
     """
     cv = as_vector(c, name="ceiling")
     rv = as_vector(r, name="row_sums")
@@ -111,8 +112,8 @@ def feasible_min_remaining(c, r) -> bool:
     if any(v > n for v in rv):
         return False
     first = weakly_supermajorized(cv, conjugate(rv, n)) if n else sum(rv) == 0
-    dim = max(m, max(cv, default=0), 1)
-    second = weakly_submajorized(pad(rv, dim), conjugate(cv, dim))
+    dim = max(m, 1)
+    second = weakly_submajorized(pad(rv, dim), conjugate([min(v, m) for v in cv], dim))
     if first != second:
         raise InternalInvariantError(
             f"feasibility forms disagree for c={cv}, r={rv}: {first} vs {second}"
@@ -121,27 +122,23 @@ def feasible_min_remaining(c, r) -> bool:
 
 
 def construct_matrix(r, x) -> Matrix:
-    """Build one matrix in the class row by row.
+    """Build one matrix in the class: the lowest-index peak shave of ``x`` by ``r``.
 
     Each row places its ones in the columns with the largest remaining
-    column-sum demand, lowest index first on ties.  Infeasible sums raise,
-    naming the violated prefix.
+    column-sum demand, lowest index first on ties, so the whole build is one
+    row sweep.  Infeasible sums raise, naming the violated prefix.
     """
+    from .solvers import peak_shave  # solvers imports this module
+
     rv = as_vector(r, name="row_sums")
     xv = as_vector(x, name="col_sums")
     reason = _line_sum_violation(rv, xv)
     if reason is not None:
         raise InfeasibleError(f"no 0/1 matrix has these line sums: {reason}")
-    m, n = len(rv), len(xv)
-    remaining = list(xv)
-    a = np.zeros((m, n), dtype=np.uint8)
-    for i, need in enumerate(rv):
-        for j in sorted(range(n), key=lambda j: (-remaining[j], j))[:need]:
-            a[i, j] = 1
-            remaining[j] -= 1
-    if any(remaining):
-        raise InternalInvariantError(f"greedy construction left demand {remaining}")
-    return _frozen(a)
+    shaved = peak_shave(xv, rv)
+    if any(shaved.objective):
+        raise InternalInvariantError(f"greedy construction left demand {list(shaved.objective)}")
+    return shaved.matrix
 
 
 def interchange(a: Matrix, i: int, j: int, p: int, q: int) -> Matrix:

@@ -20,10 +20,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import lattice
-from .completion import Matrix, _frozen, feasible_min_remaining
+from .completion import Matrix, _frozen
 from .errors import BudgetExceededError, InfeasibleError
 from .majorization import IntVector, as_vector, conjugate, majorized, sort_desc
-from .solvers import Instance, SolveResult, enumerate_optima, solve
+from .solvers import Instance, SolveResult, enumerate_optima, feasible, solve
 
 DEFAULT_MAX_COLS = 7
 DEFAULT_MAX_TOTAL = 14
@@ -252,21 +252,23 @@ def certify(
     """Check every solver-level claim against exhaustive enumeration.
 
     Records, in order: essential uniqueness of optimal objective values; the
-    canonical optimum is the least (greatest, for the maximizing variant)
-    element and matches the solver; tie branching reaches exactly the
-    optimal vectors; the canonical feasible set is closed under lattice meet
-    and join; the closed-form feasibility test agrees with enumeration; the
-    solver's negativity certificate agrees with enumeration; the canonical
-    optimum minimizes (maximizes) the sum of squares; and, when a candidate
-    is supplied, that its sorted form is absent from the canonical
-    attainable set.
+    canonical optimum is the least element and matches the solver; tie
+    branching reaches exactly the optimal vectors; the canonical feasible
+    set is closed under lattice meet and join; the closed-form feasibility
+    test agrees with enumeration; the solver's negativity certificate agrees
+    with enumeration; the canonical optimum minimizes the sum of squares;
+    and, when a candidate is supplied, that its sorted form is absent from
+    the canonical attainable set.
 
     The solver-optimality and tie-completeness claims are guaranteed only
     for the uncapped variants; for ``general_min`` and ``general_max`` those
     records are replaced by an attainability check of the greedy output,
     since a binding cap can push the sweep off the extremal value.
+    ``general_max`` gets no essential-uniqueness record: with binding caps
+    its attainable set can have several incomparable maximal elements.
+    (The least-majorized element that ``general_min`` needs exists on any
+    M-convex set; Tamir 1995.)
     """
-    maximize = inst.variant == "general_max"
     exact_scope = inst.variant in ("min_remaining", "min_combined")
     aset = enumerate_attainable(inst, max_cols=max_cols, max_total=max_total)
     nonempty = bool(aset.column_sets)
@@ -284,10 +286,10 @@ def certify(
 
     canonicals = sorted(aset.canonical_vectors)
     star: Optional[IntVector] = None
-    if nonempty:
-        extremal = sorted(
-            {sort_desc(v) for v in (maximal_elements(aset.vectors) if maximize else minimal_elements(aset.vectors))}
-        )
+    if inst.variant == "general_max":
+        pass  # several incomparable maximal elements are possible; see above
+    elif nonempty:
+        extremal = sorted({sort_desc(v) for v in minimal_elements(aset.vectors)})
         ok = len(extremal) == 1
         records.append(
             CheckRecord(
@@ -325,9 +327,7 @@ def certify(
                 )
             )
     elif star is not None:
-        bound_ok = all(
-            (majorized(u, star) if maximize else majorized(star, u)) for u in canonicals
-        )
+        bound_ok = all(majorized(star, u) for u in canonicals)
         if result is None:
             ok, witness = False, f"solver refused a nonempty instance: {solve_error}"
         else:
@@ -391,10 +391,7 @@ def certify(
             "sorted feasible column-sum vectors are closed under meet and join",
         )
 
-    if inst.variant == "min_combined":
-        formula = all(v <= inst.n for v in inst.row_sums)
-    else:
-        formula = feasible_min_remaining(inst.ceiling, inst.row_sums)
+    formula = feasible(inst)
     ok = formula == nonempty
     records.append(
         CheckRecord(
@@ -422,7 +419,7 @@ def certify(
         )
 
     if star is not None and exact_scope:
-        best = max(map(_sumsq, canonicals)) if maximize else min(map(_sumsq, canonicals))
+        best = min(map(_sumsq, canonicals))
         ok = _sumsq(star) == best
         records.append(
             CheckRecord(

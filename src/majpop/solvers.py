@@ -17,11 +17,11 @@ policy reaches an optimum; the policies below pick *which* optimum:
     Tied columns drawn without replacement from a seeded splitmix64 stream,
     so traces reproduce exactly across platforms.
 
-Uncapped instances of at least ``_KERNEL_MIN_CELLS`` cells run through the
-compiled C sweep in ``_speedups`` (built from ``_sweep.c`` on first
-import); small ones, capped ones, values near the int64 edge, and every
-solve on a machine where the build failed use the interpreted twin
-``_run_rounds_python``.  The two are tested for identical output.
+Every uncapped sweep, whatever its size, runs through the compiled C sweep
+in ``_speedups`` (built from ``_sweep.c`` on first import).  The interpreted
+twin ``_run_rounds_python`` runs the capped sweeps, values too close to the
+int64 limits for the kernel, and every sweep on a machine where the build
+failed; it is also the reference the kernel is tested against bit for bit.
 
 Exhaustive branching over every tie choice enumerates the full set of
 optimal objective vectors; see :func:`enumerate_optima`.
@@ -48,9 +48,6 @@ _POLICY_CODES = {
     "load_order": _speedups.POLICY_LOAD_ORDER,
     "uniform_random": _speedups.POLICY_RANDOM,
 }
-
-# Below this many cells the interpreted path wins on constant overhead.
-_KERNEL_MIN_CELLS = 4096
 
 _MASK64 = (1 << 64) - 1
 
@@ -192,7 +189,6 @@ def _pick_ties(
     policy: TiePolicy,
     placed: list[int],
     largest: bool,
-    n: int,
     state: int,
 ) -> tuple[list[int], int]:
     """Choose k of the tied columns; mirrors the compiled kernel bit for bit."""
@@ -238,7 +234,7 @@ def _run_rounds_python(
         else:
             allowed = [j for j in everything if placed[j] < caps[j]]
         forced, ties, k = _split_selection(values, need, largest, allowed)
-        chosen, state = _pick_ties(ties, k, policy, placed, largest, n, state) if k > 0 else ([], state)
+        chosen, state = _pick_ties(ties, k, policy, placed, largest, state) if k > 0 else ([], state)
         for j in forced + chosen:
             values[j] += delta
             placed[j] += 1
@@ -255,12 +251,7 @@ def _run_rounds(
     caps: Optional[IntVector] = None,
 ) -> tuple[list[int], Matrix]:
     m, n = len(r), len(start)
-    if (
-        caps is None
-        and _speedups.KERNEL_AVAILABLE
-        and m * n >= _KERNEL_MIN_CELLS
-        and _speedups.fits(min(start), max(start), m)
-    ):
+    if caps is None and _speedups.KERNEL_AVAILABLE and _speedups.fits(min(start), max(start), m):
         values = np.array(start, dtype=np.int64)
         rows = np.array(r, dtype=np.int64)
         a = np.zeros((m, n), dtype=np.uint8)
@@ -277,6 +268,20 @@ def _run_rounds(
     return _run_rounds_python(start, r, largest, delta, policy, caps)
 
 
+def _sweep_result(
+    start: IntVector,
+    r: IntVector,
+    largest: bool,
+    delta: int,
+    policy: TiePolicy,
+    caps: Optional[IntVector] = None,
+) -> SolveResult:
+    """Sweep rows already checked to fit; a negative entry certifies infeasibility."""
+    values, a = _run_rounds(start, r, largest, delta, policy, caps)
+    objective = tuple(values)
+    return SolveResult(_frozen(a), objective, sort_desc(objective), delta > 0 or min(objective) >= 0)
+
+
 def peak_shave(ceiling, row_sums, policy: TiePolicy = LOWEST_INDEX) -> SolveResult:
     """Shave a ceiling profile: each row subtracts from its largest entries.
 
@@ -289,9 +294,7 @@ def peak_shave(ceiling, row_sums, policy: TiePolicy = LOWEST_INDEX) -> SolveResu
     if not c:
         raise ValueError("ceiling must have at least one entry")
     _check_rows(r, len(c))
-    values, a = _run_rounds(c, r, largest=True, delta=-1, policy=policy)
-    objective = tuple(values)
-    return SolveResult(_frozen(a), objective, sort_desc(objective), min(objective) >= 0)
+    return _sweep_result(c, r, largest=True, delta=-1, policy=policy)
 
 
 def valley_fill(base, row_sums, policy: TiePolicy = LOWEST_INDEX) -> SolveResult:
@@ -301,9 +304,7 @@ def valley_fill(base, row_sums, policy: TiePolicy = LOWEST_INDEX) -> SolveResult
     if not b:
         raise ValueError("base must have at least one entry")
     _check_rows(r, len(b))
-    values, a = _run_rounds(b, r, largest=False, delta=+1, policy=policy)
-    objective = tuple(values)
-    return SolveResult(_frozen(a), objective, sort_desc(objective), True)
+    return _sweep_result(b, r, largest=False, delta=+1, policy=policy)
 
 
 def min_remaining_profile(ceiling, row_sums) -> IntVector:
@@ -326,12 +327,6 @@ def min_combined_profile(base, row_sums) -> IntVector:
     return valley_fill(b, r).canonical_objective
 
 
-def _general_setup(inst: Instance) -> tuple[IntVector, bool, int, IntVector]:
-    if inst.variant == "general_min":
-        return inst.reference, True, -1, inst.ceiling
-    return inst.base, False, +1, inst.ceiling
-
-
 def solve(inst: Instance, policy: TiePolicy = LOWEST_INDEX) -> SolveResult:
     """Dispatch an instance to its solver.
 
@@ -348,29 +343,35 @@ def solve(inst: Instance, policy: TiePolicy = LOWEST_INDEX) -> SolveResult:
     value, and a sweep can stop on an instance that a different row order
     would complete.  The uncapped variants carry none of these caveats.
     """
-    if inst.variant == "min_remaining":
-        return peak_shave(inst.ceiling, inst.row_sums, policy)
-    if inst.variant == "min_combined":
-        return valley_fill(inst.base, inst.row_sums, policy)
-    start, minimize, delta, caps = _general_setup(inst)
-    r = inst.row_sums
-    _check_rows(r, inst.n)
+    start, largest, delta, caps = _instance_rounds(inst)
     try:
-        values, a = _run_rounds(start, r, largest=True, delta=delta, policy=policy, caps=caps)
+        return _sweep_result(start, inst.row_sums, largest, delta, policy, caps)
     except InfeasibleError as exc:
+        # Only a capped sweep can strand a row once the row sums fit.
         raise InfeasibleError(f"variant {inst.variant}: {exc}") from None
-    objective = tuple(values)
-    feasible = min(objective) >= 0 if delta < 0 else True
-    return SolveResult(_frozen(a), objective, sort_desc(objective), feasible)
 
 
 def _instance_rounds(inst: Instance) -> tuple[IntVector, bool, int, Optional[IntVector]]:
+    """Start profile, side, step and caps of the instance's sweep; checks the rows."""
+    _check_rows(inst.row_sums, inst.n)
     if inst.variant == "min_remaining":
         return inst.ceiling, True, -1, None
     if inst.variant == "min_combined":
         return inst.base, False, +1, None
-    start, _, delta, caps = _general_setup(inst)
-    return start, True, delta, caps
+    if inst.variant == "general_min":
+        return inst.reference, True, -1, inst.ceiling
+    return inst.base, True, +1, inst.ceiling
+
+
+def feasible(inst: Instance) -> bool:
+    """Whether some completion exists: the row sums fit under the column caps.
+
+    Every variant but ``min_combined`` caps column j at ``ceiling[j]``.  The
+    capped sweeps are greedy and can still stop on an instance this accepts.
+    """
+    if inst.variant == "min_combined":
+        return all(v <= inst.n for v in inst.row_sums)
+    return feasible_min_remaining(inst.ceiling, inst.row_sums)
 
 
 def enumerate_optima(inst: Instance, cap: int = 1_000_000) -> dict[IntVector, Matrix]:
@@ -390,8 +391,7 @@ def enumerate_optima(inst: Instance, cap: int = 1_000_000) -> dict[IntVector, Ma
     start, largest, delta, caps = _instance_rounds(inst)
     r = inst.row_sums
     n = inst.n
-    _check_rows(r, n)
-    if inst.variant == "min_remaining" and not feasible_min_remaining(inst.ceiling, r):
+    if inst.variant == "min_remaining" and not feasible(inst):
         raise InfeasibleError(f"ceiling {inst.ceiling} cannot absorb row sums {r}")
     m = len(r)
     results: dict[IntVector, Matrix] = {}

@@ -159,6 +159,29 @@ def test_oracle_certify_command(tmp_path, capsys):
     assert any(rec["claim"] == "claimed_absent_vector" for rec in payload["checks"])
 
 
+def test_huge_ceiling_is_feasible_and_certified(tmp_path, capsys):
+    path = write_instance(
+        tmp_path, "huge.json", {"variant": "min_remaining", "row_sums": [1, 1], "ceiling": [10**18, 3]}
+    )
+    code, out, err = run_cli(capsys, "feasible", "--instance", path)
+    assert (code, json.loads(out), err) == (0, {"feasible": True}, "")
+    code, out, err = run_cli(capsys, "oracle", "certify", "--instance", path)
+    assert code == 0 and json.loads(out)["passed"] is True and err == ""
+
+
+@pytest.mark.parametrize("exc", [MemoryError("no\nroom"), KeyError("x")])
+def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("majpop.cli.solve", fail)
+    path = write_instance(tmp_path, "peak.json", PEAK_INSTANCE)
+    code, out, err = run_cli(capsys, "solve", "--instance", path)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     path = write_instance(tmp_path, "peak.json", PEAK_INSTANCE)
     monkeypatch.setenv("MAJPOP_SEED", "77")

@@ -132,6 +132,16 @@ def test_certify_gap_instances():
     assert report.passed, report.to_json()
 
 
+def test_certify_general_max_claims_no_unique_maximum():
+    # Binding caps leave two incomparable maximal profiles here.
+    inst = Instance("general_max", (2, 1, 3, 1, 3, 2), base=(4, 1, 2, 4, 3, 3), ceiling=(6, 6, 6, 2, 2, 2))
+    tops = {sort_desc(v) for v in maximal_elements(enumerate_attainable(inst).vectors)}
+    assert tops == {(10, 6, 5, 5, 2, 1), (10, 6, 6, 3, 3, 1)}
+    report = certify(inst)
+    assert report.passed, report.to_json()
+    assert "essential_uniqueness" not in {r.claim for r in report.records}
+
+
 def test_certify_absent_check_fails_on_attainable_vector():
     shave = Instance("min_remaining", (4, 4, 3, 1, 1), ceiling=(7, 6, 5, 4, 4))
     report = certify(shave, absent_canonical=(3, 3, 3, 2, 2))

@@ -25,7 +25,7 @@ from majpop import (
     sort_desc,
     valley_fill,
 )
-from majpop import _speedups
+from majpop import _speedups, solvers
 from majpop.oracle import enumerate_attainable, maximal_elements, minimal_elements
 from majpop.solvers import _run_rounds_python, _POLICY_CODES
 
@@ -248,6 +248,17 @@ def test_kernel_matches_interpreter():
                 )
                 assert vals_py == [int(v) for v in vals_nb]
                 assert np.array_equal(a_py, a_nb)
+
+
+@pytest.mark.skipif(not _speedups.KERNEL_AVAILABLE, reason="compiled sweep unavailable")
+def test_small_uncapped_solves_run_compiled(monkeypatch):
+    def interpreted(*args):
+        raise AssertionError("an uncapped sweep ran interpreted")
+
+    monkeypatch.setattr(solvers, "_run_rounds_python", interpreted)
+    assert peak_shave((2, 1), (1, 1)).objective == (0, 1)
+    assert valley_fill((0, 1), (1, 2)).objective == (2, 2)
+    assert solve(Instance("min_remaining", (1, 1), ceiling=(2, 1))).feasible
 
 
 def test_random_policy_reproducible():
