@@ -1,6 +1,11 @@
 """Command-line interface.
 
 Results go to stdout as JSON (CSV for ``bench``); diagnostics go to stderr.
+Every payload goes through one encoder, ``_emit``: 0/1 matrices arrive as
+their frozen ``uint8`` arrays and are written as text built from the array's
+bytes, everything else goes to ``json.dumps``; the output equals
+``json.dumps(payload, separators=(",", ":"), sort_keys=True)`` of the
+payload with each matrix as nested lists, without building those lists.
 Exit codes: 0 success, 1 infeasible instance, 2 invalid input or exceeded
 budget, 3 internal error: a violated invariant or any other exception, each
 with one line on stderr.  Given the same arguments and seed, every
@@ -16,6 +21,8 @@ import os
 import sys
 import time
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import lattice as lattice_mod
 from . import oracle as oracle_mod
@@ -103,8 +110,61 @@ def _policy_from_args(args) -> TiePolicy:
     return TiePolicy(kind, seed) if kind == "uniform_random" else TiePolicy(kind)
 
 
+def _matrix_text(matrix: np.ndarray) -> str:
+    """JSON text of a 0/1 matrix, written from its ``uint8`` entries.
+
+    Row i of the buffer below is ``[a,b,...,z],``: digits at the odd slots,
+    commas between them.  The last comma becomes the closing ``]``.
+    """
+    if matrix.dtype != np.uint8 or matrix.ndim != 2 or matrix.max(initial=0) > 1:
+        raise InternalInvariantError(
+            f"expected a 2-D uint8 matrix of 0/1 entries, got dtype {matrix.dtype}, "
+            f"shape {matrix.shape}"
+        )
+    m, n = matrix.shape
+    if m == 0:
+        return "[]"
+    if n == 0:
+        return "[" + ",".join(["[]"] * m) + "]"
+    width = 2 * n + 2
+    text = np.empty(1 + m * width, dtype=np.uint8)
+    text[0] = ord("[")
+    rows = text[1:].reshape(m, width)
+    rows[:, 0] = ord("[")
+    np.add(matrix, ord("0"), out=rows[:, 1 : 2 * n : 2])
+    rows[:, 2 : 2 * n - 1 : 2] = ord(",")
+    rows[:, 2 * n] = ord("]")
+    rows[:, 2 * n + 1] = ord(",")
+    text[-1] = ord("]")
+    return text.tobytes().decode("ascii")
+
+
+def _encode(value) -> str:
+    """Compact, key-sorted JSON text of ``value``; arrays go to ``_matrix_text``.
+
+    A value with no array inside goes to ``json.dumps`` whole, so a long flat
+    list costs no per-entry Python work; ``json.dumps`` raises ``TypeError``
+    at an array, and only then is the dict or list walked.
+    """
+    if isinstance(value, np.ndarray):
+        return _matrix_text(value)
+    try:
+        return json.dumps(value, separators=(",", ":"), sort_keys=True)
+    except TypeError:
+        if isinstance(value, dict):
+            parts = []
+            for key in sorted(value):
+                if not isinstance(key, str):
+                    raise InternalInvariantError(f"JSON object key {key!r} is not a string") from None
+                parts.append(json.dumps(key) + ":" + _encode(value[key]))
+            return "{" + ",".join(parts) + "}"
+        if isinstance(value, (list, tuple)):
+            return "[" + ",".join(map(_encode, value)) + "]"
+        raise
+
+
 def _emit(payload) -> None:
-    sys.stdout.write(json.dumps(payload, separators=(",", ":"), sort_keys=True))
+    sys.stdout.write(_encode(payload))
     sys.stdout.write("\n")
 
 
@@ -119,7 +179,7 @@ def _cmd_enumerate(args) -> int:
     inst = load_instance(args.instance)
     optima = enumerate_optima(inst, cap=args.max_branches)
     payload = [
-        {"objective": list(obj), "matrix": optima[obj].tolist()} for obj in sorted(optima)
+        {"objective": list(obj), "matrix": optima[obj]} for obj in sorted(optima)
     ]
     _emit({"count": len(payload), "optima": payload})
     return 0
@@ -149,7 +209,7 @@ def _cmd_geth(args) -> int:
 def _cmd_construct(args) -> int:
     r = _parse_vector(args.row_sums, "--row-sums")
     x = _parse_vector(args.col_sums, "--col-sums")
-    _emit(construct_matrix(r, x).tolist())
+    _emit(construct_matrix(r, x))
     return 0
 
 

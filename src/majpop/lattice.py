@@ -3,8 +3,12 @@
 A partition here is a nonincreasing tuple of nonnegative ints; two partitions
 are comparable inside the fixed-sum, fixed-length family ordered by
 majorization.  The meet comes from pairwise minima of prefix sums.  The join
-is computed two independent ways: through conjugates of the meet, and through
-a direct recursive formula; agreement of the two is part of the test suite.
+is computed two independent ways: through conjugates of the meet, which costs
+O(len + total), and through a direct recursive formula, which costs O(len^2)
+whatever the total.  ``join`` takes the conjugate route while the total is at
+most ``len**2`` and the recursive one above it, so a total such as 10^12 runs
+in memory.  Both routes stay, and the test suite checks that they agree with
+each other and with exhaustive scans.
 """
 
 from itertools import accumulate
@@ -38,10 +42,16 @@ def meet(x: Sequence[int], y: Sequence[int]) -> IntVector:
 
 
 def join(x: Sequence[int], y: Sequence[int]) -> IntVector:
-    """Least upper bound via conjugates: dualize, meet, dualize back."""
+    """Least upper bound via conjugates: dualize, meet, dualize back.
+
+    Totals above ``len(x) ** 2`` go to ``join_recursive`` instead, whose cost
+    does not grow with the total.
+    """
     a, b = _check_pair(x, y)
     if a == b:
         return a
+    if sum(a) > len(a) ** 2:
+        return join_recursive(a, b)
     # No part exceeds the total, so the total is always a safe conjugate dim.
     d = max(sum(a), 1)
     return conjugate(meet(conjugate(a, d), conjugate(b, d)), len(a))

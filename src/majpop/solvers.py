@@ -141,11 +141,14 @@ class SolveResult:
     feasible: bool
 
     def to_json(self) -> dict:
+        """The CLI payload.  ``"matrix"`` is the read-only ``uint8`` matrix
+        itself, not nested lists; ``majpop.cli._emit`` writes it as JSON text
+        straight from the array, and ``matrix.tolist()`` gives the lists."""
         return {
             "feasible": self.feasible,
             "objective": list(self.objective),
             "canonical_objective": list(self.canonical_objective),
-            "matrix": self.matrix.tolist(),
+            "matrix": self.matrix,
         }
 
 

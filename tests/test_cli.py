@@ -1,10 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from majpop.cli import main
+import majpop
+from majpop.cli import _emit, main
+from majpop.errors import InternalInvariantError
 
 
 def run_cli(capsys, *argv):
@@ -228,3 +235,105 @@ def test_bench_record_count_and_format(capsys):
 def test_bench_rejects_bad_ranges(capsys):
     code, _, err = run_cli(capsys, "bench", "--rows", "0", "--cols", "5")
     assert code == 2 and "positive" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+INSTANCES = Path(__file__).resolve().parents[1] / "instances"
+POLICIES = ("lowest-index", "highest-index", "load-order", "random")
+
+# Golden stdout file -> arguments of the run that wrote it.
+GOLDEN_RUNS = {
+    f"solve-{path.stem}-{policy}.json": [
+        "solve", "--instance", str(path), "--tie-policy", policy, "--seed", "7"
+    ]
+    for path in sorted(INSTANCES.glob("*.json"))
+    for policy in POLICIES
+}
+GOLDEN_RUNS["enumerate-peak_shave_demo.json"] = [
+    "enumerate", "--instance", str(INSTANCES / "peak_shave_demo.json")
+]
+GOLDEN_RUNS["construct.json"] = ["construct", "--row-sums", "3,2,2,1,0", "--col-sums", "3,2,2,1"]
+
+
+def test_golden_files_match_runs():
+    assert len(GOLDEN_RUNS) == 18
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(GOLDEN_RUNS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_stdout_matches_golden(name):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(majpop.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-m", "majpop.cli", *GOLDEN_RUNS[name]], capture_output=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (GOLDEN / name).read_bytes()
+
+
+def _reference_text(payload):
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+def _emitted(capsys, payload):
+    _emit(payload)
+    return capsys.readouterr().out
+
+
+def test_emit_matches_json_dumps_of_lists(capsys):
+    rng = np.random.default_rng(2024)
+    shapes = [(m, n) for m in range(13) for n in range(13)] + [(300, 300)]
+    for m, n in shapes:
+        a = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+        a.setflags(write=False)
+        payload = {"matrix": a, "objective": [n, m], "nested": [{"b": a, "a": (1, 2)}]}
+        lists = {"matrix": a.tolist(), "objective": [n, m], "nested": [{"b": a.tolist(), "a": [1, 2]}]}
+        assert _emitted(capsys, payload) == _reference_text(lists), (m, n)
+        assert _emitted(capsys, a) == _reference_text(a.tolist()), (m, n)
+
+
+def test_zero_row_solve_prints_empty_matrix(tmp_path, capsys):
+    path = write_instance(tmp_path, "empty.json", {"variant": "min_remaining", "row_sums": [], "ceiling": [3, 2]})
+    code, out, err = run_cli(capsys, "solve", "--instance", path)
+    assert (code, err) == (0, "")
+    assert '"matrix":[]' in out
+    assert out == _reference_text(json.loads(out))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.array([[0, 2]], dtype=np.uint8),
+        np.array([[10, 1], [0, 0]], dtype=np.uint8),
+        np.array([[0, 1]], dtype=np.int64),
+    ],
+    ids=["entry-2", "entry-10", "int64"],
+)
+def test_emit_rejects_non_binary_matrix(tmp_path, capsys, monkeypatch, matrix):
+    with pytest.raises(InternalInvariantError):
+        _emit({"matrix": matrix})
+    assert capsys.readouterr().out == ""
+
+    class Result:
+        feasible = True
+
+        def to_json(self):
+            return {"feasible": True, "matrix": matrix}
+
+    monkeypatch.setattr("majpop.cli.solve", lambda inst, policy: Result())
+    path = write_instance(tmp_path, "peak.json", PEAK_INSTANCE)
+    code, out, err = run_cli(capsys, "solve", "--instance", path)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal invariant violated: ")
+
+
+def test_emit_rejects_non_string_key_beside_matrix(capsys):
+    with pytest.raises(InternalInvariantError):
+        _emit({1: np.zeros((1, 1), dtype=np.uint8)})
+    assert capsys.readouterr().out == ""
+
+
+def test_lattice_join_at_huge_total(capsys):
+    code, out, err = run_cli(
+        capsys, "lattice", "join", "--x", "1000000000000,0", "--y", "500000000000,500000000000"
+    )
+    assert (code, out, err) == (0, "[1000000000000,0]\n", "")
