@@ -7,6 +7,12 @@ per-row interpreter overhead.  Tie handling mirrors ``solvers._pick_ties``
 exactly, including the splitmix64 stream, so the compiled and interpreted
 paths are interchangeable and are tested for bit-identical output.
 
+``sweep`` is the one caller of the C function and the only module that
+knows its calling convention.  It takes the profile and the row sums as
+Python ints and the tie policy by name, builds the int64 and uint8 buffers
+itself, checks every value that comes from its caller, and returns the
+final profile as a list together with the matrix.
+
 The first import compiles ``_sweep.c`` with the system ``cc`` into
 ``majpop/__pycache__/``, or into a private per-user directory under the
 system temporary directory when that one is not writable, and loads it
@@ -29,10 +35,8 @@ import zlib
 
 import numpy as np
 
-POLICY_LOWEST = 0
-POLICY_HIGHEST = 1
-POLICY_LOAD_ORDER = 2
-POLICY_RANDOM = 3
+# Tie policy name (``solvers.TiePolicy.kind``) -> the code ``_sweep.c`` takes.
+POLICIES = {"lowest_index": 0, "highest_index": 1, "load_order": 2, "uniform_random": 3}
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
 # No flag that changes arithmetic: the output must match the interpreter.
@@ -163,67 +167,51 @@ KERNEL_AVAILABLE = _kernel is not None
 def fits(low: int, high: int, m: int) -> bool:
     """Whether values within [low, high] stay in the int64 range over m rows.
 
-    Each row moves a value by at most one unit.  ``solve_rounds`` refuses
-    values for which this is false; callers route them elsewhere.
+    Each row moves a value by at most one unit.  ``sweep`` refuses values
+    for which this is false; callers route them elsewhere.
     """
     return _INT64_MIN + m <= low and high <= _INT64_MAX - m
 
 
-def _require(a, name: str, dtype, ndim: int, writeable: bool) -> None:
-    if not (
-        isinstance(a, np.ndarray)
-        and a.dtype == dtype
-        and a.ndim == ndim
-        and a.flags.c_contiguous
-        and a.flags.aligned
-        and (a.flags.writeable or not writeable)
-    ):
-        raise ValueError(
-            f"{name} must be a {'writeable ' if writeable else ''}C-contiguous "
-            f"{ndim}-d {np.dtype(dtype).name} array"
-        )
+def sweep(start, row_counts, take_largest, delta, policy, seed):
+    """Run every row compiled; returns the final profile (a list) and the matrix.
 
-
-def solve_rounds(values, row_counts, matrix, take_largest, delta, policy, seed):
-    """Run all rows in place; returns 0 on success.
-
-    values: int64[n] running profile, modified in place.
-    row_counts: int64[m] units to place per row, each in [0, n].
-    matrix: uint8[m, n] output, zero-initialized by the caller.
+    start: the starting profile, n Python ints within ``fits`` for m rows.
+    row_counts: the m units to place per row, each in [0, n].
     take_largest: select columns holding the largest values (else smallest).
     delta: +1 or -1 applied to each selected column.
-    policy: POLICY_* code; seed feeds the splitmix64 stream for POLICY_RANDOM.
+    policy: a ``POLICIES`` name; seed (taken mod 2**64) feeds the splitmix64
+    stream for ``uniform_random``.
 
-    The C code writes through raw pointers, so every argument is checked
-    first and a bad one raises ValueError.
+    The C code writes through raw pointers into buffers built here, so
+    every value a caller supplies is checked first; a bad one raises
+    ValueError.
     """
     if _kernel is None:
         raise RuntimeError(f"the compiled row sweep is unavailable: {BUILD_ERROR}")
-    _require(values, "values", np.int64, 1, True)
-    _require(row_counts, "row_counts", np.int64, 1, False)
-    _require(matrix, "matrix", np.uint8, 2, True)
-    m, n = row_counts.shape[0], values.shape[0]
-    if matrix.shape != (m, n):
-        raise ValueError(f"matrix shape {matrix.shape} does not match ({m}, {n})")
+    m, n = len(row_counts), len(start)
     if delta not in (1, -1):
         raise ValueError(f"delta must be +1 or -1, not {delta!r}")
-    if policy not in (POLICY_LOWEST, POLICY_HIGHEST, POLICY_LOAD_ORDER, POLICY_RANDOM):
-        raise ValueError(f"unknown policy code {policy!r}")
-    if m and (row_counts.min() < 0 or row_counts.max() > n):
+    if policy not in POLICIES:
+        raise ValueError(f"unknown tie policy {policy!r}")
+    if m and (min(row_counts) < 0 or max(row_counts) > n):
         raise ValueError(f"row counts must lie in [0, {n}]")
-    if m and n and not fits(int(values.min()), int(values.max()), m):
+    if n and not fits(min(start), max(start), m):
         raise ValueError("values too close to the int64 limits for this many rows")
+    values = np.array(start, dtype=np.int64)
+    rows = np.array(row_counts, dtype=np.int64)
+    matrix = np.zeros((m, n), dtype=np.uint8)
     status = _kernel(
         values.ctypes.data,
         n,
-        row_counts.ctypes.data,
+        rows.ctypes.data,
         m,
         matrix.ctypes.data,
         bool(take_largest),
-        int(delta),
-        int(policy),
-        int(seed) & _MASK64,
+        delta,
+        POLICIES[policy],
+        seed & _MASK64,
     )
     if status != 0:
         raise MemoryError(f"no memory for the sweep's scratch buffers ({5 * n} int64)")
-    return 0
+    return values.tolist(), matrix

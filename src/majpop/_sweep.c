@@ -6,9 +6,10 @@
  * total is O(m*n).  Tie handling, the load-order keys and the splitmix64
  * stream match solvers._pick_ties bit for bit.
  *
- * Built and loaded by _speedups.py, which validates every argument before
- * the call: the arrays are C-contiguous, 0 <= row_counts[i] <= n, delta is
- * +1 or -1, and no value can leave the int64 range.
+ * Built, loaded and called only by _speedups.sweep, which allocates the
+ * buffers itself and checks every value its caller supplies before the
+ * call: 0 <= row_counts[i] <= n, delta is +1 or -1, the policy code is one
+ * below, and no value can leave the int64 range.
  */
 
 #include <stdint.h>
@@ -27,6 +28,15 @@ static uint64_t splitmix64(uint64_t *state)
     z = (z ^ (z >> 30)) * UINT64_C(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)) * UINT64_C(0x94D049BB133111EB);
     return z ^ (z >> 31);
+}
+
+/* Take column j into the current row: step its value by delta, set its bit
+ * and count the placement. */
+static void take(int64_t *values, uint8_t *row, int64_t *placed, int64_t j, int64_t delta)
+{
+    values[j] += delta;
+    row[j] = 1;
+    placed[j]++;
 }
 
 /* Iterative three-way quickselect with median-of-three pivots; reorders buf
@@ -116,9 +126,7 @@ int majpop_solve_rounds(int64_t *values, int64_t n, const int64_t *row_counts,
         for (j = 0; j < n; j++) {
             int64_t v = values[j];
             if (take_largest ? v > thr : v < thr) {
-                values[j] += delta;
-                row[j] = 1;
-                placed[j]++;
+                take(values, row, placed, j, delta);
                 taken++;
             } else if (v == thr) {
                 ties[t++] = j;
@@ -127,29 +135,16 @@ int majpop_solve_rounds(int64_t *values, int64_t n, const int64_t *row_counts,
         k = need - taken;
         if (k <= 0)
             continue;
-        if (k >= t) {
-            for (u = 0; u < t; u++) {
-                j = ties[u];
-                values[j] += delta;
-                row[j] = 1;
-                placed[j]++;
-            }
-            continue;
-        }
-        if (policy == POLICY_LOWEST) {
-            for (u = 0; u < k; u++) {
-                j = ties[u];
-                values[j] += delta;
-                row[j] = 1;
-                placed[j]++;
-            }
-        } else if (policy == POLICY_HIGHEST) {
-            for (u = t - k; u < t; u++) {
-                j = ties[u];
-                values[j] += delta;
-                row[j] = 1;
-                placed[j]++;
-            }
+        if (k > t)
+            k = t;
+        if (k == t || policy == POLICY_LOWEST || policy == POLICY_HIGHEST) {
+            /* A contiguous run of the staged ties: all of them when k == t
+             * (no draw, as in _pick_ties), else the first or the last k.
+             * Clamping k above, not testing k < t here, keeps this branch
+             * as fast as separate loops (valley fills, gcc 12 -O2). */
+            int64_t first = policy == POLICY_HIGHEST ? t - k : 0;
+            for (u = first; u < first + k; u++)
+                take(values, row, placed, ties[u], delta);
         } else if (policy == POLICY_LOAD_ORDER) {
             /* Prefer columns already loaded the most; break remaining ties
              * by low index when shaving peaks and high index when filling
@@ -161,14 +156,9 @@ int majpop_solve_rounds(int64_t *values, int64_t n, const int64_t *row_counts,
                 keybuf[u] = keys[u];
             }
             kth = kth_smallest(keybuf, t, t - k);
-            for (u = 0; u < t; u++) {
-                if (keys[u] >= kth) {
-                    j = ties[u];
-                    values[j] += delta;
-                    row[j] = 1;
-                    placed[j]++;
-                }
-            }
+            for (u = 0; u < t; u++)
+                if (keys[u] >= kth)
+                    take(values, row, placed, ties[u], delta);
         } else {
             /* Partial Fisher-Yates over the staged ties; one draw per pick. */
             for (u = 0; u < k; u++) {
@@ -177,9 +167,7 @@ int majpop_solve_rounds(int64_t *values, int64_t n, const int64_t *row_counts,
                 j = ties[w];
                 ties[w] = ties[u];
                 ties[u] = j;
-                values[j] += delta;
-                row[j] = 1;
-                placed[j]++;
+                take(values, row, placed, j, delta);
             }
         }
     }

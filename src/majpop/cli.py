@@ -101,12 +101,16 @@ def load_instance(path: str) -> Instance:
     return Instance(**kwargs)
 
 
+def _seed_from_args(args) -> int:
+    """``--seed``, else ``MAJPOP_SEED`` (unset or empty reads as 0)."""
+    if args.seed is not None:
+        return args.seed
+    return int(os.environ.get("MAJPOP_SEED") or 0)
+
+
 def _policy_from_args(args) -> TiePolicy:
     kind = _POLICY_FLAGS[args.tie_policy]
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("MAJPOP_SEED")
-        seed = int(env) if env else 0
+    seed = _seed_from_args(args)
     return TiePolicy(kind, seed) if kind == "uniform_random" else TiePolicy(kind)
 
 
@@ -260,7 +264,7 @@ def _cmd_bench(args) -> int:
     ns = [int(v) for v in args.cols.split(",")]
     if args.repeats < 1 or any(v < 1 for v in ms + ns):
         raise ValueError("bench sizes and repeats must be positive")
-    seed = args.seed if args.seed is not None else int(os.environ.get("MAJPOP_SEED", "0") or 0)
+    seed = _seed_from_args(args)
     policy_kind = _POLICY_FLAGS[args.tie_policy]
     records = []
     for m in ms:

@@ -238,6 +238,27 @@ def matrix_exists(r, x) -> bool:
     return rec(0)
 
 
+# Claim name -> the description every report gives it.
+_CLAIMS = {
+    "essential_uniqueness": "all optimal objective values share one sorted rearrangement",
+    "solver_output_attainable": "the capped greedy returns an attainable objective vector",
+    "canonical_extremum_matches_solver": (
+        "the shared sorted optimum bounds every attainable value and equals the solver output"
+    ),
+    "tie_branch_completeness": "branching over every tie reaches exactly the optimal objective vectors",
+    "canonical_column_lattice_closed": "sorted feasible column-sum vectors are closed under meet and join",
+    "feasibility_formula_matches_enumeration": (
+        "the conjugate-based feasibility test agrees with exhaustive search"
+    ),
+    "solver_feasibility_certificate": "the solver's feasibility report matches exhaustive search",
+    "sum_of_squares_scalarization": (
+        "the canonical optimum optimizes the strictly order-preserving sum of squares"
+    ),
+    "claimed_absent_vector": "the supplied vector is missing from the canonical attainable set",
+}
+_VACUOUS = "vacuous: attainable set is empty"
+
+
 def _sumsq(v: Sequence[int]) -> int:
     return sum(e * e for e in v)
 
@@ -274,15 +295,15 @@ def certify(
     nonempty = bool(aset.column_sets)
     records: list[CheckRecord] = []
 
+    def record(claim: str, ok: bool, witness: str = "") -> None:
+        records.append(CheckRecord(claim, _CLAIMS[claim], ok, witness))
+
     result: Optional[SolveResult] = None
     solve_error = ""
     try:
         result = solve(inst)
     except InfeasibleError as exc:
         solve_error = str(exc)
-
-    def vacuous(claim: str, description: str) -> None:
-        records.append(CheckRecord(claim, description, True, "vacuous: attainable set is empty"))
 
     canonicals = sorted(aset.canonical_vectors)
     star: Optional[IntVector] = None
@@ -291,41 +312,20 @@ def certify(
     elif nonempty:
         extremal = sorted({sort_desc(v) for v in minimal_elements(aset.vectors)})
         ok = len(extremal) == 1
-        records.append(
-            CheckRecord(
-                "essential_uniqueness",
-                "all optimal objective values share one sorted rearrangement",
-                ok,
-                "" if ok else f"distinct sorted optima: {extremal}",
-            )
-        )
+        record("essential_uniqueness", ok, "" if ok else f"distinct sorted optima: {extremal}")
         if ok:
             star = extremal[0]
     else:
-        vacuous("essential_uniqueness", "all optimal objective values share one sorted rearrangement")
+        record("essential_uniqueness", True, _VACUOUS)
 
     if not exact_scope:
         if nonempty and result is not None:
             ok = result.objective in aset.vectors
-            records.append(
-                CheckRecord(
-                    "solver_output_attainable",
-                    "the capped greedy returns an attainable objective vector",
-                    ok,
-                    "" if ok else f"{result.objective} not attainable",
-                )
-            )
+            record("solver_output_attainable", ok, "" if ok else f"{result.objective} not attainable")
         else:
             # A stopped sweep is the documented outcome when caps strand a
             # row, so there is no output to judge here.
-            records.append(
-                CheckRecord(
-                    "solver_output_attainable",
-                    "the capped greedy returns an attainable objective vector",
-                    True,
-                    solve_error or "vacuous: attainable set is empty",
-                )
-            )
+            record("solver_output_attainable", True, solve_error or _VACUOUS)
     elif star is not None:
         bound_ok = all(majorized(star, u) for u in canonicals)
         if result is None:
@@ -335,38 +335,22 @@ def certify(
             witness = "" if ok else (
                 f"expected {star}, solver gave {result.canonical_objective}, bound_ok={bound_ok}"
             )
-        records.append(
-            CheckRecord(
-                "canonical_extremum_matches_solver",
-                "the shared sorted optimum bounds every attainable value and equals the solver output",
-                ok,
-                witness,
-            )
-        )
+        record("canonical_extremum_matches_solver", ok, witness)
     else:
-        vacuous(
-            "canonical_extremum_matches_solver",
-            "the shared sorted optimum bounds every attainable value and equals the solver output",
-        )
+        record("canonical_extremum_matches_solver", True, _VACUOUS)
 
     if exact_scope:
         if star is not None:
             want = {v for v in aset.vectors if sort_desc(v) == star}
             got = set(enumerate_optima(inst, cap=branch_cap))
             ok = got == want
-            records.append(
-                CheckRecord(
-                    "tie_branch_completeness",
-                    "branching over every tie reaches exactly the optimal objective vectors",
-                    ok,
-                    "" if ok else f"missing: {sorted(want - got)}; extra: {sorted(got - want)}",
-                )
+            record(
+                "tie_branch_completeness",
+                ok,
+                "" if ok else f"missing: {sorted(want - got)}; extra: {sorted(got - want)}",
             )
         else:
-            vacuous(
-                "tie_branch_completeness",
-                "branching over every tie reaches exactly the optimal objective vectors",
-            )
+            record("tie_branch_completeness", True, _VACUOUS)
 
     if nonempty:
         xdown = sorted({sort_desc(x) for x in aset.column_sets})
@@ -377,29 +361,16 @@ def certify(
             if lo not in xdown or hi not in xdown:
                 bad = f"pair {a}, {b} gives meet {lo} join {hi}"
                 break
-        records.append(
-            CheckRecord(
-                "canonical_column_lattice_closed",
-                "sorted feasible column-sum vectors are closed under meet and join",
-                bad == "",
-                bad,
-            )
-        )
+        record("canonical_column_lattice_closed", bad == "", bad)
     else:
-        vacuous(
-            "canonical_column_lattice_closed",
-            "sorted feasible column-sum vectors are closed under meet and join",
-        )
+        record("canonical_column_lattice_closed", True, _VACUOUS)
 
     formula = feasible(inst)
     ok = formula == nonempty
-    records.append(
-        CheckRecord(
-            "feasibility_formula_matches_enumeration",
-            "the conjugate-based feasibility test agrees with exhaustive search",
-            ok,
-            "" if ok else f"formula says {formula}, enumeration says {nonempty}",
-        )
+    record(
+        "feasibility_formula_matches_enumeration",
+        ok,
+        "" if ok else f"formula says {formula}, enumeration says {nonempty}",
     )
 
     if exact_scope:
@@ -409,42 +380,26 @@ def certify(
             ok = result.feasible == nonempty
         else:
             ok = not nonempty  # the solver refused exactly when nothing is attainable
-        records.append(
-            CheckRecord(
-                "solver_feasibility_certificate",
-                "the solver's feasibility report matches exhaustive search",
-                ok,
-                "" if ok else f"solver: {result.feasible if result else solve_error!r}, enumeration: {nonempty}",
-            )
+        record(
+            "solver_feasibility_certificate",
+            ok,
+            "" if ok else f"solver: {result.feasible if result else solve_error!r}, enumeration: {nonempty}",
         )
 
     if star is not None and exact_scope:
         best = min(map(_sumsq, canonicals))
         ok = _sumsq(star) == best
-        records.append(
-            CheckRecord(
-                "sum_of_squares_scalarization",
-                "the canonical optimum optimizes the strictly order-preserving sum of squares",
-                ok,
-                "" if ok else f"sumsq(optimum)={_sumsq(star)} but best attainable is {best}",
-            )
+        record(
+            "sum_of_squares_scalarization",
+            ok,
+            "" if ok else f"sumsq(optimum)={_sumsq(star)} but best attainable is {best}",
         )
     elif exact_scope:
-        vacuous(
-            "sum_of_squares_scalarization",
-            "the canonical optimum optimizes the strictly order-preserving sum of squares",
-        )
+        record("sum_of_squares_scalarization", True, _VACUOUS)
 
     if absent_canonical is not None:
         key = sort_desc(absent_canonical)
         ok = key not in aset.canonical_vectors
-        records.append(
-            CheckRecord(
-                "claimed_absent_vector",
-                "the supplied vector is missing from the canonical attainable set",
-                ok,
-                "" if ok else f"{key} is attainable",
-            )
-        )
+        record("claimed_absent_vector", ok, "" if ok else f"{key} is attainable")
 
     return CertificationReport(inst.variant, tuple(records))

@@ -18,10 +18,12 @@ policy reaches an optimum; the policies below pick *which* optimum:
     so traces reproduce exactly across platforms.
 
 Every uncapped sweep, whatever its size, runs through the compiled C sweep
-in ``_speedups`` (built from ``_sweep.c`` on first import).  The interpreted
-twin ``_run_rounds_python`` runs the capped sweeps, values too close to the
-int64 limits for the kernel, and every sweep on a machine where the build
-failed; it is also the reference the kernel is tested against bit for bit.
+(built from ``_sweep.c`` on first import): ``_sweep_result`` hands the
+profile, the row sums and the policy's name and seed to ``_speedups.sweep``,
+which alone knows the C calling convention.  The interpreted twin
+``_run_rounds_python`` runs the capped sweeps, values too close to the int64
+limits for the kernel, and every sweep on a machine where the build failed;
+it is also the reference the kernel is tested against bit for bit.
 
 Exhaustive branching over every tie choice enumerates the full set of
 optimal objective vectors; see :func:`enumerate_optima`.
@@ -41,13 +43,6 @@ from .majorization import IntVector, as_vector, sort_desc
 VARIANTS = ("min_remaining", "min_combined", "general_min", "general_max")
 
 TIE_KINDS = ("lowest_index", "highest_index", "load_order", "uniform_random")
-
-_POLICY_CODES = {
-    "lowest_index": _speedups.POLICY_LOWEST,
-    "highest_index": _speedups.POLICY_HIGHEST,
-    "load_order": _speedups.POLICY_LOAD_ORDER,
-    "uniform_random": _speedups.POLICY_RANDOM,
-}
 
 _MASK64 = (1 << 64) - 1
 
@@ -245,32 +240,6 @@ def _run_rounds_python(
     return values, a
 
 
-def _run_rounds(
-    start: IntVector,
-    r: IntVector,
-    largest: bool,
-    delta: int,
-    policy: TiePolicy,
-    caps: Optional[IntVector] = None,
-) -> tuple[list[int], Matrix]:
-    m, n = len(r), len(start)
-    if caps is None and _speedups.KERNEL_AVAILABLE and _speedups.fits(min(start), max(start), m):
-        values = np.array(start, dtype=np.int64)
-        rows = np.array(r, dtype=np.int64)
-        a = np.zeros((m, n), dtype=np.uint8)
-        _speedups.solve_rounds(
-            values,
-            rows,
-            a,
-            largest,
-            delta,
-            _POLICY_CODES[policy.kind],
-            policy.seed & _MASK64,
-        )
-        return values.tolist(), a
-    return _run_rounds_python(start, r, largest, delta, policy, caps)
-
-
 def _sweep_result(
     start: IntVector,
     r: IntVector,
@@ -280,7 +249,10 @@ def _sweep_result(
     caps: Optional[IntVector] = None,
 ) -> SolveResult:
     """Sweep rows already checked to fit; a negative entry certifies infeasibility."""
-    values, a = _run_rounds(start, r, largest, delta, policy, caps)
+    if caps is None and _speedups.KERNEL_AVAILABLE and _speedups.fits(min(start), max(start), len(r)):
+        values, a = _speedups.sweep(start, r, largest, delta, policy.kind, policy.seed)
+    else:
+        values, a = _run_rounds_python(start, r, largest, delta, policy, caps)
     objective = tuple(values)
     return SolveResult(_frozen(a), objective, sort_desc(objective), delta > 0 or min(objective) >= 0)
 
@@ -314,10 +286,10 @@ def min_remaining_profile(ceiling, row_sums) -> IntVector:
     """Canonical (nonincreasing) optimal remaining profile for a feasible setup."""
     c = as_vector(ceiling, "ceiling", nonnegative=True)
     r = as_vector(row_sums, "row_sums", nonnegative=True)
-    if not c:
-        return ()
     if not feasible_min_remaining(c, r):
         raise InfeasibleError(f"ceiling {c} cannot absorb row sums {r}")
+    if not c:
+        return ()
     return peak_shave(c, r).canonical_objective
 
 
@@ -325,6 +297,7 @@ def min_combined_profile(base, row_sums) -> IntVector:
     """Canonical (nonincreasing) optimal combined profile; always exists."""
     b = as_vector(base, "base", nonnegative=True)
     r = as_vector(row_sums, "row_sums", nonnegative=True)
+    _check_rows(r, len(b))
     if not b:
         return ()
     return valley_fill(b, r).canonical_objective

@@ -232,6 +232,21 @@ def test_bench_record_count_and_format(capsys):
     assert len(payload) == 1 and payload[0]["feasible"] is True
 
 
+def test_bench_seed_env_fallback(tmp_path, capsys, monkeypatch):
+    bench = ("bench", "--rows", "4", "--cols", "6", "--tie-policy", "random")
+    for env, seed in (("41", "41"), ("", "0")):
+        monkeypatch.setenv("MAJPOP_SEED", env)
+        code, out, _ = run_cli(capsys, *bench)
+        assert code == 0
+        assert [r["seed"] for r in csv.DictReader(io.StringIO(out))] == [seed]
+    monkeypatch.setenv("MAJPOP_SEED", "x")
+    path = write_instance(tmp_path, "peak.json", PEAK_INSTANCE)
+    for argv in (bench, ("solve", "--instance", path)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "invalid input: invalid literal for int() with base 10: 'x'\n"
+
+
 def test_bench_rejects_bad_ranges(capsys):
     code, _, err = run_cli(capsys, "bench", "--rows", "0", "--cols", "5")
     assert code == 2 and "positive" in err

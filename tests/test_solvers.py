@@ -27,7 +27,7 @@ from majpop import (
 )
 from majpop import _speedups, solvers
 from majpop.oracle import enumerate_attainable, maximal_elements, minimal_elements
-from majpop.solvers import _run_rounds_python, _POLICY_CODES
+from majpop.solvers import _run_rounds_python
 
 from helpers import random_feasible_instance
 
@@ -104,6 +104,17 @@ def test_profiles_examples():
     assert min_combined_profile((0, 0, 0), (3, 3)) == (2, 2, 2)
     with pytest.raises(InfeasibleError):
         min_remaining_profile((0, 0), (1,))
+
+
+@pytest.mark.parametrize("profile", [min_remaining_profile, min_combined_profile])
+def test_empty_profiles_still_check_the_rows(profile):
+    assert profile((), ()) == ()
+    assert profile((), (0, 0)) == ()
+    for rows in ((1,), (2,), (0, 1)):
+        with pytest.raises(InfeasibleError):
+            profile((), rows)
+        with pytest.raises(InfeasibleError):
+            profile((0,), rows + (2,))
 
 
 def test_essential_uniqueness_across_policies():
@@ -235,18 +246,8 @@ def test_kernel_matches_interpreter():
             policy = TiePolicy(kind, seed)
             for largest, delta in ((True, -1), (False, 1)):
                 vals_py, a_py = _run_rounds_python(start, r, largest, delta, policy, None)
-                vals_nb = np.array(start, dtype=np.int64)
-                a_nb = np.zeros((m, n), dtype=np.uint8)
-                _speedups.solve_rounds(
-                    vals_nb,
-                    np.array(r, dtype=np.int64),
-                    a_nb,
-                    largest,
-                    delta,
-                    _POLICY_CODES[kind],
-                    seed,
-                )
-                assert vals_py == [int(v) for v in vals_nb]
+                vals_nb, a_nb = _speedups.sweep(start, r, largest, delta, kind, seed)
+                assert vals_py == vals_nb
                 assert np.array_equal(a_py, a_nb)
 
 
