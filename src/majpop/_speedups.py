@@ -3,15 +3,19 @@
 The row loop is inherently sequential, so the whole sweep is compiled as one
 C function (``_sweep.c``): per-row cost is a single in-place quickselect
 plus two passes over the columns, keeping the total at O(m*n) with no
-per-row interpreter overhead.  Tie handling mirrors ``solvers._pick_ties``
-exactly, including the splitmix64 stream, so the compiled and interpreted
-paths are interchangeable and are tested for bit-identical output.
+per-row interpreter overhead.  Column caps, for ``general_min`` and
+``general_max``, are a mask the C code applies per row: each row selects
+among the columns still below their caps.  Tie handling mirrors
+``solvers._split_selection`` and ``solvers._pick_ties`` exactly, including
+the splitmix64 stream, so the compiled and interpreted paths are
+interchangeable and are tested for bit-identical output, capped or not.
 
 ``sweep`` is the one caller of the C function and the only module that
-knows its calling convention.  It takes the profile and the row sums as
-Python ints and the tie policy by name, builds the int64 and uint8 buffers
-itself, checks every value that comes from its caller, and returns the
-final profile as a list together with the matrix.
+knows its calling convention.  It takes the profile, the row sums and any
+caps as Python ints and the tie policy by name, builds the int64 and uint8
+buffers itself, checks every value that comes from its caller, and returns
+the final profile as a list together with the matrix; a row stranded below
+the caps raises ``InfeasibleError``.
 
 The first import compiles ``_sweep.c`` with the system ``cc`` into
 ``majpop/__pycache__/``, or into a private per-user directory under the
@@ -35,6 +39,8 @@ import zlib
 
 import numpy as np
 
+from .errors import InfeasibleError
+
 # Tie policy name (``solvers.TiePolicy.kind``) -> the code ``_sweep.c`` takes.
 POLICIES = {"lowest_index": 0, "highest_index": 1, "load_order": 2, "uniform_random": 3}
 
@@ -45,6 +51,9 @@ _COMPILE = ("cc", "-O2", "-shared", "-fPIC")
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 _MASK64 = (1 << 64) - 1
+
+# The stranded row's index and its open column count, written by the C code.
+_Stranded = ctypes.c_int64 * 2
 
 
 class BuildError(RuntimeError):
@@ -108,6 +117,26 @@ def _library_name() -> str:
     return f"_sweep-{key:08x}-{sys.platform}-{os.uname().machine}.so"
 
 
+def _bind(lib):
+    """The sweep function of a loaded library, with its C signature declared."""
+    fn = lib.majpop_solve_rounds
+    fn.argtypes = [
+        ctypes.c_void_p,  # values
+        ctypes.c_int64,  # n
+        ctypes.c_void_p,  # row_counts
+        ctypes.c_int64,  # m
+        ctypes.c_void_p,  # matrix
+        ctypes.c_int,  # take_largest
+        ctypes.c_int64,  # delta
+        ctypes.c_int,  # policy
+        ctypes.c_uint64,  # seed
+        ctypes.c_void_p,  # caps, or None
+        ctypes.POINTER(ctypes.c_int64),  # stranded
+    ]
+    fn.restype = ctypes.c_int
+    return fn
+
+
 def _load():
     name = _library_name()
     unusable = []
@@ -130,20 +159,7 @@ def _load():
         except OSError as exc:
             unusable.append(f"{directory}: {exc}")
             continue
-        fn = lib.majpop_solve_rounds
-        fn.argtypes = [
-            ctypes.c_void_p,  # values
-            ctypes.c_int64,  # n
-            ctypes.c_void_p,  # row_counts
-            ctypes.c_int64,  # m
-            ctypes.c_void_p,  # matrix
-            ctypes.c_int,  # take_largest
-            ctypes.c_int64,  # delta
-            ctypes.c_int,  # policy
-            ctypes.c_uint64,  # seed
-        ]
-        fn.restype = ctypes.c_int
-        return fn
+        return _bind(lib)
     raise BuildError("no usable cache directory: " + "; ".join(unusable))
 
 
@@ -173,7 +189,15 @@ def fits(low: int, high: int, m: int) -> bool:
     return _INT64_MIN + m <= low and high <= _INT64_MAX - m
 
 
-def sweep(start, row_counts, take_largest, delta, policy, seed):
+def _int64s(values, what):
+    """``values`` as an int64 array; ValueError if one lies outside int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{what} must lie within the int64 range") from None
+
+
+def sweep(start, row_counts, take_largest, delta, policy, seed, caps=None):
     """Run every row compiled; returns the final profile (a list) and the matrix.
 
     start: the starting profile, n Python ints within ``fits`` for m rows.
@@ -182,6 +206,11 @@ def sweep(start, row_counts, take_largest, delta, policy, seed):
     delta: +1 or -1 applied to each selected column.
     policy: a ``POLICIES`` name; seed (taken mod 2**64) feeds the splitmix64
     stream for ``uniform_random``.
+    caps: None, or n nonnegative ints; column j is taken in at most caps[j]
+    rows, and each row selects among the columns still below their caps.
+    Caps of m or more never bind, so any size is accepted.  A row that
+    needs more columns than remain below their caps raises InfeasibleError
+    with the same text as ``solvers._run_rounds_python``.
 
     The C code writes through raw pointers into buffers built here, so
     every value a caller supplies is checked first; a bad one raises
@@ -194,13 +223,28 @@ def sweep(start, row_counts, take_largest, delta, policy, seed):
         raise ValueError(f"delta must be +1 or -1, not {delta!r}")
     if policy not in POLICIES:
         raise ValueError(f"unknown tie policy {policy!r}")
-    if m and (min(row_counts) < 0 or max(row_counts) > n):
-        raise ValueError(f"row counts must lie in [0, {n}]")
     if n and not fits(min(start), max(start), m):
         raise ValueError("values too close to the int64 limits for this many rows")
     values = np.array(start, dtype=np.int64)
-    rows = np.array(row_counts, dtype=np.int64)
+    rows = _int64s(row_counts, "row counts")
+    # Read as unsigned, a negative count is 2**63 or more: one reduction
+    # checks both bounds.
+    if m and rows.view(np.uint64).max() > n:
+        raise ValueError(f"row counts must lie in [0, {n}]")
+    limits = None
+    if caps is not None:
+        if len(caps) != n:
+            raise ValueError(f"caps must have {n} entries, not {len(caps)}")
+        try:
+            limits = np.array(caps, dtype=np.int64)
+        except OverflowError:
+            # A cap of m or more never binds, so clamping to m changes
+            # nothing and brings caps past int64 into range.
+            limits = _int64s([c if c < m else m for c in caps], "caps")
+        if n and limits.min() < 0:
+            raise ValueError("caps must be nonnegative")
     matrix = np.zeros((m, n), dtype=np.uint8)
+    stranded = _Stranded()
     status = _kernel(
         values.ctypes.data,
         n,
@@ -211,7 +255,14 @@ def sweep(start, row_counts, take_largest, delta, policy, seed):
         delta,
         POLICIES[policy],
         seed & _MASK64,
+        None if limits is None else limits.ctypes.data,
+        stranded,
     )
+    if status == 1:
+        need = int(rows[stranded[0]])
+        raise InfeasibleError(
+            f"a row needs {need} columns but only {stranded[1]} remain below their caps"
+        )
     if status != 0:
-        raise MemoryError(f"no memory for the sweep's scratch buffers ({5 * n} int64)")
+        raise MemoryError(f"no memory for the sweep's scratch buffers ({6 * n} int64)")
     return values.tolist(), matrix

@@ -17,13 +17,13 @@ policy reaches an optimum; the policies below pick *which* optimum:
     Tied columns drawn without replacement from a seeded splitmix64 stream,
     so traces reproduce exactly across platforms.
 
-Every uncapped sweep, whatever its size, runs through the compiled C sweep
-(built from ``_sweep.c`` on first import): ``_sweep_result`` hands the
-profile, the row sums and the policy's name and seed to ``_speedups.sweep``,
-which alone knows the C calling convention.  The interpreted twin
-``_run_rounds_python`` runs the capped sweeps, values too close to the int64
-limits for the kernel, and every sweep on a machine where the build failed;
-it is also the reference the kernel is tested against bit for bit.
+Every sweep, capped or not and whatever its size, runs through the compiled
+C sweep (built from ``_sweep.c`` on first import): ``_sweep_result`` hands
+the profile, the row sums, the policy's name and seed and any column caps to
+``_speedups.sweep``, which alone knows the C calling convention.  The
+interpreted twin ``_run_rounds_python`` runs only values too close to the
+int64 limits for the kernel and every sweep on a machine where the build
+failed; it is also the reference the kernel is tested against bit for bit.
 
 Exhaustive branching over every tie choice enumerates the full set of
 optimal objective vectors; see :func:`enumerate_optima`.
@@ -249,8 +249,8 @@ def _sweep_result(
     caps: Optional[IntVector] = None,
 ) -> SolveResult:
     """Sweep rows already checked to fit; a negative entry certifies infeasibility."""
-    if caps is None and _speedups.KERNEL_AVAILABLE and _speedups.fits(min(start), max(start), len(r)):
-        values, a = _speedups.sweep(start, r, largest, delta, policy.kind, policy.seed)
+    if _speedups.KERNEL_AVAILABLE and _speedups.fits(min(start), max(start), len(r)):
+        values, a = _speedups.sweep(start, r, largest, delta, policy.kind, policy.seed, caps)
     else:
         values, a = _run_rounds_python(start, r, largest, delta, policy, caps)
     objective = tuple(values)

@@ -251,6 +251,58 @@ def test_kernel_matches_interpreter():
                 assert np.array_equal(a_py, a_nb)
 
 
+def _capped_sweep(sweep, *args):
+    """A sweep's profile and matrix, or the text of the InfeasibleError it raised."""
+    try:
+        values, a = sweep(*args)
+    except InfeasibleError as exc:
+        return str(exc)
+    return list(values), a.tolist()
+
+
+def test_capped_kernel_matches_interpreter():
+    assert _speedups.KERNEL_AVAILABLE
+    rng = np.random.default_rng(5)
+    sides = ((True, -1), (False, 1), (True, 1))  # shave, fill, general_max
+    stranded = completed = 0
+    for trial in range(160):
+        n = int(rng.integers(1, 16))
+        m = int(rng.integers(0, 16))
+        start = tuple(int(v) for v in rng.integers(0, 9, size=n))
+        r = tuple(int(v) for v in rng.integers(0, n + 1, size=m))
+        caps = (
+            (0,) * n,
+            (m,) * n,
+            tuple(int(v) for v in rng.integers(0, m + 1, size=n)),
+            tuple(2**63 + int(v) for v in rng.integers(0, 2**62, size=n)),
+        )[trial % 4]
+        for kind in ("lowest_index", "highest_index", "load_order", "uniform_random"):
+            seed = int(rng.integers(0, 2**63))
+            for largest, delta in sides:
+                policy = TiePolicy(kind, seed)
+                py = _capped_sweep(_run_rounds_python, start, r, largest, delta, policy, caps)
+                kernel = _capped_sweep(_speedups.sweep, start, r, largest, delta, kind, seed, caps)
+                assert py == kernel, (start, r, caps, kind, largest, delta)
+                stranded += isinstance(py, str)
+                completed += not isinstance(py, str)
+    assert stranded > 100 and completed > 100
+
+
+@pytest.mark.skipif(not _speedups.KERNEL_AVAILABLE, reason="compiled sweep unavailable")
+def test_capped_solves_run_compiled(monkeypatch):
+    def interpreted(*args):
+        raise AssertionError("a capped sweep ran interpreted")
+
+    monkeypatch.setattr(solvers, "_run_rounds_python", interpreted)
+    low = solve(Instance("general_min", (2, 1), reference=(3, 1, 2), ceiling=(1, 2, 2)))
+    assert low.objective == (2, 0, 1) and row_sums(low.matrix) == (2, 1)
+    high = solve(Instance("general_max", (2, 2), base=(0, 5, 1), ceiling=(2, 1, 2)))
+    assert high.objective == (1, 6, 3) and col_sums(high.matrix) == (1, 1, 2)
+    stuck = Instance("general_min", (1, 3), reference=(0, 0, 100), ceiling=(2, 1, 1))
+    with pytest.raises(InfeasibleError, match=r"^variant general_min: a row needs 3 columns"):
+        solve(stuck)
+
+
 @pytest.mark.skipif(not _speedups.KERNEL_AVAILABLE, reason="compiled sweep unavailable")
 def test_small_uncapped_solves_run_compiled(monkeypatch):
     def interpreted(*args):

@@ -20,7 +20,7 @@ needs_kernel = pytest.mark.skipif(
 
 
 def _args(m=3, n=4):
-    return [list(range(n)), [2] * m, True, -1, "lowest_index", 0]
+    return [list(range(n)), [2] * m, True, -1, "lowest_index", 0, None]
 
 
 BAD_ARGUMENTS = {
@@ -29,6 +29,9 @@ BAD_ARGUMENTS = {
     "delta two": (3, 2),
     "policy code": (4, "first_fit"),
     "values at the int64 edge": (0, [0, 1, 2, 2**63 - 2]),
+    "row count past int64": (1, [2, 2**64, 1]),
+    "caps of the wrong length": (6, [3, 3, 3]),
+    "negative cap": (6, [3, -1, 3, 3]),
 }
 
 
@@ -56,6 +59,62 @@ def test_c_source_compiles_without_warnings():
     cmd = ["cc", "-fsyntax-only", "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror"]
     proc = subprocess.run([*cmd, _speedups._SOURCE], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# Drives the library named by argv[1] through ``sweep``, capped and not.
+_SANITIZED_CALLS = """
+import ctypes, sys
+import numpy as np
+from majpop import InfeasibleError, _speedups
+
+_speedups._kernel = _speedups._bind(ctypes.CDLL(sys.argv[1]))
+rng = np.random.default_rng(3)
+calls = 0
+for trial in range(400):
+    n = int(rng.integers(1, 40))
+    m = int(rng.integers(0, 40))
+    start = [int(v) for v in rng.integers(0, 9, size=n)]
+    rows = [int(v) for v in rng.integers(0, n + 1, size=m)]
+    caps = None if trial % 3 == 0 else [int(v) for v in rng.integers(0, m + 2, size=n)]
+    for policy in _speedups.POLICIES:
+        for largest, delta in ((True, -1), (False, 1), (True, 1)):
+            try:
+                _speedups.sweep(start, rows, largest, delta, policy, trial, caps)
+            except InfeasibleError:
+                pass
+            calls += 1
+print(calls, "calls")
+"""
+
+
+def _libasan():
+    if shutil.which("cc") is None:
+        return None
+    proc = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True, text=True)
+    path = proc.stdout.strip()
+    return path if os.path.isabs(path) and os.path.exists(path) else None
+
+
+def test_sweep_is_clean_under_address_and_undefined_sanitizers(tmp_path):
+    libasan = _libasan()
+    if libasan is None:
+        pytest.skip("no cc or no libasan.so")
+    library = tmp_path / "_sweep_sanitized.so"
+    cmd = ["cc", "-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+    cmd += ["-shared", "-fPIC", "-o", str(library), _speedups._SOURCE]
+    build = subprocess.run(cmd, capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
+    package = os.path.dirname(os.path.dirname(majpop.__file__))
+    env = dict(os.environ, PYTHONPATH=package, LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0")
+    run = subprocess.run(
+        [sys.executable, "-c", _SANITIZED_CALLS, str(library)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr[-4000:]
+    assert run.stdout.strip() == "4800 calls"
 
 
 def _solve_process(tmp_path, pythonpath, env_extra):
