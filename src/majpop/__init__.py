@@ -10,60 +10,82 @@ brute-force certifier for desk-scale instances.  :mod:`majpop.cli` exposes
 all of it as the ``majpop`` command.
 """
 
-from .completion import (
-    construct_matrix,
-    col_sums,
-    enumerate_matrices,
-    feasible_min_remaining,
-    gale_ryser_feasible,
-    geth_vector,
-    interchange,
-    make_matrix,
-    matrix_rows,
-    row_sums,
-)
-from .errors import (
-    BudgetExceededError,
-    InfeasibleError,
-    InternalInvariantError,
-    LengthMismatchError,
-)
-from .lattice import covers, join, join_recursive, meet, partitions
-from .majorization import (
-    compare,
-    conjugate,
-    default_conjugate_dim,
-    equivalent,
-    majorized,
-    pad,
-    sort_asc,
-    sort_desc,
-    weakly_submajorized,
-    weakly_supermajorized,
-)
-from .oracle import (
-    AttainableSet,
-    CertificationReport,
-    certify,
-    enumerate_attainable,
-    maximal_elements,
-    minimal_elements,
-)
-from .solvers import (
-    HIGHEST_INDEX,
-    LOAD_ORDER,
-    LOWEST_INDEX,
-    Instance,
-    SolveResult,
-    TiePolicy,
-    enumerate_optima,
-    min_combined_profile,
-    min_remaining_profile,
-    peak_shave,
-    random_ties,
-    solve,
-    valley_fill,
-)
+import importlib
+
+# Module -> the names it exports here.  Each is imported on first access
+# (PEP 562), so ``import majpop`` and the ``solve`` path load neither numpy
+# nor the oracle and lattice modules until something asks for them.
+_EXPORTS = {
+    "completion": (
+        "construct_matrix",
+        "col_sums",
+        "enumerate_matrices",
+        "feasible_min_remaining",
+        "gale_ryser_feasible",
+        "geth_vector",
+        "interchange",
+        "make_matrix",
+        "matrix_rows",
+        "row_sums",
+    ),
+    "errors": (
+        "BudgetExceededError",
+        "InfeasibleError",
+        "InternalInvariantError",
+        "LengthMismatchError",
+    ),
+    "lattice": ("covers", "join", "join_recursive", "meet", "partitions"),
+    "majorization": (
+        "compare",
+        "conjugate",
+        "default_conjugate_dim",
+        "equivalent",
+        "majorized",
+        "pad",
+        "sort_asc",
+        "sort_desc",
+        "weakly_submajorized",
+        "weakly_supermajorized",
+    ),
+    "oracle": (
+        "AttainableSet",
+        "CertificationReport",
+        "certify",
+        "enumerate_attainable",
+        "maximal_elements",
+        "minimal_elements",
+    ),
+    "solvers": (
+        "HIGHEST_INDEX",
+        "LOAD_ORDER",
+        "LOWEST_INDEX",
+        "Instance",
+        "SolveResult",
+        "TiePolicy",
+        "enumerate_optima",
+        "min_combined_profile",
+        "min_remaining_profile",
+        "peak_shave",
+        "random_ties",
+        "solve",
+        "valley_fill",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))
+
 
 __all__ = [
     "AttainableSet",

@@ -12,10 +12,12 @@ interchangeable and are tested for bit-identical output, capped or not.
 
 ``sweep`` is the one caller of the C function and the only module that
 knows its calling convention.  It takes the profile, the row sums and any
-caps as Python ints and the tie policy by name, builds the int64 and uint8
-buffers itself, checks every value that comes from its caller, and returns
-the final profile as a list together with the matrix; a row stranded below
-the caps raises ``InfeasibleError``.
+caps as Python ints and the tie policy by name, builds the buffers itself
+(``array.array`` int64 vectors and a zeroed ``bytearray`` matrix, so no
+numpy is involved), checks every value that comes from its caller, and
+returns the final profile as a list together with the matrix as
+``completion.Cells``; a row stranded below the caps raises
+``InfeasibleError``.
 
 The first import compiles ``_sweep.c`` with the system ``cc`` into
 ``majpop/__pycache__/``, or into a private per-user directory under the
@@ -36,9 +38,9 @@ import os
 import stat
 import sys
 import zlib
+from array import array
 
-import numpy as np
-
+from .completion import Cells
 from .errors import InfeasibleError
 
 # Tie policy name (``solvers.TiePolicy.kind``) -> the code ``_sweep.c`` takes.
@@ -54,6 +56,10 @@ _MASK64 = (1 << 64) - 1
 
 # The stranded row's index and its open column count, written by the C code.
 _Stranded = ctypes.c_int64 * 2
+
+# The C code's statuses for values it refuses before writing anything.
+_BAD_ROW_COUNT = 2
+_NEGATIVE_CAP = 3
 
 
 class BuildError(RuntimeError):
@@ -190,9 +196,9 @@ def fits(low: int, high: int, m: int) -> bool:
 
 
 def _int64s(values, what):
-    """``values`` as an int64 array; ValueError if one lies outside int64."""
+    """``values`` as an int64 ``array.array``; ValueError if one lies outside int64."""
     try:
-        return np.array(values, dtype=np.int64)
+        return array("q", values)
     except OverflowError:
         raise ValueError(f"{what} must lie within the int64 range") from None
 
@@ -212,9 +218,12 @@ def sweep(start, row_counts, take_largest, delta, policy, seed, caps=None):
     needs more columns than remain below their caps raises InfeasibleError
     with the same text as ``solvers._run_rounds_python``.
 
-    The C code writes through raw pointers into buffers built here, so
-    every value a caller supplies is checked first; a bad one raises
-    ValueError.
+    The matrix comes back as ``completion.Cells`` over the m*n bytes the C
+    code wrote.  The C code writes through raw pointers into buffers built
+    here, so every value a caller supplies is checked before anything is
+    written; a bad one raises ValueError.  Row counts and caps are checked
+    by the C code's first pass over them, which spares the tall sweeps a
+    second Python walk over the row counts.
     """
     if _kernel is None:
         raise RuntimeError(f"the compiled row sweep is unavailable: {BUILD_ERROR}")
@@ -225,44 +234,42 @@ def sweep(start, row_counts, take_largest, delta, policy, seed, caps=None):
         raise ValueError(f"unknown tie policy {policy!r}")
     if n and not fits(min(start), max(start), m):
         raise ValueError("values too close to the int64 limits for this many rows")
-    values = np.array(start, dtype=np.int64)
+    values = array("q", start)
     rows = _int64s(row_counts, "row counts")
-    # Read as unsigned, a negative count is 2**63 or more: one reduction
-    # checks both bounds.
-    if m and rows.view(np.uint64).max() > n:
-        raise ValueError(f"row counts must lie in [0, {n}]")
     limits = None
     if caps is not None:
         if len(caps) != n:
             raise ValueError(f"caps must have {n} entries, not {len(caps)}")
         try:
-            limits = np.array(caps, dtype=np.int64)
+            limits = array("q", caps)
         except OverflowError:
             # A cap of m or more never binds, so clamping to m changes
             # nothing and brings caps past int64 into range.
             limits = _int64s([c if c < m else m for c in caps], "caps")
-        if n and limits.min() < 0:
-            raise ValueError("caps must be nonnegative")
-    matrix = np.zeros((m, n), dtype=np.uint8)
+    matrix = bytearray(m * n)
     stranded = _Stranded()
     status = _kernel(
-        values.ctypes.data,
+        values.buffer_info()[0],
         n,
-        rows.ctypes.data,
+        rows.buffer_info()[0],
         m,
-        matrix.ctypes.data,
+        ctypes.byref(ctypes.c_char.from_buffer(matrix)) if matrix else None,
         bool(take_largest),
         delta,
         POLICIES[policy],
         seed & _MASK64,
-        None if limits is None else limits.ctypes.data,
+        None if limits is None else limits.buffer_info()[0],
         stranded,
     )
     if status == 1:
-        need = int(rows[stranded[0]])
+        need = rows[stranded[0]]
         raise InfeasibleError(
             f"a row needs {need} columns but only {stranded[1]} remain below their caps"
         )
+    if status == _BAD_ROW_COUNT:
+        raise ValueError(f"row counts must lie in [0, {n}]")
+    if status == _NEGATIVE_CAP:
+        raise ValueError("caps must be nonnegative")
     if status != 0:
         raise MemoryError(f"no memory for the sweep's scratch buffers ({6 * n} int64)")
-    return values.tolist(), matrix
+    return values.tolist(), Cells(matrix, (m, n))

@@ -13,9 +13,10 @@
  * reports the row and its open count and returns 1.
  *
  * Built, loaded and called only by _speedups.sweep, which allocates the
- * buffers itself and checks every value its caller supplies before the
- * call: 0 <= row_counts[i] <= n, 0 <= caps[j], delta is +1 or -1, the
- * policy code is one below, and no value can leave the int64 range.
+ * buffers itself and checks before the call that delta is +1 or -1, the
+ * policy code is one below, and no value can leave the int64 range.  The
+ * row counts and caps are checked here, in one pass before anything is
+ * written: 0 <= row_counts[i] <= n and 0 <= caps[j].
  */
 
 #include <stdint.h>
@@ -25,6 +26,9 @@
 #define POLICY_HIGHEST 1
 #define POLICY_LOAD_ORDER 2
 #define POLICY_RANDOM 3
+
+#define STATUS_BAD_ROW_COUNT 2
+#define STATUS_NEGATIVE_CAP 3
 
 static uint64_t splitmix64(uint64_t *state)
 {
@@ -207,7 +211,9 @@ SPECIALISED int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
 }
 
 /* Run all rows in place; returns 0 on success, 1 when a row is stranded
- * below the caps, -1 when scratch memory cannot be allocated.
+ * below the caps, -1 when scratch memory cannot be allocated, and, with
+ * nothing written, STATUS_BAD_ROW_COUNT when a row count lies outside
+ * [0, n] and STATUS_NEGATIVE_CAP when a cap is negative.
  *
  * values: int64[n] running profile, modified in place.
  * row_counts: int64[m] units to place per row.
@@ -226,6 +232,15 @@ int majpop_solve_rounds(int64_t *values, int64_t n, const int64_t *row_counts,
                         int64_t delta, int policy, uint64_t seed,
                         const int64_t *caps, int64_t *stranded)
 {
+    int64_t i;
+    /* Read as unsigned, a negative count exceeds every n. */
+    for (i = 0; i < m; i++)
+        if ((uint64_t)row_counts[i] > (uint64_t)n)
+            return STATUS_BAD_ROW_COUNT;
+    if (caps != NULL)
+        for (i = 0; i < n; i++)
+            if (caps[i] < 0)
+                return STATUS_NEGATIVE_CAP;
     if (caps == NULL)
         return run_rows(values, n, row_counts, m, matrix, take_largest, delta,
                         policy, seed, NULL, stranded, 0);

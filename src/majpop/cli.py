@@ -2,10 +2,13 @@
 
 Results go to stdout as JSON (CSV for ``bench``); diagnostics go to stderr.
 Every payload goes through one encoder, ``_emit``: 0/1 matrices arrive as
-their frozen ``uint8`` arrays and are written as text built from the array's
+``completion.Cells`` from ``solve`` or as frozen ``uint8`` arrays from
+``enumerate`` and ``construct`` and are written as text built from their
 bytes, everything else goes to ``json.dumps``; the output equals
 ``json.dumps(payload, separators=(",", ":"), sort_keys=True)`` of the
 payload with each matrix as nested lists, without building those lists.
+``solve`` imports neither numpy nor ``lattice`` and ``oracle``; the
+commands that need them import them when they run.
 Exit codes: 0 success, 1 infeasible instance, 2 invalid input or exceeded
 budget, 3 internal error: a violated invariant or any other exception, each
 with one line on stderr.  Given the same arguments and seed, every
@@ -22,11 +25,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import lattice as lattice_mod
-from . import oracle as oracle_mod
-from .completion import construct_matrix, geth_vector
+from .completion import Cells, construct_matrix, geth_vector
 from .errors import BudgetExceededError, InfeasibleError, InternalInvariantError
 from .majorization import conjugate, default_conjugate_dim
 from .solvers import (
@@ -48,6 +47,13 @@ _POLICY_FLAGS = {
 }
 
 _INSTANCE_KEYS = frozenset(("variant", "row_sums", "ceiling", "base", "reference"))
+
+# Most entries ``conjugate`` writes; its output length is known before any
+# memory is taken, so a longer one is refused as over budget.
+_MAX_CONJUGATE_DIM = 10_000_000
+
+# ``bytes.translate`` table: a 0/1 cell to its digit, any other byte to "?".
+_DIGITS = b"01" + b"?" * 254
 
 
 def _parse_vector(text: str, name: str) -> tuple[int, ...]:
@@ -114,44 +120,49 @@ def _policy_from_args(args) -> TiePolicy:
     return TiePolicy(kind, seed) if kind == "uniform_random" else TiePolicy(kind)
 
 
-def _matrix_text(matrix: np.ndarray) -> str:
-    """JSON text of a 0/1 matrix, written from its ``uint8`` entries.
+def _matrix_text(matrix) -> str:
+    """JSON text of a 0/1 matrix: ``Cells``, or a 2-D ``uint8`` buffer such as
+    a numpy array.
 
-    Row i of the buffer below is ``[a,b,...,z],``: digits at the odd slots,
-    commas between them.  The last comma becomes the closing ``]``.
+    Each row is ``,[a,b,...,z]``: one template row repeated m times, then
+    each row's digits written over its slots.  The first comma becomes the
+    opening ``[``.  The buffer comes from repeating a ``bytearray``, which
+    costs a tenth of concatenating one onto a short prefix (2000 x 2000).
     """
-    if matrix.dtype != np.uint8 or matrix.ndim != 2 or matrix.max(initial=0) > 1:
+    if isinstance(matrix, Cells):
+        fmt, shape, cells = "B", matrix.shape, matrix.data
+    else:
+        view = memoryview(matrix)
+        # A bytearray, like the sweeps' cells: its row slices go into the
+        # text without another copy.
+        fmt, shape, cells = view.format, view.shape, bytearray(view)
+    digits = cells.translate(_DIGITS)
+    if fmt != "B" or len(shape) != 2 or b"?" in digits:
         raise InternalInvariantError(
-            f"expected a 2-D uint8 matrix of 0/1 entries, got dtype {matrix.dtype}, "
-            f"shape {matrix.shape}"
+            f"expected a 2-D uint8 matrix of 0/1 entries, got format {fmt!r}, shape {shape}"
         )
-    m, n = matrix.shape
+    m, n = shape
     if m == 0:
         return "[]"
     if n == 0:
         return "[" + ",".join(["[]"] * m) + "]"
     width = 2 * n + 2
-    text = np.empty(1 + m * width, dtype=np.uint8)
+    text = bytearray(b",[" + b"0," * (n - 1) + b"0]") * m
+    for i in range(m):
+        first = 2 + i * width
+        text[first : first + 2 * n : 2] = digits[i * n : (i + 1) * n]
     text[0] = ord("[")
-    rows = text[1:].reshape(m, width)
-    rows[:, 0] = ord("[")
-    np.add(matrix, ord("0"), out=rows[:, 1 : 2 * n : 2])
-    rows[:, 2 : 2 * n - 1 : 2] = ord(",")
-    rows[:, 2 * n] = ord("]")
-    rows[:, 2 * n + 1] = ord(",")
-    text[-1] = ord("]")
-    return text.tobytes().decode("ascii")
+    text.append(ord("]"))
+    return text.decode("ascii")
 
 
 def _encode(value) -> str:
-    """Compact, key-sorted JSON text of ``value``; arrays go to ``_matrix_text``.
+    """Compact, key-sorted JSON text of ``value``; matrices go to ``_matrix_text``.
 
-    A value with no array inside goes to ``json.dumps`` whole, so a long flat
-    list costs no per-entry Python work; ``json.dumps`` raises ``TypeError``
-    at an array, and only then is the dict or list walked.
+    A value with no matrix inside goes to ``json.dumps`` whole, so a long
+    flat list costs no per-entry Python work; ``json.dumps`` raises
+    ``TypeError`` at a matrix, and only then is the dict or list walked.
     """
-    if isinstance(value, np.ndarray):
-        return _matrix_text(value)
     try:
         return json.dumps(value, separators=(",", ":"), sort_keys=True)
     except TypeError:
@@ -164,7 +175,7 @@ def _encode(value) -> str:
             return "{" + ",".join(parts) + "}"
         if isinstance(value, (list, tuple)):
             return "[" + ",".join(map(_encode, value)) + "]"
-        raise
+        return _matrix_text(value)
 
 
 def _emit(payload) -> None:
@@ -199,6 +210,10 @@ def _cmd_feasible(args) -> int:
 def _cmd_conjugate(args) -> int:
     v = _parse_vector(args.vector, "--vector")
     dim = args.dim if args.dim is not None else default_conjugate_dim(v)
+    if dim > _MAX_CONJUGATE_DIM:
+        raise BudgetExceededError(
+            f"the conjugate would have {dim} entries; the output cap is {_MAX_CONJUGATE_DIM}"
+        )
     _emit(list(conjugate(v, dim)))
     return 0
 
@@ -218,24 +233,28 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    from . import lattice
+
     x = _parse_vector(args.x, "--x")
     y = _parse_vector(args.y, "--y")
     if args.lattice_op == "meet":
-        _emit(list(lattice_mod.meet(x, y)))
+        _emit(list(lattice.meet(x, y)))
     elif args.lattice_op == "join":
-        _emit(list(lattice_mod.join(x, y)))
+        _emit(list(lattice.join(x, y)))
     else:
-        _emit({"covers": lattice_mod.covers(y, x)})
+        _emit({"covers": lattice.covers(y, x)})
     return 0
 
 
 def _cmd_certify(args) -> int:
+    from . import oracle
+
     inst = load_instance(args.instance)
     absent = _parse_vector(args.absent, "--absent") if args.absent else None
-    report = oracle_mod.certify(
+    report = oracle.certify(
         inst,
-        max_cols=args.max_cols,
-        max_total=args.max_total,
+        max_cols=oracle.DEFAULT_MAX_COLS if args.max_cols is None else args.max_cols,
+        max_total=oracle.DEFAULT_MAX_TOTAL if args.max_total is None else args.max_total,
         absent_canonical=absent,
     )
     _emit(report.to_json())
@@ -358,8 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     q = orc.add_parser("certify")
     q.add_argument("--instance", required=True)
     q.add_argument("--absent", default=None, help="vector expected absent from the canonical attainable set")
-    q.add_argument("--max-cols", type=int, default=oracle_mod.DEFAULT_MAX_COLS)
-    q.add_argument("--max-total", type=int, default=oracle_mod.DEFAULT_MAX_TOTAL)
+    # Unset reads as the oracle's default, looked up when the command runs.
+    q.add_argument("--max-cols", type=int, default=None)
+    q.add_argument("--max-total", type=int, default=None)
     q.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("bench", help="time the solver over size grids, emit records")

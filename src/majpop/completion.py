@@ -1,6 +1,9 @@
 """Feasibility tests and constructive machinery for 0/1 matrices with line sums.
 
-Matrices are numpy ``uint8`` arrays with entries in {0, 1}.  The class of
+Matrices are numpy ``uint8`` arrays with entries in {0, 1}.  The sweeps
+write theirs as :class:`Cells`, row-major bytes and a shape, and the numpy
+array is built from those on first use, so a caller that never asks for it
+never imports numpy; neither does importing this module.  The class of
 interest is all m-by-n such matrices with row sums ``r`` and column sums
 ``x``; it is nonempty exactly when ``x`` is majorized by the conjugate of
 ``r`` taken at dimension n.  The feasibility tests take O((m + n) log(m + n))
@@ -9,8 +12,6 @@ compiled; everything else here is desk-scale.
 """
 
 from itertools import accumulate
-
-import numpy as np
 
 from .errors import BudgetExceededError, InfeasibleError, InternalInvariantError, LengthMismatchError
 from .majorization import (
@@ -25,7 +26,9 @@ from .majorization import (
     weakly_supermajorized,
 )
 
-Matrix = np.ndarray
+# A 2-D numpy uint8 array of 0/1 entries, named by string so that this
+# module can be imported without numpy.
+Matrix = "numpy.ndarray"
 
 
 def _frozen(a: Matrix) -> Matrix:
@@ -34,8 +37,44 @@ def _frozen(a: Matrix) -> Matrix:
     return a
 
 
+class Cells:
+    """A 0/1 matrix as its row-major cells (a bytes-like value of 0 and 1
+    bytes) and its shape ``(m, n)``, usable without numpy.
+
+    ``tolist()`` gives the nested lists; ``array()``, and ``numpy.asarray``
+    through ``__array__``, give the read-only ``uint8`` array, built once on
+    first use.  The array shares memory with ``data``, which is therefore
+    never written after construction.
+    """
+
+    __slots__ = ("data", "shape", "_array")
+
+    def __init__(self, data, shape: tuple[int, int]):
+        self.data = data
+        self.shape = shape
+        self._array = None
+
+    def tolist(self) -> list[list[int]]:
+        m, n = self.shape
+        return [list(self.data[i * n : (i + 1) * n]) for i in range(m)]
+
+    def array(self) -> Matrix:
+        if self._array is None:
+            import numpy as np
+
+            self._array = _frozen(np.frombuffer(self.data, dtype=np.uint8).reshape(self.shape))
+        return self._array
+
+    def __array__(self, dtype=None, copy=None):
+        import numpy as np
+
+        return np.array(self.array(), dtype=dtype, copy=copy)
+
+
 def make_matrix(rows) -> Matrix:
     """Build a 0/1 matrix from nested row data, validating entries."""
+    import numpy as np
+
     src = np.array(rows, dtype=np.int64)
     if src.ndim != 2:
         raise ValueError(f"matrix must be two-dimensional, got shape {src.shape}")

@@ -24,6 +24,9 @@ the profile, the row sums, the policy's name and seed and any column caps to
 interpreted twin ``_run_rounds_python`` runs only values too close to the
 int64 limits for the kernel and every sweep on a machine where the build
 failed; it is also the reference the kernel is tested against bit for bit.
+Both write the matrix into a ``bytearray`` and hand it back as
+``completion.Cells``, so a solve imports no numpy: ``SolveResult.matrix``
+builds the numpy array on first access.
 
 Exhaustive branching over every tie choice enumerates the full set of
 optimal objective vectors; see :func:`enumerate_optima`.
@@ -33,10 +36,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import _speedups
-from .completion import Matrix, _frozen, feasible_min_remaining
+from .completion import Cells, Matrix, feasible_min_remaining
 from .errors import BudgetExceededError, InfeasibleError
 from .majorization import IntVector, as_vector, sort_desc
 
@@ -126,24 +127,52 @@ class Instance:
         object.__setattr__(self, "n", n)
 
 
+class _MatrixField:
+    """``SolveResult.matrix``: holds the sweep's ``Cells``, reads as their array.
+
+    The instance keeps what it was given under ``matrix`` in its ``__dict__``
+    (array-like either way, as ``vars(result)`` shows it), and reading the
+    attribute turns ``Cells`` into the read-only numpy array, built once.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # so the dataclass field has no default
+        value = obj.__dict__[self.name]
+        return value.array() if isinstance(value, Cells) else value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """Solver output: witness matrix, objective in input order, sorted form."""
+    """Solver output: witness matrix, objective in input order, sorted form.
 
-    matrix: Matrix
+    ``matrix`` is the read-only numpy ``uint8`` array.  The solvers store the
+    sweep's ``Cells`` and the array is built on first access, so a result
+    whose matrix is only written out never loads numpy.
+    """
+
+    matrix: Matrix = _MatrixField()
     objective: IntVector
     canonical_objective: IntVector
     feasible: bool
 
     def to_json(self) -> dict:
-        """The CLI payload.  ``"matrix"`` is the read-only ``uint8`` matrix
-        itself, not nested lists; ``majpop.cli._emit`` writes it as JSON text
-        straight from the array, and ``matrix.tolist()`` gives the lists."""
+        """The CLI payload.  ``"matrix"`` is the stored 0/1 value itself, not
+        nested lists: for a solver's result, ``Cells``, which has ``.shape``
+        and ``.tolist()`` and needs no numpy (``numpy.asarray`` on it gives
+        the array).  ``majpop.cli._emit`` writes it as JSON text straight
+        from its bytes."""
         return {
             "feasible": self.feasible,
             "objective": list(self.objective),
             "canonical_objective": list(self.canonical_objective),
-            "matrix": self.matrix,
+            "matrix": self.__dict__["matrix"],
         }
 
 
@@ -218,12 +247,12 @@ def _run_rounds_python(
     delta: int,
     policy: TiePolicy,
     caps: Optional[IntVector],
-) -> tuple[list[int], Matrix]:
+) -> tuple[list[int], Cells]:
     n = len(start)
     m = len(r)
     values = list(start)
     placed = [0] * n
-    a = np.zeros((m, n), dtype=np.uint8)
+    a = bytearray(m * n)
     state = policy.seed & _MASK64
     everything = list(range(n))
     for i, need in enumerate(r):
@@ -236,8 +265,8 @@ def _run_rounds_python(
         for j in forced + chosen:
             values[j] += delta
             placed[j] += 1
-            a[i, j] = 1
-    return values, a
+            a[i * n + j] = 1
+    return values, Cells(a, (m, n))
 
 
 def _sweep_result(
@@ -254,7 +283,7 @@ def _sweep_result(
     else:
         values, a = _run_rounds_python(start, r, largest, delta, policy, caps)
     objective = tuple(values)
-    return SolveResult(_frozen(a), objective, sort_desc(objective), delta > 0 or min(objective) >= 0)
+    return SolveResult(a, objective, sort_desc(objective), delta > 0 or min(objective) >= 0)
 
 
 def peak_shave(ceiling, row_sums, policy: TiePolicy = LOWEST_INDEX) -> SolveResult:
@@ -385,11 +414,11 @@ def enumerate_optima(inst: Instance, cap: int = 1_000_000) -> dict[IntVector, Ma
             if values not in results:
                 if len(results) >= cap:
                     raise BudgetExceededError(f"more than {cap} optimal objective vectors")
-                a = np.zeros((m, n), dtype=np.uint8)
+                a = bytearray(m * n)
                 for ri, cols in enumerate(rows):
                     for j in cols:
-                        a[ri, j] = 1
-                results[values] = _frozen(a)
+                        a[ri * n + j] = 1
+                results[values] = Cells(a, (m, n)).array()
             continue
         if caps is None:
             allowed = list(range(n))

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import majpop
-from majpop.cli import _emit, main
+from majpop.cli import _MAX_CONJUGATE_DIM, _emit, main
+from majpop.completion import Cells
 from majpop.errors import InternalInvariantError
 
 
@@ -111,6 +112,23 @@ def test_conjugate_command(capsys):
     assert code == 0 and json.loads(out) == [4, 3, 2, 2, 1]
     code, _, err = run_cli(capsys, "conjugate", "--vector", "5,4", "--dim", "3")
     assert code == 2 and "lossy" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--vector", "1000000000000"],
+        ["--vector", "5,4,2,1", "--dim", "100000000000"],
+        ["--vector", "5", "--dim", str(_MAX_CONJUGATE_DIM + 1)],
+    ],
+    ids=["vector", "dim", "cap-plus-one"],
+)
+def test_conjugate_past_the_output_cap_is_over_budget(capsys, argv):
+    # Refused before the output is allocated: a 10**12-entry list would be
+    # a MemoryError, exit 3.
+    code, out, err = run_cli(capsys, "conjugate", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("budget exceeded: ") and f"output cap is {_MAX_CONJUGATE_DIM}" in err
 
 
 def test_lattice_commands(capsys):
@@ -270,6 +288,38 @@ GOLDEN_RUNS["enumerate-peak_shave_demo.json"] = [
 GOLDEN_RUNS["construct.json"] = ["construct", "--row-sums", "3,2,2,1,0", "--col-sums", "3,2,2,1"]
 
 
+# Run as ``python -c``: imports the CLI, runs ``main`` on argv, and reports
+# which of the modules that ``solve`` must not load were loaded after each.
+_IMPORT_PROBE = """
+import json, sys
+watched = ("numpy", "majpop.oracle", "majpop.lattice")
+import majpop.cli
+after_import = [m for m in watched if m in sys.modules]
+code = majpop.cli.main(sys.argv[1:])
+after_run = [m for m in watched if m in sys.modules]
+print(json.dumps([code, after_import, after_run]), file=sys.stderr)
+"""
+
+
+def test_solve_path_loads_neither_numpy_nor_the_oracle():
+    name = "solve-peak_shave_demo-random.json"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(majpop.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *GOLDEN_RUNS[name]], capture_output=True, env=env
+    )
+    assert json.loads(run.stderr) == [0, [], []]
+    assert run.stdout == (GOLDEN / name).read_bytes()
+    # The lazy exports still serve every public name, star import included.
+    for export in majpop.__all__:
+        assert getattr(majpop, export) is not None
+    namespace = {}
+    exec("from majpop import *", namespace)
+    assert set(majpop.__all__) <= set(namespace)
+    assert set(majpop.__all__) <= set(dir(majpop))
+    with pytest.raises(AttributeError):
+        majpop.no_such_name
+
+
 def test_golden_files_match_runs():
     assert len(GOLDEN_RUNS) == 18
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(GOLDEN_RUNS)
@@ -304,6 +354,8 @@ def test_emit_matches_json_dumps_of_lists(capsys):
         lists = {"matrix": a.tolist(), "objective": [n, m], "nested": [{"b": a.tolist(), "a": [1, 2]}]}
         assert _emitted(capsys, payload) == _reference_text(lists), (m, n)
         assert _emitted(capsys, a) == _reference_text(a.tolist()), (m, n)
+        cells = Cells(bytearray(a.tobytes()), (m, n))
+        assert _emitted(capsys, {"matrix": cells}) == _reference_text({"matrix": a.tolist()}), (m, n)
 
 
 def test_zero_row_solve_prints_empty_matrix(tmp_path, capsys):
@@ -320,8 +372,10 @@ def test_zero_row_solve_prints_empty_matrix(tmp_path, capsys):
         np.array([[0, 2]], dtype=np.uint8),
         np.array([[10, 1], [0, 0]], dtype=np.uint8),
         np.array([[0, 1]], dtype=np.int64),
+        Cells(bytearray([0, 1, 2, 0]), (2, 2)),
+        np.array([0, 1], dtype=np.uint8),
     ],
-    ids=["entry-2", "entry-10", "int64"],
+    ids=["entry-2", "entry-10", "int64", "cells-entry-2", "one-dimensional"],
 )
 def test_emit_rejects_non_binary_matrix(tmp_path, capsys, monkeypatch, matrix):
     with pytest.raises(InternalInvariantError):

@@ -26,6 +26,7 @@ from majpop import (
     valley_fill,
 )
 from majpop import _speedups, solvers
+from majpop.completion import Cells
 from majpop.oracle import enumerate_attainable, maximal_elements, minimal_elements
 from majpop.solvers import _run_rounds_python
 
@@ -67,6 +68,17 @@ def test_peak_shave_zero_rows():
     res = peak_shave((1, 1, 1), ())
     assert res.objective == (1, 1, 1)
     assert res.matrix.shape == (0, 3)
+
+
+def test_solve_result_keeps_the_cells_and_builds_the_array_once():
+    res = peak_shave(PEAK_C, PEAK_R)
+    cells = res.to_json()["matrix"]
+    assert isinstance(cells, Cells) and vars(res)["matrix"] is cells
+    assert cells.shape == (len(PEAK_R), len(PEAK_C))
+    a = res.matrix
+    assert a is res.matrix and a.dtype == np.uint8 and not a.flags.writeable
+    assert cells.tolist() == a.tolist()
+    assert np.array_equal(np.asarray(cells), a)
 
 
 def test_peak_shave_structural_error():

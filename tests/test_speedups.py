@@ -50,7 +50,7 @@ def test_wrapper_accepts_its_own_example():
     values, matrix = _speedups.sweep(*_args())
     # Shave (0, 1, 2, 3) by two units per row; the lowest index wins ties.
     assert values == [0, 0, 0, 0]
-    assert matrix.dtype == np.uint8
+    assert np.asarray(matrix).dtype == np.uint8
     assert matrix.tolist() == [[0, 0, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
 
 
