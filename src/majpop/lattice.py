@@ -9,12 +9,17 @@ whatever the total.  ``join`` takes the conjugate route while the total is at
 most ``len**2`` and the recursive one above it, so a total such as 10^12 runs
 in memory.  Both routes stay, and the test suite checks that they agree with
 each other and with exhaustive scans.
+
+The public functions validate their inputs and then call a private core
+(``_meet``, ``_join``, ``_join_recursive``) that checks nothing.  Callers
+that already hold valid partitions of one total and length, such as the
+oracle's closure check, call the cores directly.
 """
 
 from itertools import accumulate
 from typing import Iterator, Sequence
 
-from .majorization import IntVector, as_vector, conjugate, is_nonincreasing
+from .majorization import IntVector, _conjugate, as_vector, is_nonincreasing
 
 
 def _check_pair(x: Sequence[int], y: Sequence[int]) -> tuple[IntVector, IntVector]:
@@ -31,7 +36,10 @@ def _check_pair(x: Sequence[int], y: Sequence[int]) -> tuple[IntVector, IntVecto
 
 def meet(x: Sequence[int], y: Sequence[int]) -> IntVector:
     """Greatest lower bound: difference the pairwise minima of prefix sums."""
-    a, b = _check_pair(x, y)
+    return _meet(*_check_pair(x, y))
+
+
+def _meet(a: IntVector, b: IntVector) -> IntVector:
     out = []
     prev = 0
     for pa, pb in zip(accumulate(a), accumulate(b)):
@@ -47,14 +55,18 @@ def join(x: Sequence[int], y: Sequence[int]) -> IntVector:
     Totals above ``len(x) ** 2`` go to ``join_recursive`` instead, whose cost
     does not grow with the total.
     """
-    a, b = _check_pair(x, y)
+    return _join(*_check_pair(x, y))
+
+
+def _join(a: IntVector, b: IntVector) -> IntVector:
     if a == b:
         return a
-    if sum(a) > len(a) ** 2:
-        return join_recursive(a, b)
+    total = sum(a)
+    if total > len(a) ** 2:
+        return _join_recursive(a, b)
     # No part exceeds the total, so the total is always a safe conjugate dim.
-    d = max(sum(a), 1)
-    return conjugate(meet(conjugate(a, d), conjugate(b, d)), len(a))
+    d = max(total, 1)
+    return _conjugate(_meet(_conjugate(a, d), _conjugate(b, d)), len(a))
 
 
 def join_recursive(x: Sequence[int], y: Sequence[int]) -> IntVector:
@@ -64,7 +76,10 @@ def join_recursive(x: Sequence[int], y: Sequence[int]) -> IntVector:
     ``j * alpha`` covers every prefix max of the two inputs j steps ahead.
     Computed by direct ceiling arithmetic rather than incremental search.
     """
-    a, b = _check_pair(x, y)
+    return _join_recursive(*_check_pair(x, y))
+
+
+def _join_recursive(a: IntVector, b: IntVector) -> IntVector:
     n = len(a)
     need = [max(pa, pb) for pa, pb in zip(accumulate(a), accumulate(b))]
     out = []

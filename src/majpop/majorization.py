@@ -128,6 +128,15 @@ def conjugate(x: Sequence[int], dim: int) -> IntVector:
         raise ValueError(
             f"conjugate dimension {dim} is lossy: largest element is {biggest}"
         )
+    return _conjugate(v, dim)
+
+
+def _conjugate(v: Sequence[int], dim: int) -> IntVector:
+    """:func:`conjugate` without its checks.
+
+    ``v`` must hold nonnegative ints, and ``dim`` must be positive and at
+    least ``max(v)``; callers that cannot promise this use :func:`conjugate`.
+    """
     counts = [0] * (dim + 1)
     for e in v:
         if e > 0:

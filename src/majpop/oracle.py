@@ -11,17 +11,23 @@ Enumeration works over column-sum vectors rather than matrices: a vector is
 realizable as column sums exactly when it is majorized by the conjugate row
 sums, so the search space stays polynomial in the totals while the matrix
 witnesses are materialized only on demand.
+
+The public helpers here validate what they are given, like the rest of the
+package.  Inside :func:`certify` the enumerated vectors are valid by
+construction, so its hot loops call the unchecked lattice cores and decide
+each majorization test once per sorted form.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import accumulate, combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import lattice
 from .completion import Matrix, _frozen
-from .errors import BudgetExceededError, InfeasibleError
+from .errors import BudgetExceededError, InfeasibleError, LengthMismatchError
 from .majorization import IntVector, as_vector, conjugate, majorized, sort_desc
 from .solvers import Instance, SolveResult, enumerate_optima, feasible, solve
 
@@ -37,7 +43,7 @@ class AttainableSet:
     column_sets: frozenset[IntVector]
     vectors: frozenset[IntVector]
 
-    @property
+    @cached_property
     def canonical_vectors(self) -> frozenset[IntVector]:
         return frozenset(sort_desc(v) for v in self.vectors)
 
@@ -78,18 +84,30 @@ class CertificationReport:
 def _column_vectors(
     n: int, total: int, upper: Sequence[int], threshold: IntVector
 ) -> list[IntVector]:
-    """All x >= 0 with the given total, x <= upper, and x majorized by threshold."""
+    """All x >= 0 with the given total, x <= upper, and x majorized by threshold.
+
+    ``n`` is at least 1.  Majorization reads only the sorted form, so the
+    leaf test is decided once per sorted form and looked up for its
+    rearrangements.
+    """
     out: list[IntVector] = []
     suffix_capacity = [0] * (n + 1)
     for j in range(n - 1, -1, -1):
         suffix_capacity[j] = suffix_capacity[j + 1] + upper[j]
+    below: dict[IntVector, bool] = {}
+    last = n - 1
 
     def rec(j: int, remaining: int, partial: tuple[int, ...]) -> None:
-        if j == n:
-            if remaining == 0 and majorized(partial, threshold):
-                out.append(partial)
-            return
         if remaining > suffix_capacity[j]:
+            return
+        if j == last:  # the last entry is whatever the total leaves
+            x = partial + (remaining,)
+            key = sort_desc(x)
+            ok = below.get(key)
+            if ok is None:
+                ok = below[key] = majorized(key, threshold)
+            if ok:
+                out.append(x)
             return
         for v in range(min(upper[j], remaining), -1, -1):
             rec(j + 1, remaining - v, partial + (v,))
@@ -130,23 +148,46 @@ def enumerate_attainable(
     return AttainableSet(inst.variant, frozenset(xs), vectors)
 
 
-def minimal_elements(vectors: Iterable[Sequence[int]]) -> set[IntVector]:
-    """Members that no other member strictly majorizes from below."""
+def _extremal_elements(vectors: Iterable[Sequence[int]], name: str, lowest: bool) -> set[IntVector]:
+    """Members whose sorted form has no other sorted form strictly below it
+    (``lowest``) or strictly above it under majorization.
+
+    Each distinct sorted form gets its prefix sums once; forms with unequal
+    totals are incomparable.
+    """
     vs = [tuple(v) for v in vectors]
     if not vs:
-        raise ValueError("minimal_elements needs a nonempty set")
-    keys = sorted({sort_desc(v) for v in vs})
-    low = {u for u in keys if not any(w != u and majorized(w, u) for w in keys)}
-    return {v for v in vs if sort_desc(v) in low}
+        raise ValueError(f"{name} needs a nonempty set")
+    forms = [sort_desc(v) for v in vs]
+    prefix = {key: tuple(accumulate(key)) for key in forms}
+    first = forms[0]
+    for key in prefix:
+        if len(key) != len(first):
+            raise LengthMismatchError(
+                f"vectors have lengths {len(first)} and {len(key)}; pad the shorter one explicitly"
+            )
+
+    def dominated(pu: IntVector) -> bool:
+        for pw in prefix.values():
+            if pw is pu or pw[-1:] != pu[-1:]:
+                continue
+            lo, hi = (pw, pu) if lowest else (pu, pw)
+            if all(a <= b for a, b in zip(lo, hi)):
+                return True
+        return False
+
+    keep = {key for key, pu in prefix.items() if not dominated(pu)}
+    return {v for v, key in zip(vs, forms) if key in keep}
+
+
+def minimal_elements(vectors: Iterable[Sequence[int]]) -> set[IntVector]:
+    """Members that no other member strictly majorizes from below."""
+    return _extremal_elements(vectors, "minimal_elements", lowest=True)
 
 
 def maximal_elements(vectors: Iterable[Sequence[int]]) -> set[IntVector]:
-    vs = [tuple(v) for v in vectors]
-    if not vs:
-        raise ValueError("maximal_elements needs a nonempty set")
-    keys = sorted({sort_desc(v) for v in vs})
-    high = {u for u in keys if not any(w != u and majorized(u, w) for w in keys)}
-    return {v for v in vs if sort_desc(v) in high}
+    """Members that no other member strictly majorizes from above."""
+    return _extremal_elements(vectors, "maximal_elements", lowest=False)
 
 
 def bruteforce_meet(x: Sequence[int], y: Sequence[int]) -> IntVector:
@@ -353,12 +394,14 @@ def certify(
             record("tie_branch_completeness", True, _VACUOUS)
 
     if nonempty:
-        xdown = sorted({sort_desc(x) for x in aset.column_sets})
+        # Sorted feasible vectors share one length and total, so the
+        # unchecked lattice cores apply.
+        closed = {sort_desc(x) for x in aset.column_sets}
         bad = ""
-        for a, b in combinations(xdown, 2):
-            lo = lattice.meet(a, b)
-            hi = lattice.join(a, b)
-            if lo not in xdown or hi not in xdown:
+        for a, b in combinations(sorted(closed), 2):
+            lo = lattice._meet(a, b)
+            hi = lattice._join(a, b)
+            if lo not in closed or hi not in closed:
                 bad = f"pair {a}, {b} gives meet {lo} join {hi}"
                 break
         record("canonical_column_lattice_closed", bad == "", bad)

@@ -432,16 +432,16 @@ def enumerate_optima(inst: Instance, cap: int = 1_000_000) -> dict[IntVector, Ma
         except InfeasibleError:
             continue  # this branch painted itself into a corner
         base_forced = tuple(forced)
-        if k <= 0:
-            nxt = list(values)
-            for j in base_forced:
+        after_forced = list(values)
+        for j in base_forced:
+            after_forced[j] += delta
+        # A child already visited would be skipped when popped, so it is
+        # never pushed; the order of the states visited stays the same.
+        for combo in combinations(ties, k) if k > 0 else ((),):
+            nxt = after_forced.copy()
+            for j in combo:
                 nxt[j] += delta
-            stack.append((i + 1, tuple(nxt), rows + (base_forced,)))
-            continue
-        for combo in combinations(ties, k):
-            nxt = list(values)
-            sel = base_forced + combo
-            for j in sel:
-                nxt[j] += delta
-            stack.append((i + 1, tuple(nxt), rows + (sel,)))
+            child = (i + 1, tuple(nxt))
+            if child not in seen:
+                stack.append(child + (rows + (base_forced + combo,),))
     return results

@@ -1,11 +1,15 @@
 """Shared generators and brute-force references for the test suite."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 from hypothesis import strategies as st
 
 from majpop import Instance, feasible_min_remaining, majorized, partitions, sort_desc
+from majpop.completion import Cells
+from majpop.errors import BudgetExceededError, InfeasibleError
+from majpop.solvers import _instance_rounds, _split_selection, feasible
 
 
 def int_vectors(min_len=1, max_len=8, max_value=9):
@@ -115,3 +119,76 @@ class PartitionTable:
         if tuple(x) == tuple(y) or not majorized(x, y):
             return False
         return self.strictly_between_count(x, y) == 2
+
+
+def reference_enumerate_optima(inst: Instance, cap: int = 1_000_000) -> dict:
+    """The plain stack search over tie resolutions, kept as the reference for
+    :func:`majpop.enumerate_optima`: every child is pushed, and a state seen
+    before is dropped when it is popped.  The optimized search must visit
+    the same states in the same order, so results, witnesses and errors agree."""
+    start, largest, delta, caps = _instance_rounds(inst)
+    r = inst.row_sums
+    n = inst.n
+    if inst.variant == "min_remaining" and not feasible(inst):
+        raise InfeasibleError(f"ceiling {inst.ceiling} cannot absorb row sums {r}")
+    m = len(r)
+    results = {}
+    seen = set()
+    stack = [(0, start, ())]
+    while stack:
+        i, values, rows = stack.pop()
+        key = (i, values)
+        if key in seen:
+            continue
+        seen.add(key)
+        if len(seen) > cap:
+            raise BudgetExceededError(f"tie enumeration passed {cap} distinct states")
+        if i == m:
+            if values not in results:
+                if len(results) >= cap:
+                    raise BudgetExceededError(f"more than {cap} optimal objective vectors")
+                a = bytearray(m * n)
+                for ri, cols in enumerate(rows):
+                    for j in cols:
+                        a[ri * n + j] = 1
+                results[values] = Cells(a, (m, n)).array()
+            continue
+        if caps is None:
+            allowed = list(range(n))
+        else:
+            placed = [(values[j] - start[j]) * delta for j in range(n)]
+            allowed = [j for j in range(n) if placed[j] < caps[j]]
+        try:
+            forced, ties, k = _split_selection(values, r[i], largest, allowed)
+        except InfeasibleError:
+            continue
+        base_forced = tuple(forced)
+        if k <= 0:
+            nxt = list(values)
+            for j in base_forced:
+                nxt[j] += delta
+            stack.append((i + 1, tuple(nxt), rows + (base_forced,)))
+            continue
+        for combo in combinations(ties, k):
+            nxt = list(values)
+            sel = base_forced + combo
+            for j in sel:
+                nxt[j] += delta
+            stack.append((i + 1, tuple(nxt), rows + (sel,)))
+    return results
+
+
+def random_instance(rng: random.Random, variant: str, max_mn: int = 6, max_value: int = 5) -> Instance:
+    """Any instance of the variant, feasible or not; caps may bind or strand rows."""
+    n = rng.randint(1, max_mn)
+    m = rng.randint(1, max_mn)
+    r = tuple(rng.randint(0, n) for _ in range(m))
+    profile = tuple(rng.randint(0, max_value) for _ in range(n))
+    caps = tuple(rng.randint(0, m + 1) for _ in range(n))
+    if variant == "min_remaining":
+        return Instance(variant, r, ceiling=profile)
+    if variant == "min_combined":
+        return Instance(variant, r, base=profile)
+    if variant == "general_min":
+        return Instance(variant, r, reference=profile, ceiling=caps)
+    return Instance(variant, r, base=profile, ceiling=caps)

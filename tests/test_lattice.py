@@ -3,6 +3,7 @@ import random
 import pytest
 
 from majpop import (
+    conjugate,
     covers,
     equivalent,
     join,
@@ -12,6 +13,8 @@ from majpop import (
     partitions,
     sort_desc,
 )
+from majpop import lattice
+from majpop.majorization import _conjugate
 from majpop.oracle import bruteforce_join, bruteforce_meet
 
 from helpers import PartitionTable, random_partition
@@ -42,6 +45,68 @@ def test_meet_join_validate_inputs():
         meet((2, 1), (2, 2))  # sums differ
     with pytest.raises(ValueError):
         join((2, 1), (3,))  # lengths differ
+
+
+def test_meet_join_error_messages():
+    with pytest.raises(ValueError, match=r"^x\[1\]: expected an integer, got 'a'$"):
+        meet((1, "a"), (1, 1))
+    with pytest.raises(ValueError, match=r"^y\[0\]: negative value -1$"):
+        join((1, 0), (-1, 2))
+    with pytest.raises(ValueError, match="^lattice operations expect nonincreasing partitions; sort first$"):
+        join_recursive((1, 2), (2, 1))
+    with pytest.raises(ValueError, match="^partition lengths differ: 2 vs 1$"):
+        join((2, 1), (3,))
+    with pytest.raises(ValueError, match="^partition sums differ: 3 vs 4$"):
+        meet((2, 1), (2, 2))
+
+
+def test_cores_match_public_functions_on_small_totals():
+    # Every pair of partitions with total <= 10, at every length up to the
+    # total; lengths below sqrt(total) take join's recursive route.
+    for total in range(11):
+        for length in range(1, max(total, 1) + 1):
+            parts = list(partitions(total, length))
+            for x in parts:
+                for y in parts:
+                    assert lattice._meet(x, y) == meet(x, y)
+                    assert lattice._join(x, y) == join(x, y)
+                    assert lattice._join_recursive(x, y) == join_recursive(x, y)
+
+
+def test_cores_match_public_functions_above_len_squared():
+    rng = random.Random(99)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        total = rng.randint(n * n + 1, 10**6)
+        x = random_partition(rng, total, n)
+        y = random_partition(rng, total, n)
+        assert lattice._join(x, y) == join(x, y) == join_recursive(x, y)
+        assert lattice._meet(x, y) == meet(x, y)
+
+
+def test_join_above_len_squared_checks_its_inputs_once(monkeypatch):
+    calls = []
+    check = lattice._check_pair
+
+    def counting(x, y):
+        calls.append((x, y))
+        return check(x, y)
+
+    monkeypatch.setattr(lattice, "_check_pair", counting)
+    assert join((9, 1), (6, 4)) == (9, 1)
+    assert len(calls) == 1
+
+
+def test_unchecked_conjugate_matches_conjugate():
+    rng = random.Random(31)
+    for total in range(11):
+        for p in partitions(total, total + 1):
+            for dim in range(max(max(p), 1), max(p) + 3):
+                assert _conjugate(p, dim) == conjugate(p, dim)
+    for _ in range(300):
+        v = tuple(rng.randint(0, 20) for _ in range(rng.randint(0, 9)))
+        dim = max(max(v, default=0), 1) + rng.randint(0, 4)
+        assert _conjugate(v, dim) == conjugate(v, dim)
 
 
 def test_covers_examples():

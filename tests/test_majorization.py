@@ -72,6 +72,17 @@ def test_conjugate_rejects_lossy_dim():
         conjugate((-1,), 3)
 
 
+def test_conjugate_error_messages():
+    with pytest.raises(ValueError, match=r"^conjugate dimension 4 is lossy: largest element is 5$"):
+        conjugate((5, 4, 2, 1), 4)
+    with pytest.raises(ValueError, match=r"^conjugate dimension must be positive, got 0$"):
+        conjugate((1,), 0)
+    with pytest.raises(ValueError, match=r"^conjugate input\[0\]: negative value -1$"):
+        conjugate((-1,), 3)
+    with pytest.raises(ValueError, match=r"^conjugate input\[1\]: expected an integer, got True$"):
+        conjugate((1, True), 3)
+
+
 def test_default_conjugate_dim():
     assert default_conjugate_dim((5, 4, 2, 1)) == 5
     assert default_conjugate_dim((9, 1)) == 9

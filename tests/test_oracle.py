@@ -6,6 +6,7 @@ import pytest
 from majpop import (
     BudgetExceededError,
     Instance,
+    LengthMismatchError,
     certify,
     enumerate_attainable,
     majorized,
@@ -101,10 +102,53 @@ def test_minimal_elements_properties():
 
 
 def test_minimal_elements_empty_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^minimal_elements needs a nonempty set$"):
         minimal_elements(set())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^maximal_elements needs a nonempty set$"):
         maximal_elements([])
+
+
+def _naive_extremal(vs, lowest):
+    """Members no other member strictly majorizes from below (or above), pairwise."""
+    def strictly(w, v):
+        return sort_desc(w) != sort_desc(v) and (majorized(w, v) if lowest else majorized(v, w))
+
+    return {v for v in vs if not any(strictly(w, v) for w in vs)}
+
+
+def test_extremal_elements_match_naive_scan():
+    rng = random.Random(8)
+    for trial in range(300):
+        n = rng.randint(1, 5)
+        # Every other set draws vectors of one total; the rest mix totals,
+        # which majorization leaves incomparable.
+        total = rng.randint(0, 8)
+        vs = set()
+        for _ in range(rng.randint(1, 15)):
+            if trial % 2:
+                v = [rng.randint(0, 4) for _ in range(n)]
+            else:
+                v = [0] * n
+                for _ in range(total):
+                    v[rng.randrange(n)] += 1
+            vs.add(tuple(v))
+        assert minimal_elements(vs) == _naive_extremal(vs, lowest=True), vs
+        assert maximal_elements(list(vs)) == _naive_extremal(vs, lowest=False), vs
+    assert minimal_elements([(3, 0), (0, 2)]) == {(3, 0), (0, 2)}
+
+
+def test_extremal_elements_reject_mixed_lengths():
+    for fn in (minimal_elements, maximal_elements):
+        with pytest.raises(LengthMismatchError):
+            fn([(1, 1), (2,)])
+        with pytest.raises(LengthMismatchError):
+            fn([(3,), (2, 0, 1), (1, 2)])
+
+
+def test_canonical_vectors_are_built_once():
+    aset = enumerate_attainable(GAP_MIN)
+    assert aset.canonical_vectors is aset.canonical_vectors
+    assert aset.canonical_vectors == {sort_desc(v) for v in aset.vectors}
 
 
 def test_certify_worked_examples():

@@ -30,7 +30,7 @@ from majpop.completion import Cells
 from majpop.oracle import enumerate_attainable, maximal_elements, minimal_elements
 from majpop.solvers import _run_rounds_python
 
-from helpers import random_feasible_instance
+from helpers import random_feasible_instance, random_instance, reference_enumerate_optima
 
 PEAK_C = (7, 6, 5, 4, 4)
 PEAK_R = (4, 4, 3, 1, 1)
@@ -362,6 +362,44 @@ def test_enumerate_optima_budget():
 def test_enumerate_optima_infeasible():
     with pytest.raises(InfeasibleError):
         enumerate_optima(Instance("min_remaining", (1,), ceiling=(0, 0)))
+
+
+def _enumeration_outcome(enumerate_fn, inst, cap):
+    """Objectives in insertion order with each witness's bytes, or the error text."""
+    try:
+        found = enumerate_fn(inst, cap=cap)
+    except (BudgetExceededError, InfeasibleError) as exc:
+        return type(exc).__name__, str(exc)
+    return [(obj, a.shape, a.tobytes()) for obj, a in found.items()]
+
+
+def test_enumerate_optima_matches_reference_order_and_witnesses():
+    rng = random.Random(4242)
+    variants = ("min_remaining", "min_combined", "general_min", "general_max")
+    insts = [random_instance(rng, variants[k % 4]) for k in range(520)]
+    # Flat profiles, where most children repeat a state already visited; the
+    # first two have 495 and 120 optima.
+    rows = [5, 5, 4, 4, 3, 3, 2, 2]
+    rng.shuffle(rows)
+    insts.append(Instance("min_combined", tuple(rows), base=(11,) * 12))
+    rows = [5, 4, 4, 3, 3, 2, 2]
+    rng.shuffle(rows)
+    insts.append(Instance("min_remaining", tuple(rows), ceiling=(9,) * 10))
+    for k in range(8):
+        rows = tuple(rng.randint(1, 4) for _ in range(rng.randint(3, 5)))
+        level = rng.randint(len(rows), 2 * len(rows))
+        n = rng.randint(5, 8)
+        if k % 2:
+            insts.append(Instance("min_remaining", rows, ceiling=(level,) * n))
+        else:
+            insts.append(Instance("min_combined", rows, base=(level,) * n))
+    kinds = set()
+    for inst in insts:
+        for cap in (1, 3, 50, 1_000_000):
+            want = _enumeration_outcome(reference_enumerate_optima, inst, cap)
+            assert _enumeration_outcome(enumerate_optima, inst, cap) == want, (inst, cap)
+            kinds.add(want[0] if isinstance(want, tuple) else "found")
+    assert kinds == {"found", "BudgetExceededError", "InfeasibleError"}
 
 
 def test_general_min_reduces_to_peak_shave():
