@@ -87,55 +87,7 @@ def __dir__():
     return sorted(set(globals()) | set(_MODULE_OF))
 
 
-__all__ = [
-    "AttainableSet",
-    "BudgetExceededError",
-    "CertificationReport",
-    "HIGHEST_INDEX",
-    "InfeasibleError",
-    "Instance",
-    "InternalInvariantError",
-    "LengthMismatchError",
-    "LOAD_ORDER",
-    "LOWEST_INDEX",
-    "SolveResult",
-    "TiePolicy",
-    "certify",
-    "col_sums",
-    "compare",
-    "conjugate",
-    "construct_matrix",
-    "covers",
-    "default_conjugate_dim",
-    "enumerate_attainable",
-    "enumerate_matrices",
-    "enumerate_optima",
-    "equivalent",
-    "feasible_min_remaining",
-    "gale_ryser_feasible",
-    "geth_vector",
-    "interchange",
-    "join",
-    "join_recursive",
-    "majorized",
-    "make_matrix",
-    "matrix_rows",
-    "maximal_elements",
-    "meet",
-    "min_combined_profile",
-    "min_remaining_profile",
-    "minimal_elements",
-    "pad",
-    "partitions",
-    "peak_shave",
-    "random_ties",
-    "row_sums",
-    "solve",
-    "sort_asc",
-    "sort_desc",
-    "valley_fill",
-    "weakly_submajorized",
-    "weakly_supermajorized",
-]
+# Capitalised names first, then the rest, each group by name ignoring case.
+__all__ = sorted(_MODULE_OF, key=lambda s: (s[0].islower(), s.lower()))
 
 __version__ = "0.1.0"

@@ -43,7 +43,7 @@ from array import array
 from .completion import Cells
 from .errors import InfeasibleError
 
-# Tie policy name (``solvers.TiePolicy.kind``) -> the code ``_sweep.c`` takes.
+# Tie policy name -> the code ``_sweep.c`` takes; ``solvers.TIE_KINDS`` is its keys.
 POLICIES = {"lowest_index": 0, "highest_index": 1, "load_order": 2, "uniform_random": 3}
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
@@ -52,6 +52,7 @@ _COMPILE = ("cc", "-O2", "-shared", "-fPIC")
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
+# Also the seed mask in ``solvers`` and the largest entry the CLI accepts.
 _MASK64 = (1 << 64) - 1
 
 # The stranded row's index and its open column count, written by the C code.

@@ -25,6 +25,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
+from ._speedups import _MASK64
 from .completion import Cells, construct_matrix, geth_vector
 from .errors import BudgetExceededError, InfeasibleError, InternalInvariantError
 from .majorization import conjugate, default_conjugate_dim
@@ -34,10 +35,9 @@ from .solvers import (
     enumerate_optima,
     feasible,
     solve,
+    _SWEEPS,
     _splitmix64,
 )
-
-_U64_MAX = (1 << 64) - 1
 
 _POLICY_FLAGS = {
     "random": "uniform_random",
@@ -58,18 +58,14 @@ _DIGITS = b"01" + b"?" * 254
 
 def _parse_vector(text: str, name: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        values = [int(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"{name}: expected comma-separated integers, got {text!r}") from None
-    for k, v in enumerate(values):
-        if v < 0:
-            raise ValueError(f"{name}[{k}]: negative value {v}")
-        if v > _U64_MAX:
-            raise ValueError(f"{name}[{k}]: {v} does not fit in 64 bits")
-    return values
+    return _check_json_vector(values, name)
 
 
 def _check_json_vector(data, name: str) -> tuple[int, ...]:
+    """An instance file's array, or a parsed command-line vector, as a tuple."""
     if not isinstance(data, list):
         raise ValueError(f"{name}: expected an array of nonnegative integers")
     out = []
@@ -78,7 +74,7 @@ def _check_json_vector(data, name: str) -> tuple[int, ...]:
             raise ValueError(f"{name}[{k}]: expected an integer, got {v!r}")
         if v < 0:
             raise ValueError(f"{name}[{k}]: negative value {v}")
-        if v > _U64_MAX:
+        if v > _MASK64:
             raise ValueError(f"{name}[{k}]: {v} does not fit in 64 bits")
         out.append(v)
     return tuple(out)
@@ -114,9 +110,8 @@ def _seed_from_args(args) -> int:
     return int(os.environ.get("MAJPOP_SEED") or 0)
 
 
-def _policy_from_args(args) -> TiePolicy:
-    kind = _POLICY_FLAGS[args.tie_policy]
-    seed = _seed_from_args(args)
+def _tie_policy(kind: str, seed: int) -> TiePolicy:
+    """The policy ``kind``; only ``uniform_random`` keeps the seed."""
     return TiePolicy(kind, seed) if kind == "uniform_random" else TiePolicy(kind)
 
 
@@ -185,7 +180,7 @@ def _emit(payload) -> None:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    result = solve(inst, _policy_from_args(args))
+    result = solve(inst, _tie_policy(_POLICY_FLAGS[args.tie_policy], _seed_from_args(args)))
     _emit(result.to_json())
     return 0 if result.feasible else 1
 
@@ -263,7 +258,7 @@ def _cmd_certify(args) -> int:
 
 def _bench_instance(seed: int, m: int, n: int, rep: int):
     """Deterministic instance: fold (m, n, rep) into the seed, then draw."""
-    state = seed & ((1 << 64) - 1)
+    state = seed & _MASK64
     for salt in (m, n, rep):
         state, _ = _splitmix64(state ^ salt)
     r = []
@@ -290,11 +285,8 @@ def _cmd_bench(args) -> int:
         for n in ns:
             for rep in range(args.repeats):
                 r, c, state = _bench_instance(seed, m, n, rep)
-                if args.variant == "min_combined":
-                    inst = Instance("min_combined", r, base=c)
-                else:
-                    inst = Instance("min_remaining", r, ceiling=c)
-                policy = TiePolicy(policy_kind, state) if policy_kind == "uniform_random" else TiePolicy(policy_kind)
+                inst = Instance(args.variant, r, **{_SWEEPS[args.variant][0]: c})
+                policy = _tie_policy(policy_kind, state)
                 t0 = time.perf_counter_ns()
                 result = solve(inst, policy)
                 t1 = time.perf_counter_ns()

@@ -6,9 +6,10 @@ array is built from those on first use, so a caller that never asks for it
 never imports numpy; neither does importing this module.  The class of
 interest is all m-by-n such matrices with row sums ``r`` and column sums
 ``x``; it is nonempty exactly when ``x`` is majorized by the conjugate of
-``r`` taken at dimension n.  The feasibility tests take O((m + n) log(m + n))
-and :func:`construct_matrix` is one row sweep of the solvers, O(mn) when
-compiled; everything else here is desk-scale.
+``r`` taken at dimension n.  The feasibility tests take O((m + n) log(m + n)),
+:func:`geth_vector` takes O(n log n), and :func:`construct_matrix` is one
+row sweep of the solvers, O(mn) when compiled; only
+:func:`enumerate_matrices` is desk-scale.
 """
 
 from itertools import accumulate
@@ -233,10 +234,12 @@ def enumerate_matrices(r, x, cap: int = 100_000) -> list[Matrix]:
 def geth_vector(c, t) -> IntVector:
     """A vector majorized by ``t`` and elementwise at most ``c``.
 
-    Starting from ``x = c``, repeatedly lower the entry at the current
-    position until some suffix-sum inequality against ``t`` becomes tight,
-    then jump left of the lowest tight suffix.  Requires ``c`` weakly
-    supermajorized by ``t``; when ``c`` is nonincreasing the output is too.
+    Requires ``c``, in any order, weakly supermajorized by ``t``.  Starting
+    from ``x`` = ``c`` sorted nonincreasing (stably), repeatedly lower the
+    entry at the current position until some suffix-sum inequality against
+    ``t`` becomes tight, then jump left of the lowest tight suffix; O(n log n).
+    The result goes back to ``c``'s order, so ``c[i] > c[j]`` implies
+    ``out[i] >= out[j]``, and a nonincreasing ``c`` gives a nonincreasing output.
     """
     cv = as_vector(c, name="capacity", nonnegative=True)
     tv = as_vector(t, name="threshold", nonnegative=True)
@@ -248,24 +251,19 @@ def geth_vector(c, t) -> IntVector:
         raise InfeasibleError(
             f"capacity {cv} is not weakly supermajorized by threshold {tv}: no such vector"
         )
-    n = len(cv)
-    x = list(cv)
-    k = n
-    while k > 0:
-        # slack of the suffix inequality starting at position j (1-based)
-        suffix_x = 0
-        suffix_t = 0
-        slack = [0] * (k + 1)
-        for j in range(n, 0, -1):
-            suffix_x += x[j - 1]
-            suffix_t += tv[j - 1]
-            if j <= k:
-                slack[j] = suffix_x - suffix_t
-        delta = min(slack[1 : k + 1])
-        x[k - 1] -= delta
-        p_hat = next(j for j in range(1, k + 1) if slack[j] == delta)
-        k = p_hat - 1
-    out = tuple(x)
+    order = sorted(range(len(cv)), key=lambda i: -cv[i])
+    x = [cv[i] for i in order]
+    # slack[j]: suffix sum of x minus that of t from position j on.  Lowering
+    # x[k] lowers every slack up to k alike, so the slacks are computed once;
+    # first[k] is the first position of the least slack in 0..k.
+    slack = list(accumulate(a - b for a, b in zip(reversed(x), reversed(tv))))[::-1]
+    first = list(accumulate(range(len(x)), lambda p, j: j if slack[j] < slack[p] else p))
+    lowered, k = 0, len(x) - 1
+    while k >= 0:
+        p = first[k]
+        x[k] -= slack[p] - lowered
+        lowered, k = slack[p], p - 1
+    out = tuple(v for _, v in sorted(zip(order, x)))
     if not (majorized(out, tv) and all(a <= b for a, b in zip(out, cv))):
         raise InternalInvariantError(f"suffix tightening produced an invalid vector {out}")
     return out

@@ -127,14 +127,15 @@ def partitions(total: int, length: int) -> Iterator[IntVector]:
             yield ()
         return
 
-    def rec(remaining: int, slots: int, bound: int) -> Iterator[tuple[int, ...]]:
+    # Depth first on an explicit stack: (left to place, parts to go, bound, parts).
+    stack = [(total, length, total, ())]
+    while stack:
+        remaining, slots, bound, parts = stack.pop()
         if slots == 1:
             if remaining <= bound:
-                yield (remaining,)
-            return
-        lowest = -(-remaining // slots)  # first part is at least the average
-        for first in range(min(bound, remaining), lowest - 1, -1):
-            for rest in rec(remaining - first, slots - 1, first):
-                yield (first,) + rest
-
-    yield from rec(total, length, total)
+                yield parts + (remaining,)
+            continue
+        lowest = -(-remaining // slots)  # the next part is at least the average
+        # Pushed smallest first, so the largest next part is popped first.
+        for first in range(lowest, min(bound, remaining) + 1):
+            stack.append((remaining - first, slots - 1, first, parts + (first,)))

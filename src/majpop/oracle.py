@@ -21,7 +21,7 @@ each majorization test once per sorted form.
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -96,10 +96,11 @@ def _column_vectors(
         suffix_capacity[j] = suffix_capacity[j + 1] + upper[j]
     below: dict[IntVector, bool] = {}
     last = n - 1
-
-    def rec(j: int, remaining: int, partial: tuple[int, ...]) -> None:
-        if remaining > suffix_capacity[j]:
-            return
+    # Depth first on an explicit stack, larger entries first; a child whose
+    # remainder the later columns cannot hold is never pushed.
+    stack = [(0, total, ())] if total <= suffix_capacity[0] else []
+    while stack:
+        j, remaining, partial = stack.pop()
         if j == last:  # the last entry is whatever the total leaves
             x = partial + (remaining,)
             key = sort_desc(x)
@@ -108,11 +109,10 @@ def _column_vectors(
                 ok = below[key] = majorized(key, threshold)
             if ok:
                 out.append(x)
-            return
-        for v in range(min(upper[j], remaining), -1, -1):
-            rec(j + 1, remaining - v, partial + (v,))
-
-    rec(0, total, ())
+            continue
+        # Pushed smallest first, so the largest value is popped first.
+        for v in range(max(remaining - suffix_capacity[j + 1], 0), min(upper[j], remaining) + 1):
+            stack.append((j + 1, remaining - v, partial + (v,)))
     return out
 
 
@@ -216,37 +216,44 @@ def bruteforce_join(x: Sequence[int], y: Sequence[int]) -> IntVector:
     return bottoms[0]
 
 
-def all_matrices(r, x, cap: int = 200_000) -> list[Matrix]:
-    """Every 0/1 matrix with the given line sums, by direct backtracking."""
-    rv = as_vector(r, name="row_sums", nonnegative=True)
-    xv = as_vector(x, name="col_sums", nonnegative=True)
-    m, n = len(rv), len(xv)
-    if sum(rv) != sum(xv) or any(v > n for v in rv) or any(v > m for v in xv):
-        return []
-    found: list[Matrix] = []
-    remaining = list(xv)
+def _matrices(r: IntVector, x: IntVector) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every 0/1 matrix with line sums r and x, as a tuple of rows, by direct
+    backtracking: row by row, each row's ones in ``combinations`` order."""
+    m, n = len(r), len(x)
+    if sum(r) != sum(x) or any(v > n for v in r) or any(v > m for v in x):
+        return
+    remaining = list(x)
 
-    def rec(i: int, rows: tuple[tuple[int, ...], ...]) -> None:
+    def rec(i: int, rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
         if i == m:
             if all(v == 0 for v in remaining):
-                if len(found) >= cap:
-                    raise BudgetExceededError(f"more than {cap} matrices")
-                found.append(_frozen(np.array(rows, dtype=np.uint8).reshape(m, n)))
+                yield rows
             return
-        open_cols = [j for j in range(n) if remaining[j] > 0]
         # Rows still to come can absorb at most (m - i - 1) units per column.
         if any(remaining[j] > m - i for j in range(n)):
             return
-        for cols in combinations(open_cols, rv[i]):
+        open_cols = [j for j in range(n) if remaining[j] > 0]
+        for cols in combinations(open_cols, r[i]):
             row = [0] * n
             for j in cols:
                 row[j] = 1
                 remaining[j] -= 1
-            rec(i + 1, rows + (tuple(row),))
+            yield from rec(i + 1, rows + (tuple(row),))
             for j in cols:
                 remaining[j] += 1
 
-    rec(0, ())
+    yield from rec(0, ())
+
+
+def all_matrices(r, x, cap: int = 200_000) -> list[Matrix]:
+    """Every 0/1 matrix with the given line sums, by direct backtracking."""
+    rv = as_vector(r, name="row_sums", nonnegative=True)
+    xv = as_vector(x, name="col_sums", nonnegative=True)
+    found: list[Matrix] = []
+    for rows in _matrices(rv, xv):
+        if len(found) >= cap:
+            raise BudgetExceededError(f"more than {cap} matrices")
+        found.append(_frozen(np.array(rows, dtype=np.uint8).reshape(len(rv), len(xv))))
     return found
 
 
@@ -254,29 +261,7 @@ def matrix_exists(r, x) -> bool:
     """Backtracking existence check, independent of the conjugate-based test."""
     rv = as_vector(r, name="row_sums", nonnegative=True)
     xv = as_vector(x, name="col_sums", nonnegative=True)
-    m, n = len(rv), len(xv)
-    if sum(rv) != sum(xv) or any(v > n for v in rv) or any(v > m for v in xv):
-        return False
-    remaining = list(xv)
-
-    def rec(i: int) -> bool:
-        if i == m:
-            return all(v == 0 for v in remaining)
-        if any(remaining[j] > m - i for j in range(n)):
-            return False
-        open_cols = [j for j in range(n) if remaining[j] > 0]
-        if len(open_cols) < rv[i]:
-            return False
-        for cols in combinations(open_cols, rv[i]):
-            for j in cols:
-                remaining[j] -= 1
-            if rec(i + 1):
-                return True
-            for j in cols:
-                remaining[j] += 1
-        return False
-
-    return rec(0)
+    return next(_matrices(rv, xv), None) is not None
 
 
 # Claim name -> the description every report gives it.

@@ -37,15 +37,24 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from . import _speedups
+from ._speedups import _MASK64
 from .completion import Cells, Matrix, feasible_min_remaining
 from .errors import BudgetExceededError, InfeasibleError
 from .majorization import IntVector, as_vector, sort_desc
 
-VARIANTS = ("min_remaining", "min_combined", "general_min", "general_max")
+# Variant -> its row sweep: the field it starts from, the field that caps
+# each column (None: uncapped), whether each row takes the largest values
+# (else the smallest), and the step each pick applies.
+_SWEEPS = {
+    "min_remaining": ("ceiling", None, True, -1),
+    "min_combined": ("base", None, False, +1),
+    "general_min": ("reference", "ceiling", True, -1),
+    "general_max": ("base", "ceiling", True, +1),
+}
 
-TIE_KINDS = ("lowest_index", "highest_index", "load_order", "uniform_random")
+VARIANTS = tuple(_SWEEPS)
 
-_MASK64 = (1 << 64) - 1
+TIE_KINDS = tuple(_speedups.POLICIES)
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -107,14 +116,10 @@ class Instance:
             v = getattr(self, name)
             if v is not None:
                 object.__setattr__(self, name, as_vector(v, name, nonnegative=True))
-        needed = {
-            "min_remaining": ("ceiling",),
-            "min_combined": ("base",),
-            "general_min": ("reference", "ceiling"),
-            "general_max": ("base", "ceiling"),
-        }[self.variant]
         lengths = set()
-        for name in needed:
+        for name in _SWEEPS[self.variant][:2]:
+            if name is None:
+                continue
             v = getattr(self, name)
             if v is None:
                 raise ValueError(f"{name}: required for variant {self.variant!r}")
@@ -359,13 +364,8 @@ def solve(inst: Instance, policy: TiePolicy = LOWEST_INDEX) -> SolveResult:
 def _instance_rounds(inst: Instance) -> tuple[IntVector, bool, int, Optional[IntVector]]:
     """Start profile, side, step and caps of the instance's sweep; checks the rows."""
     _check_rows(inst.row_sums, inst.n)
-    if inst.variant == "min_remaining":
-        return inst.ceiling, True, -1, None
-    if inst.variant == "min_combined":
-        return inst.base, False, +1, None
-    if inst.variant == "general_min":
-        return inst.reference, True, -1, inst.ceiling
-    return inst.base, True, +1, inst.ceiling
+    start, cap, largest, delta = _SWEEPS[inst.variant]
+    return getattr(inst, start), largest, delta, None if cap is None else getattr(inst, cap)
 
 
 def feasible(inst: Instance) -> bool:

@@ -147,6 +147,9 @@ def test_geth_command(capsys):
     assert code == 0 and json.loads(out) == [5, 3, 3, 2, 0]
     code, _, err = run_cli(capsys, "geth", "--ceiling", "1,0", "--threshold", "3,1")
     assert code == 1 and "infeasible" in err
+    # Any ceiling order: the answer follows the ceiling's own order.
+    code, out, err = run_cli(capsys, "geth", "--ceiling", "0,3,1", "--threshold", "1,1,0")
+    assert (code, out, err) == (0, "[0,1,1]\n", "")
 
 
 def test_construct_command(capsys):
@@ -318,6 +321,22 @@ def test_solve_path_loads_neither_numpy_nor_the_oracle():
     assert set(majpop.__all__) <= set(dir(majpop))
     with pytest.raises(AttributeError):
         majpop.no_such_name
+
+
+def test_public_names_keep_their_order():
+    assert majpop.__all__ == [
+        "AttainableSet", "BudgetExceededError", "CertificationReport", "HIGHEST_INDEX",
+        "InfeasibleError", "Instance", "InternalInvariantError", "LengthMismatchError",
+        "LOAD_ORDER", "LOWEST_INDEX", "SolveResult", "TiePolicy", "certify", "col_sums",
+        "compare", "conjugate", "construct_matrix", "covers", "default_conjugate_dim",
+        "enumerate_attainable", "enumerate_matrices", "enumerate_optima", "equivalent",
+        "feasible_min_remaining", "gale_ryser_feasible", "geth_vector", "interchange", "join",
+        "join_recursive", "majorized", "make_matrix", "matrix_rows", "maximal_elements", "meet",
+        "min_combined_profile", "min_remaining_profile", "minimal_elements", "pad", "partitions",
+        "peak_shave", "random_ties", "row_sums", "solve", "sort_asc", "sort_desc", "valley_fill",
+        "weakly_submajorized", "weakly_supermajorized",
+    ]
+    assert sorted(majpop.__all__) == sorted(majpop._MODULE_OF)
 
 
 def test_golden_files_match_runs():

@@ -167,6 +167,8 @@ def test_geth_examples():
     assert geth_vector((7, 6, 5, 4, 4), (5, 3, 3, 2, 0)) == (5, 3, 3, 2, 0)
     assert geth_vector((3, 2, 1), (3, 2, 1)) == (3, 2, 1)
     assert geth_vector((2, 2, 2), (4, 2, 0)) == (2, 2, 2)
+    assert geth_vector((0, 3, 1), (1, 1, 0)) == (0, 1, 1)  # any ceiling order
+    assert geth_vector((1, 3, 0), (1, 1, 0)) == (1, 1, 0)
 
 
 def test_geth_rejects_infeasible():
@@ -226,3 +228,25 @@ def _all_vectors_below(c, total):
 def test_conjugate_in_feasibility_gate():
     # conjugate at the column count underpins the feasibility test
     assert conjugate((4, 4, 3, 1, 1), 5) == (5, 3, 3, 2, 0)
+
+
+@given(st.data())
+def test_geth_any_ceiling_order(data):
+    # c is a shuffled, bumped rearrangement of a vector majorized by t, so
+    # t weakly supermajorizes it whatever its order.
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=10_000)))
+    n = rng.randint(1, 8)
+    t = random_partition(rng, rng.randint(0, 20), n)
+    y = list(t)
+    for _ in range(rng.randint(0, 2 * n)):
+        p, q = rng.randrange(n), rng.randrange(n)
+        if y[p] > y[q] + 1:
+            y[p] -= 1
+            y[q] += 1
+    c = [v + rng.randint(0, 3) for v in y]
+    rng.shuffle(c)
+    x = geth_vector(c, t)
+    assert majorized(x, t)
+    assert all(a <= b for a, b in zip(x, c))
+    assert all(x[i] >= x[j] for i in range(n) for j in range(n) if c[i] > c[j])
+    assert sort_desc(x) == geth_vector(sort_desc(c), t)

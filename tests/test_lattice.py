@@ -202,3 +202,9 @@ def test_partitions_generator():
     ]
     for p in partitions(9, 4):
         assert sum(p) == 9 and sort_desc(p) == p
+
+    # Any length: the generator keeps its own stack, not the interpreter's.
+    wide = list(partitions(3, 1500))
+    assert [p[:4] for p in wide] == [(3, 0, 0, 0), (2, 1, 0, 0), (1, 1, 1, 0)]
+    assert all(len(p) == 1500 and not any(p[4:]) for p in wide)
+    assert list(partitions(0, 1500)) == [(0,) * 1500]

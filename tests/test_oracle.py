@@ -14,8 +14,8 @@ from majpop import (
     minimal_elements,
     sort_desc,
 )
-from majpop.oracle import all_matrices
-from majpop import col_sums, enumerate_matrices, row_sums
+from majpop.oracle import all_matrices, matrix_exists
+from majpop import col_sums, enumerate_matrices, matrix_rows, row_sums
 
 from helpers import random_feasible_instance
 
@@ -261,3 +261,46 @@ def test_all_matrices_matches_interchange_closure():
     closure = {a.tobytes() for a in enumerate_matrices((2, 2, 1), (2, 2, 1))}
     direct = {a.tobytes() for a in all_matrices((2, 2, 1), (2, 2, 1))}
     assert closure == direct
+
+
+def _product_matrices(r, x):
+    """Every 0/1 matrix with line sums r and x, as row tuples, from the full
+    product of each row's column choices: the order backtracking visits."""
+    n = len(x)
+    out = []
+    for picks in itertools.product(*(itertools.combinations(range(n), v) for v in r)):
+        rows = tuple(tuple(int(j in cols) for j in range(n)) for cols in picks)
+        if tuple(sum(row[j] for row in rows) for j in range(n)) == tuple(x):
+            out.append(rows)
+    return out
+
+
+def test_all_matrices_and_matrix_exists_match_product_scan():
+    rng = random.Random(41)
+    nonempty = 0
+    for _ in range(300):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        r = tuple(rng.randint(0, n) for _ in range(m))
+        x = [0] * n
+        for _ in range(sum(r) if n and rng.random() < 0.8 else rng.randint(0, 4)):
+            if n:
+                x[rng.randrange(n)] += 1
+        x = tuple(x)
+        want = _product_matrices(r, x)
+        got = all_matrices(r, x)
+        assert [matrix_rows(a) for a in got] == want, (r, x)
+        assert all(a.shape == (m, n) for a in got)
+        assert matrix_exists(r, x) == bool(want), (r, x)
+        if len(want) > 1:
+            with pytest.raises(BudgetExceededError, match=f"more than {len(want) - 1} matrices"):
+                all_matrices(r, x, cap=len(want) - 1)
+        nonempty += bool(want)
+    assert nonempty > 100
+
+
+def test_certify_wide_instance_without_deep_recursion():
+    # One column vector per width entry would once recurse 1500 deep.
+    inst = Instance("min_remaining", (0,), ceiling=(1,) * 1500)
+    report = certify(inst, max_cols=2000, max_total=5)
+    assert report.passed
+    assert enumerate_attainable(inst, max_cols=2000, max_total=5).column_sets == {(0,) * 1500}

@@ -524,3 +524,57 @@ def test_tie_policy_validation():
     with pytest.raises(ValueError):
         TiePolicy("sideways")
     assert random_ties(3).seed == 3
+
+
+def test_variant_and_policy_names_keep_their_order():
+    assert solvers.VARIANTS == ("min_remaining", "min_combined", "general_min", "general_max")
+    assert solvers.TIE_KINDS == ("lowest_index", "highest_index", "load_order", "uniform_random")
+
+
+def test_instance_rounds_per_variant():
+    r, c, b, ref = (2, 1), (3, 2, 2), (1, 0, 4), (4, 3, 2)
+    cases = {
+        Instance("min_remaining", r, ceiling=c): (c, True, -1, None),
+        Instance("min_combined", r, base=b): (b, False, 1, None),
+        Instance("general_min", r, reference=ref, ceiling=c): (ref, True, -1, c),
+        Instance("general_max", r, base=b, ceiling=c): (b, True, 1, c),
+    }
+    for inst, want in cases.items():
+        assert solvers._instance_rounds(inst) == want, inst.variant
+    with pytest.raises(InfeasibleError, match="exceeds the number of columns 3"):
+        solvers._instance_rounds(Instance("min_combined", (4,), base=b))
+
+
+def _error_text(make):
+    with pytest.raises(ValueError) as info:
+        make()
+    return str(info.value)
+
+
+def test_instance_and_policy_error_texts():
+    variants = "('min_remaining', 'min_combined', 'general_min', 'general_max')"
+    kinds = "('lowest_index', 'highest_index', 'load_order', 'uniform_random')"
+    cases = [
+        (lambda: Instance("max_remaining", (1,), ceiling=(1,)),
+         f"variant: unknown value 'max_remaining'; expected one of {variants}"),
+        (lambda: Instance("min_remaining", (1,), base=(1,)),
+         "ceiling: required for variant 'min_remaining'"),
+        (lambda: Instance("min_combined", (1,), ceiling=(1,)),
+         "base: required for variant 'min_combined'"),
+        (lambda: Instance("general_min", (1,)),
+         "reference: required for variant 'general_min'"),
+        (lambda: Instance("general_min", (1,), reference=(1,)),
+         "ceiling: required for variant 'general_min'"),
+        (lambda: Instance("general_max", (1,), ceiling=(1,)),
+         "base: required for variant 'general_max'"),
+        (lambda: Instance("general_max", (1,), base=(1,)),
+         "ceiling: required for variant 'general_max'"),
+        (lambda: Instance("general_max", (1,), base=(1,), ceiling=(1, 2)),
+         "vectors for variant 'general_max' must share one length"),
+        (lambda: Instance("min_remaining", (0,), ceiling=()),
+         "instances need at least one column"),
+        (lambda: TiePolicy("random"), f"unknown tie policy 'random'; expected one of {kinds}"),
+        (lambda: TiePolicy("uniform_random", 1.5), "tie policy seed must be an int"),
+    ]
+    for make, text in cases:
+        assert _error_text(make) == text
