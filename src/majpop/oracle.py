@@ -218,31 +218,45 @@ def bruteforce_join(x: Sequence[int], y: Sequence[int]) -> IntVector:
 
 def _matrices(r: IntVector, x: IntVector) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Every 0/1 matrix with line sums r and x, as a tuple of rows, by direct
-    backtracking: row by row, each row's ones in ``combinations`` order."""
+    backtracking: row by row, each row's ones in ``combinations`` order.  The
+    rows' ``combinations`` iterators sit on an explicit stack, so a tall
+    instance does not recurse once per row."""
     m, n = len(r), len(x)
     if sum(r) != sum(x) or any(v > n for v in r) or any(v > m for v in x):
         return
+    if m == 0:
+        yield ()
+        return
     remaining = list(x)
 
-    def rec(i: int, rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    def choices(i: int) -> Iterator[tuple[int, ...]]:
+        return combinations([j for j in range(n) if remaining[j] > 0], r[i])
+
+    picked: list[tuple[int, ...]] = []  # each placed row's ones
+    rows: list[tuple[int, ...]] = []  # the same rows as 0/1 tuples
+    trials = [choices(0)]
+    while trials:
+        if len(picked) == len(trials):  # undo this row's last choice
+            for j in picked.pop():
+                remaining[j] += 1
+            rows.pop()
+        cols = next(trials[-1], None)
+        if cols is None:
+            trials.pop()
+            continue
+        row = [0] * n
+        for j in cols:
+            row[j] = 1
+            remaining[j] -= 1
+        picked.append(cols)
+        rows.append(tuple(row))
+        i = len(rows)
         if i == m:
             if all(v == 0 for v in remaining):
-                yield rows
-            return
-        # Rows still to come can absorb at most (m - i - 1) units per column.
-        if any(remaining[j] > m - i for j in range(n)):
-            return
-        open_cols = [j for j in range(n) if remaining[j] > 0]
-        for cols in combinations(open_cols, r[i]):
-            row = [0] * n
-            for j in cols:
-                row[j] = 1
-                remaining[j] -= 1
-            yield from rec(i + 1, rows + (tuple(row),))
-            for j in cols:
-                remaining[j] += 1
-
-    yield from rec(0, ())
+                yield tuple(rows)
+        # The m - i rows still to come can absorb at most m - i units per column.
+        elif all(v <= m - i for v in remaining):
+            trials.append(choices(i))
 
 
 def all_matrices(r, x, cap: int = 200_000) -> list[Matrix]:

@@ -28,8 +28,8 @@ Both write the matrix into a ``bytearray`` and hand it back as
 ``completion.Cells``, so a solve imports no numpy: ``SolveResult.matrix``
 builds the numpy array on first access.
 
-Exhaustive branching over every tie choice enumerates the full set of
-optimal objective vectors; see :func:`enumerate_optima`.
+Resolving every row's ties in every way, row by row, enumerates the full
+set of optimal objective vectors; see :func:`enumerate_optima`.
 """
 
 from dataclasses import dataclass, field
@@ -199,11 +199,7 @@ def _split_selection(
         raise InfeasibleError(
             f"a row needs {need} columns but only {len(allowed)} remain below their caps"
         )
-    if largest:
-        ordered = sorted(allowed, key=lambda j: (-values[j], j))
-    else:
-        ordered = sorted(allowed, key=lambda j: (values[j], j))
-    thr = values[ordered[need - 1]]
+    thr = sorted([values[j] for j in allowed], reverse=largest)[need - 1]
     forced = []
     ties = []
     for j in allowed:
@@ -388,60 +384,57 @@ def enumerate_optima(inst: Instance, cap: int = 1_000_000) -> dict[IntVector, Ma
     reachable set of the greedy sweep, which can differ from the optimum
     set when caps bind.
 
-    Depth-first over all tie resolutions, deduplicating running-profile
-    states per row so permuted choice orders are explored once.  Returns one
-    witness matrix per distinct objective.  Raises once the number of
-    distinct states passes ``cap``.
+    Row by row over all tie resolutions: each row maps every distinct
+    running profile to the picks of the first path that reached it, so
+    permuted choice orders are explored once.  Returns one witness matrix
+    per distinct objective.  Raises once the number of distinct states
+    passes ``cap``.
     """
     start, largest, delta, caps = _instance_rounds(inst)
     r = inst.row_sums
     n = inst.n
     if inst.variant == "min_remaining" and not feasible(inst):
         raise InfeasibleError(f"ceiling {inst.ceiling} cannot absorb row sums {r}")
+    over = f"tie enumeration passed {cap} distinct states"
+    states = 1  # the start profile
+    if states > cap:
+        raise BudgetExceededError(over)
+    level: dict[IntVector, tuple[tuple[int, ...], ...]] = {start: ()}
+    for need in r:
+        nxt: dict[IntVector, tuple[tuple[int, ...], ...]] = {}
+        for values, rows in level.items():
+            allowed = range(n)
+            if caps is not None:
+                # delta in {+1,-1} recovers per-column placements
+                allowed = [j for j in allowed if (values[j] - start[j]) * delta < caps[j]]
+            try:
+                forced, ties, k = _split_selection(values, need, largest, allowed)
+            except InfeasibleError:
+                continue  # this branch painted itself into a corner
+            taken = list(values)
+            for j in forced + ties:
+                taken[j] += delta
+            # Each child leaves one combination of the ties out.  Complements
+            # in lexicographic order are the picks in reverse lexicographic
+            # order; that order, pinned by the tests, decides the key order
+            # and which path's witness each profile keeps.
+            for out in combinations(ties, len(ties) - k):
+                child = taken.copy()
+                for j in out:
+                    child[j] -= delta
+                child = tuple(child)
+                if child not in nxt:
+                    states += 1
+                    if states > cap:
+                        raise BudgetExceededError(over)
+                    nxt[child] = rows + (tuple(forced + [j for j in ties if j not in out]),)
+        level = nxt
     m = len(r)
     results: dict[IntVector, Matrix] = {}
-    seen: set[tuple[int, IntVector]] = set()
-    stack: list[tuple[int, IntVector, tuple[tuple[int, ...], ...]]] = [(0, start, ())]
-    while stack:
-        i, values, rows = stack.pop()
-        key = (i, values)
-        if key in seen:
-            continue
-        seen.add(key)
-        if len(seen) > cap:
-            raise BudgetExceededError(f"tie enumeration passed {cap} distinct states")
-        if i == m:
-            if values not in results:
-                if len(results) >= cap:
-                    raise BudgetExceededError(f"more than {cap} optimal objective vectors")
-                a = bytearray(m * n)
-                for ri, cols in enumerate(rows):
-                    for j in cols:
-                        a[ri * n + j] = 1
-                results[values] = Cells(a, (m, n)).array()
-            continue
-        if caps is None:
-            allowed = list(range(n))
-        else:
-            placed = [
-                (values[j] - start[j]) * delta for j in range(n)
-            ]  # delta in {+1,-1} recovers per-column placements
-            allowed = [j for j in range(n) if placed[j] < caps[j]]
-        try:
-            forced, ties, k = _split_selection(values, r[i], largest, allowed)
-        except InfeasibleError:
-            continue  # this branch painted itself into a corner
-        base_forced = tuple(forced)
-        after_forced = list(values)
-        for j in base_forced:
-            after_forced[j] += delta
-        # A child already visited would be skipped when popped, so it is
-        # never pushed; the order of the states visited stays the same.
-        for combo in combinations(ties, k) if k > 0 else ((),):
-            nxt = after_forced.copy()
-            for j in combo:
-                nxt[j] += delta
-            child = (i + 1, tuple(nxt))
-            if child not in seen:
-                stack.append(child + (rows + (base_forced + combo,),))
+    for values, rows in level.items():
+        a = bytearray(m * n)
+        for i, cols in enumerate(rows):
+            for j in cols:
+                a[i * n + j] = 1
+        results[values] = Cells(a, (m, n)).array()
     return results

@@ -122,10 +122,11 @@ class PartitionTable:
 
 
 def reference_enumerate_optima(inst: Instance, cap: int = 1_000_000) -> dict:
-    """The plain stack search over tie resolutions, kept as the reference for
-    :func:`majpop.enumerate_optima`: every child is pushed, and a state seen
-    before is dropped when it is popped.  The optimized search must visit
-    the same states in the same order, so results, witnesses and errors agree."""
+    """The plain depth-first stack search over tie resolutions, kept as the
+    reference for :func:`majpop.enumerate_optima`: every child is pushed, and
+    a state seen before is dropped when it is popped.  The row-by-row search
+    must return the same objectives in the same key order with the same
+    witness matrices, and raise the same error types with the same texts."""
     start, largest, delta, caps = _instance_rounds(inst)
     r = inst.row_sums
     n = inst.n

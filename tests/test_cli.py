@@ -172,6 +172,15 @@ def test_enumerate_command(tmp_path, capsys):
     assert code == 2 and "budget" in err
 
 
+def test_enumerate_over_budget_stops_early(tmp_path, capsys):
+    path = write_instance(
+        tmp_path, "wide.json", {"variant": "min_combined", "row_sums": [11, 11], "base": [0] * 22}
+    )
+    code, out, err = run_cli(capsys, "enumerate", "--instance", path, "--max-branches", "1000")
+    assert (code, out) == (2, "")
+    assert err == "budget exceeded: tie enumeration passed 1000 distinct states\n"
+
+
 def test_oracle_certify_command(tmp_path, capsys):
     path = write_instance(
         tmp_path,

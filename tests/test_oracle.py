@@ -298,6 +298,12 @@ def test_all_matrices_and_matrix_exists_match_product_scan():
     assert nonempty > 100
 
 
+def test_tall_matrices_without_deep_recursion():
+    # One generator frame per row would once recurse 1500 and 1200 deep.
+    assert [matrix_rows(a) for a in all_matrices((0,) * 1500, (0,))] == [((0,),) * 1500]
+    assert matrix_exists((1,) * 1200, (1200,))
+
+
 def test_certify_wide_instance_without_deep_recursion():
     # One column vector per width entry would once recurse 1500 deep.
     inst = Instance("min_remaining", (0,), ceiling=(1,) * 1500)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -357,6 +358,24 @@ def test_enumerate_optima_budget():
     inst = Instance("min_combined", (1,) * 6, base=(0,) * 6)
     with pytest.raises(BudgetExceededError):
         enumerate_optima(inst, cap=10)
+
+
+def test_enumerate_optima_cap_bounds_the_draws(monkeypatch):
+    # 705 432 ways to fill the first row; the cap stops the search long before.
+    draws = 0
+
+    def counting(iterable, k):
+        nonlocal draws
+        for combo in combinations(iterable, k):
+            draws += 1
+            yield combo
+
+    monkeypatch.setattr(solvers, "combinations", counting)
+    inst = Instance("min_combined", (11, 11), base=(0,) * 22)
+    with pytest.raises(BudgetExceededError) as info:
+        enumerate_optima(inst, cap=1000)
+    assert str(info.value) == "tie enumeration passed 1000 distinct states"
+    assert draws <= 1000
 
 
 def test_enumerate_optima_infeasible():
