@@ -191,7 +191,7 @@ def fits(low: int, high: int, m: int) -> bool:
     """Whether values within [low, high] stay in the int64 range over m rows.
 
     Each row moves a value by at most one unit.  ``sweep`` refuses values
-    for which this is false; callers route them elsewhere.
+    for which this is false; callers rank compress them first.
     """
     return _INT64_MIN + m <= low and high <= _INT64_MAX - m
 

@@ -378,11 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", required=True, help="comma-separated row counts")
     p.add_argument("--cols", required=True, help="comma-separated column counts")
     p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--variant", choices=["min_remaining", "min_combined"], default="min_remaining")
-    p.add_argument(
-        "--tie-policy", choices=sorted(_POLICY_FLAGS), default="lowest-index"
-    )
+    add_policy_flags(p)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_bench)
 

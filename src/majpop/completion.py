@@ -112,7 +112,7 @@ def _line_sum_violation(r: IntVector, x: IntVector) -> str | None:
             return f"col_sums[{j}] = {v} exceeds the number of rows {m}"
     if sum(r) != sum(x):
         return f"total row sum {sum(r)} differs from total column sum {sum(x)}"
-    t = conjugate(r, n)
+    t = conjugate(r, n) if n else ()
     for k, (px, pt) in enumerate(zip(accumulate(sort_desc(x)), accumulate(t)), start=1):
         if px > pt:
             return (
@@ -175,6 +175,8 @@ def construct_matrix(r, x) -> Matrix:
     reason = _line_sum_violation(rv, xv)
     if reason is not None:
         raise InfeasibleError(f"no 0/1 matrix has these line sums: {reason}")
+    if not xv:
+        return Cells(b"", (len(rv), 0)).array()
     shaved = peak_shave(xv, rv)
     if any(shaved.objective):
         raise InternalInvariantError(f"greedy construction left demand {list(shaved.objective)}")

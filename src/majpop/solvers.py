@@ -20,10 +20,10 @@ policy reaches an optimum; the policies below pick *which* optimum:
 Every sweep, capped or not and whatever its size, runs through the compiled
 C sweep (built from ``_sweep.c`` on first import): ``_sweep_result`` hands
 the profile, the row sums, the policy's name and seed and any column caps to
-``_speedups.sweep``, which alone knows the C calling convention.  The
-interpreted twin ``_run_rounds_python`` runs only values too close to the
-int64 limits for the kernel and every sweep on a machine where the build
-failed; it is also the reference the kernel is tested against bit for bit.
+``_speedups.sweep``, which alone knows the C calling convention; a profile
+near the int64 limits is rank compressed first.  The interpreted twin
+``_run_rounds_python`` runs only where the build failed, and is the
+reference the kernel is tested against bit for bit.
 Both write the matrix into a ``bytearray`` and hand it back as
 ``completion.Cells``, so a solve imports no numpy: ``SolveResult.matrix``
 builds the numpy array on first access.
@@ -33,7 +33,7 @@ set of optimal objective vectors; see :func:`enumerate_optima`.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Optional, Sequence
 
 from . import _speedups
@@ -270,6 +270,14 @@ def _run_rounds_python(
     return values, Cells(a, (m, n))
 
 
+def _rank_compressed(start: IntVector, m: int) -> list[int]:
+    """``start`` ranked from 0, each gap between sorted distinct values cut to at most m + 1."""
+    distinct = sorted(set(start))
+    gaps = (min(b - a, m + 1) for a, b in zip(distinct, distinct[1:]))
+    ranks = dict(zip(distinct, accumulate(gaps, initial=0)))
+    return [ranks[s] for s in start]
+
+
 def _sweep_result(
     start: IntVector,
     r: IntVector,
@@ -278,11 +286,18 @@ def _sweep_result(
     policy: TiePolicy,
     caps: Optional[IntVector] = None,
 ) -> SolveResult:
-    """Sweep rows already checked to fit; a negative entry certifies infeasibility."""
-    if _speedups.KERNEL_AVAILABLE and _speedups.fits(min(start), max(start), len(r)):
+    """Sweep rows already checked to fit; a negative entry certifies infeasibility.
+
+    Values m + 1 or more apart compare alike through m rows, so a profile the
+    kernel cannot take is swept rank compressed and moved back after."""
+    if not _speedups.KERNEL_AVAILABLE:
+        values, a = _run_rounds_python(start, r, largest, delta, policy, caps)
+    elif _speedups.fits(min(start), max(start), len(r)):
         values, a = _speedups.sweep(start, r, largest, delta, policy.kind, policy.seed, caps)
     else:
-        values, a = _run_rounds_python(start, r, largest, delta, policy, caps)
+        packed = _rank_compressed(start, len(r))
+        moved, a = _speedups.sweep(packed, r, largest, delta, policy.kind, policy.seed, caps)
+        values = [s + v - p for s, v, p in zip(start, moved, packed)]
     objective = tuple(values)
     return SolveResult(a, objective, sort_desc(objective), delta > 0 or min(objective) >= 0)
 

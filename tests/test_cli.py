@@ -349,7 +349,7 @@ def test_public_names_keep_their_order():
 
 
 def test_golden_files_match_runs():
-    assert len(GOLDEN_RUNS) == 18
+    assert len(GOLDEN_RUNS) == 22
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(GOLDEN_RUNS)
 
 

@@ -140,6 +140,16 @@ def test_interchange_preserves_sums_and_is_involutive():
             assert np.array_equal(back, a)
 
 
+@pytest.mark.parametrize("m, n", [(0, 0), (1, 0), (3, 0), (0, 2)])
+def test_empty_shapes(m, n):
+    zeros = ((0,) * m, (0,) * n)
+    for r, x in (zeros, ((1,) * m, (0,) * n), ((0,) * m, (1,) * n)):
+        assert gale_ryser_feasible(r, x) == matrix_exists(r, x), (r, x)
+    assert gale_ryser_feasible(*zeros)
+    assert construct_matrix(*zeros).shape == (m, n)
+    assert [a.shape for a in enumerate_matrices(*zeros)] == [(m, n)]
+
+
 def test_enumerate_matrices_small_counts():
     assert len(enumerate_matrices((1, 1), (1, 1))) == 2
     assert len(enumerate_matrices((1,), (1, 0))) == 1

@@ -29,7 +29,7 @@ from majpop import (
 from majpop import _speedups, solvers
 from majpop.completion import Cells
 from majpop.oracle import enumerate_attainable, maximal_elements, minimal_elements
-from majpop.solvers import _run_rounds_python
+from majpop.solvers import TIE_KINDS, _run_rounds_python
 
 from helpers import random_feasible_instance, random_instance, reference_enumerate_optima
 
@@ -301,12 +301,19 @@ def test_capped_kernel_matches_interpreter():
     assert stranded > 100 and completed > 100
 
 
-@pytest.mark.skipif(not _speedups.KERNEL_AVAILABLE, reason="compiled sweep unavailable")
-def test_capped_solves_run_compiled(monkeypatch):
+def _forbid_interpreter(monkeypatch, what):
     def interpreted(*args):
-        raise AssertionError("a capped sweep ran interpreted")
+        raise AssertionError(f"{what} ran interpreted")
 
     monkeypatch.setattr(solvers, "_run_rounds_python", interpreted)
+
+
+needs_kernel = pytest.mark.skipif(not _speedups.KERNEL_AVAILABLE, reason="compiled sweep unavailable")
+
+
+@needs_kernel
+def test_capped_solves_run_compiled(monkeypatch):
+    _forbid_interpreter(monkeypatch, "a capped sweep")
     low = solve(Instance("general_min", (2, 1), reference=(3, 1, 2), ceiling=(1, 2, 2)))
     assert low.objective == (2, 0, 1) and row_sums(low.matrix) == (2, 1)
     high = solve(Instance("general_max", (2, 2), base=(0, 5, 1), ceiling=(2, 1, 2)))
@@ -316,15 +323,88 @@ def test_capped_solves_run_compiled(monkeypatch):
         solve(stuck)
 
 
-@pytest.mark.skipif(not _speedups.KERNEL_AVAILABLE, reason="compiled sweep unavailable")
+@needs_kernel
 def test_small_uncapped_solves_run_compiled(monkeypatch):
-    def interpreted(*args):
-        raise AssertionError("an uncapped sweep ran interpreted")
-
-    monkeypatch.setattr(solvers, "_run_rounds_python", interpreted)
+    _forbid_interpreter(monkeypatch, "an uncapped sweep")
     assert peak_shave((2, 1), (1, 1)).objective == (0, 1)
     assert valley_fill((0, 1), (1, 2)).objective == (2, 2)
     assert solve(Instance("min_remaining", (1, 1), ceiling=(2, 1))).feasible
+
+
+def _edge_outcomes():
+    """Solver outputs on profiles mixing 2**64 - 1 - k, 2**63 and small values."""
+    r = (3, 2, 2, 1)
+    top = (2**64 - 1, 2**64 - 2, 2**63, 5, 2**64 - 1, 2**63, 0, 2**64 - 4)
+    caps = (2, 3, 1, 4, 2, 0, 2, 3)
+    instances = (
+        Instance("min_remaining", r, ceiling=top),
+        Instance("min_combined", r, base=top),
+        Instance("general_min", r, reference=top, ceiling=caps),
+        Instance("general_max", r, base=top, ceiling=caps),
+    )
+    results = [solve(inst, policy) for inst in instances for policy in ALL_POLICIES]
+    results += [peak_shave(top, r, policy) for policy in ALL_POLICIES]
+    results += [valley_fill(top, r, policy) for policy in ALL_POLICIES]
+    outcomes = [
+        (res.objective, res.canonical_objective, res.feasible, res.matrix.tobytes())
+        for res in results
+    ]
+    return outcomes + [min_remaining_profile(top, r)]
+
+
+@needs_kernel
+def test_int64_edge_solves_run_compiled(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(_speedups, "KERNEL_AVAILABLE", False)
+        expected = _edge_outcomes()
+    _forbid_interpreter(monkeypatch, "an int64-edge sweep")
+    assert _edge_outcomes() == expected
+
+
+def _edge_sweep(sweep, *args):
+    """A sweep's profile, matrix shape and bytes, or its InfeasibleError text."""
+    try:
+        values, a = sweep(*args)
+    except InfeasibleError as exc:
+        return str(exc)
+    return list(values), a.shape, bytes(a.data)
+
+
+def _sweep_result_cells(*args):
+    result = solvers._sweep_result(*args)
+    return result.objective, vars(result)["matrix"]
+
+
+@needs_kernel
+def test_sweep_matches_interpreter_at_the_int64_edges(monkeypatch):
+    # ``_run_rounds_python`` here is the module's own, unpatched.
+    _forbid_interpreter(monkeypatch, "an int64-edge sweep")
+    rng = random.Random(64)
+    sides = ((True, -1), (False, 1), (True, 1))  # shave, fill, general_max
+    bases = (0, 2**62, 2**63 - 5, 2**64 - 21, 2**64 - 41)
+    outside = stranded = completed = 0
+    for trial in range(300):
+        n = rng.randint(1, 12)
+        m = rng.randint(0, 12)
+        base = bases[trial % len(bases)]
+        step = rng.choice((1, 2, 7, 10**9))
+        start = tuple(
+            min(max(base + step * rng.randint(-8, 8), 0), 2**64 - 1) for _ in range(n)
+        )
+        r = tuple(rng.randint(0, n) for _ in range(m))
+        caps = None
+        if trial % 2:
+            caps = tuple(rng.choice((rng.randint(0, m + 1), 2**64 - 1)) for _ in range(n))
+        outside += not _speedups.fits(min(start), max(start), m)
+        for kind in TIE_KINDS:
+            policy = TiePolicy(kind, rng.getrandbits(64))
+            for largest, delta in sides:
+                args = (start, r, largest, delta, policy, caps)
+                py = _edge_sweep(_run_rounds_python, *args)
+                assert _edge_sweep(_sweep_result_cells, *args) == py, args
+                stranded += isinstance(py, str)
+                completed += not isinstance(py, str)
+    assert outside > 100 and stranded > 100 and completed > 1000
 
 
 def test_random_policy_reproducible():
