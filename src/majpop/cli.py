@@ -1,14 +1,18 @@
 """Command-line interface.
 
 Results go to stdout as JSON (CSV for ``bench``); diagnostics go to stderr.
-Every payload goes through one encoder, ``_emit``: 0/1 matrices arrive as
-``completion.Cells`` from ``solve`` or as frozen ``uint8`` arrays from
-``enumerate`` and ``construct`` and are written as text built from their
-bytes, everything else goes to ``json.dumps``; the output equals
+Every payload goes through one encoder, ``_emit``, which writes bytes to
+``sys.stdout.buffer``: 0/1 matrices arrive as ``completion.Cells`` from
+``solve``, whose JSON row text the sweep wrote and which goes out as it
+stands, or as frozen ``uint8`` arrays from ``enumerate`` and ``construct``,
+which are first written into the same text; everything else goes to
+``json.dumps``.  The output equals
 ``json.dumps(payload, separators=(",", ":"), sort_keys=True)`` of the
 payload with each matrix as nested lists, without building those lists.
 ``solve`` imports neither numpy nor ``lattice`` and ``oracle``; the
-commands that need them import them when they run.
+commands that need them import them when they run.  The ``majpop``
+command is ``run``: ``main``, a flush, and ``os._exit``, which skips the
+garbage collection of interpreter shutdown; ``main`` itself returns.
 Exit codes: 0 success, 1 infeasible instance, 2 invalid input or exceeded
 budget, 3 internal error: a violated invariant or any other exception, each
 with one line on stderr.  Given the same arguments and seed, every
@@ -51,10 +55,6 @@ _INSTANCE_KEYS = frozenset(("variant", "row_sums", "ceiling", "base", "reference
 # Most entries ``conjugate`` writes; its output length is known before any
 # memory is taken, so a longer one is refused as over budget.
 _MAX_CONJUGATE_DIM = 10_000_000
-
-# ``bytes.translate`` table: a 0/1 cell to its digit, any other byte to "?".
-_DIGITS = b"01" + b"?" * 254
-
 
 def _parse_vector(text: str, name: str) -> tuple[int, ...]:
     try:
@@ -115,67 +115,83 @@ def _tie_policy(kind: str, seed: int) -> TiePolicy:
     return TiePolicy(kind, seed) if kind == "uniform_random" else TiePolicy(kind)
 
 
-def _matrix_text(matrix) -> str:
-    """JSON text of a 0/1 matrix: ``Cells``, or a 2-D ``uint8`` buffer such as
-    a numpy array.
+def _matrix_cells(matrix) -> Cells:
+    """``matrix`` as ``Cells``, checked to hold nothing but 0/1 cells.
 
-    Each row is ``,[a,b,...,z]``: one template row repeated m times, then
-    each row's digits written over its slots.  The first comma becomes the
-    opening ``[``.  The buffer comes from repeating a ``bytearray``, which
-    costs a tenth of concatenating one onto a short prefix (2000 x 2000).
+    ``solve`` hands over its ``Cells``; a 2-D ``uint8`` array, from
+    ``enumerate`` or ``construct``, is written into the same text.  The
+    writers touch only the digits, so the text holds nothing but ``01,[]``
+    exactly when every cell is 0 or 1.
     """
-    if isinstance(matrix, Cells):
-        fmt, shape, cells = "B", matrix.shape, matrix.data
-    else:
+    if not isinstance(matrix, Cells):
         view = memoryview(matrix)
-        # A bytearray, like the sweeps' cells: its row slices go into the
-        # text without another copy.
-        fmt, shape, cells = view.format, view.shape, bytearray(view)
-    digits = cells.translate(_DIGITS)
-    if fmt != "B" or len(shape) != 2 or b"?" in digits:
-        raise InternalInvariantError(
-            f"expected a 2-D uint8 matrix of 0/1 entries, got format {fmt!r}, shape {shape}"
-        )
-    m, n = shape
-    if m == 0:
-        return "[]"
-    if n == 0:
-        return "[" + ",".join(["[]"] * m) + "]"
-    width = 2 * n + 2
-    text = bytearray(b",[" + b"0," * (n - 1) + b"0]") * m
-    for i in range(m):
-        first = 2 + i * width
-        text[first : first + 2 * n : 2] = digits[i * n : (i + 1) * n]
-    text[0] = ord("[")
-    text.append(ord("]"))
-    return text.decode("ascii")
+        if view.format != "B" or view.ndim != 2:
+            raise InternalInvariantError(
+                f"expected a 2-D uint8 matrix, got format {view.format!r}, shape {view.shape}"
+            )
+        matrix = Cells.from_array(matrix)
+    if matrix.data.translate(None, b"01,[]"):
+        raise InternalInvariantError(f"the {matrix.shape} matrix has an entry other than 0 or 1")
+    return matrix
 
 
-def _encode(value) -> str:
-    """Compact, key-sorted JSON text of ``value``; matrices go to ``_matrix_text``.
+def _encode(value, parts: list) -> None:
+    """Append the compact, key-sorted JSON text of ``value`` to ``parts``.
 
-    A value with no matrix inside goes to ``json.dumps`` whole, so a long
-    flat list costs no per-entry Python work; ``json.dumps`` raises
-    ``TypeError`` at a matrix, and only then is the dict or list walked.
+    ``parts`` alternates text and matrices: text goes onto its last item, a
+    ``str``, and each matrix goes in as its ``Cells``, whose text from
+    offset 1 on follows a ``[`` and precedes the next ``]``.  A value with
+    no matrix inside goes to ``json.dumps`` whole, so a long flat list costs
+    no per-entry Python work; ``json.dumps`` raises ``TypeError`` at a
+    matrix, and only then is the dict or list walked.
     """
     try:
-        return json.dumps(value, separators=(",", ":"), sort_keys=True)
+        parts[-1] += json.dumps(value, separators=(",", ":"), sort_keys=True)
     except TypeError:
         if isinstance(value, dict):
-            parts = []
-            for key in sorted(value):
+            for k, key in enumerate(sorted(value)):
                 if not isinstance(key, str):
                     raise InternalInvariantError(f"JSON object key {key!r} is not a string") from None
-                parts.append(json.dumps(key) + ":" + _encode(value[key]))
-            return "{" + ",".join(parts) + "}"
-        if isinstance(value, (list, tuple)):
-            return "[" + ",".join(map(_encode, value)) + "]"
-        return _matrix_text(value)
+                parts[-1] += ("," if k else "{") + json.dumps(key) + ":"
+                _encode(value[key], parts)
+            parts[-1] += "}"
+        elif isinstance(value, (list, tuple)):
+            for k, item in enumerate(value):
+                parts[-1] += "," if k else "["
+                _encode(item, parts)
+            parts[-1] += "]"
+        else:
+            parts[-1] += "["
+            parts += [_matrix_cells(value), "]"]
+
+
+def _write_all(out, data) -> None:
+    """Write every byte of ``data``; under ``python -u`` stdout's buffer is a
+    raw ``FileIO``, which may take fewer bytes than it is given."""
+    view = memoryview(data)
+    while view:
+        written = out.write(view)
+        if written is None:
+            raise BlockingIOError("stdout would block")
+        view = view[written:]
 
 
 def _emit(payload) -> None:
-    sys.stdout.write(_encode(payload))
-    sys.stdout.write("\n")
+    """Write ``payload`` and a newline to stdout as bytes, then flush.
+
+    The whole text is encoded before the first byte goes out, so a payload
+    that fails leaves stdout empty.  Each matrix's text goes out as a view
+    of its ``Cells``, uncopied.
+    """
+    parts = [""]
+    _encode(payload, parts)
+    parts[-1] += "\n"
+    # Text written through sys.stdout before this goes first.
+    sys.stdout.flush()
+    out = getattr(sys.stdout, "buffer", sys.stdout)
+    for k, part in enumerate(parts):
+        _write_all(out, memoryview(part.data)[1:] if k % 2 else part.encode("ascii"))
+    out.flush()
 
 
 def _cmd_solve(args) -> int:
@@ -188,6 +204,11 @@ def _cmd_solve(args) -> int:
 def _cmd_enumerate(args) -> int:
     inst = load_instance(args.instance)
     optima = enumerate_optima(inst, cap=args.max_branches)
+    if not optima and feasible(inst):
+        raise InternalInvariantError(
+            f"variant {inst.variant}: the greedy capped sweep reached no completion "
+            "of an instance that `majpop feasible` accepts"
+        )
     payload = [
         {"objective": list(obj), "matrix": optima[obj]} for obj in sorted(optima)
     ]
@@ -408,5 +429,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
 
 
+def run() -> None:
+    """The ``majpop`` command: ``main``, a flush, and an exit without shutdown.
+
+    ``os._exit`` skips the interpreter's shutdown, whose garbage collection
+    walks every live object.
+    Every payload is flushed inside ``main``, so a failed write already has
+    its exit code and stderr line; a flush here that fails after a
+    successful run reports the same way, and never leaves exit 0.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except Exception as exc:
+        if code == 0:
+            print(f"invalid input: {exc}", file=sys.stderr)
+            code = 2
+    try:
+        sys.stderr.flush()
+    except Exception:
+        code = code or 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

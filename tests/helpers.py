@@ -7,7 +7,6 @@ import numpy as np
 from hypothesis import strategies as st
 
 from majpop import Instance, feasible_min_remaining, majorized, partitions, sort_desc
-from majpop.completion import Cells
 from majpop.errors import BudgetExceededError, InfeasibleError
 from majpop.solvers import _instance_rounds, _split_selection, feasible
 
@@ -148,11 +147,11 @@ def reference_enumerate_optima(inst: Instance, cap: int = 1_000_000) -> dict:
             if values not in results:
                 if len(results) >= cap:
                     raise BudgetExceededError(f"more than {cap} optimal objective vectors")
-                a = bytearray(m * n)
+                a = np.zeros((m, n), dtype=np.uint8)
                 for ri, cols in enumerate(rows):
-                    for j in cols:
-                        a[ri * n + j] = 1
-                results[values] = Cells(a, (m, n)).array()
+                    a[ri, list(cols)] = 1
+                a.setflags(write=False)
+                results[values] = a
             continue
         if caps is None:
             allowed = list(range(n))

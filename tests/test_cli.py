@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import majpop
-from majpop.cli import _MAX_CONJUGATE_DIM, _emit, main
+from majpop import Instance, TiePolicy, solve
+from majpop.cli import _MAX_CONJUGATE_DIM, _POLICY_FLAGS, _bench_instance, _emit, main
 from majpop.completion import Cells
 from majpop.errors import InternalInvariantError
 
@@ -353,18 +354,101 @@ def test_golden_files_match_runs():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(GOLDEN_RUNS)
 
 
+def _cli_process(argv, **kwargs):
+    """``python -m majpop.cli`` with ``argv``, the way the ``majpop`` command runs it."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(majpop.__file__)))
+    env.update(kwargs.pop("env", {}))
+    return subprocess.run([sys.executable, "-m", "majpop.cli", *argv], env=env, **kwargs)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_stdout_matches_golden(name):
+    # Under PYTHONUNBUFFERED=1 stdout's buffer is a raw FileIO, which may
+    # take fewer bytes per write than it is given.
+    for unbuffered in ("", "1"):
+        run = _cli_process(GOLDEN_RUNS[name], capture_output=True, env={"PYTHONUNBUFFERED": unbuffered})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == (GOLDEN / name).read_bytes(), unbuffered
+
+
+@pytest.fixture(scope="module")
+def large_instance(tmp_path_factory):
+    """A 2000 x 2000 ``min_remaining`` instance file, as ``majpop bench`` draws it."""
+    r, c, _ = _bench_instance(1, 2000, 2000, 0)
+    path = tmp_path_factory.mktemp("large") / "large.json"
+    path.write_text(json.dumps({"variant": "min_remaining", "row_sums": r, "ceiling": c}))
+    return str(path)
+
+
+def _assert_one_line(err, prefix):
+    assert err.startswith(prefix) and err.count(b"\n") == 1 and b"Traceback" not in err, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["solve", "--instance", str(INSTANCES / "peak_shave_demo.json")],
+    ["solve", "--instance", None],
+    # Written through the text layer, so the failure comes at the flush after main.
+    ["bench", "--rows", "4", "--cols", "5"],
+], ids=["demo", "2000x2000", "bench-csv"])
+def test_write_to_a_full_device_exits_2(argv, large_instance):
+    argv = [large_instance if a is None else a for a in argv]
+    for unbuffered in ("", "1"):
+        with open("/dev/full", "wb") as full:
+            run = _cli_process(argv, stdout=full, stderr=subprocess.PIPE, env={"PYTHONUNBUFFERED": unbuffered})
+        assert run.returncode == 2
+        _assert_one_line(run.stderr, b"invalid input: [Errno 28] ")
+
+
+def test_solve_into_a_closed_pipe_exits_2(large_instance):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(majpop.__file__)))
-    run = subprocess.run(
-        [sys.executable, "-m", "majpop.cli", *GOLDEN_RUNS[name]], capture_output=True, env=env
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "majpop.cli", "solve", "--instance", large_instance],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == (GOLDEN / name).read_bytes()
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    _assert_one_line(err, b"invalid input: [Errno 32] ")
+
+
+@pytest.mark.parametrize("flag", sorted(_POLICY_FLAGS))
+def test_solve_prints_json_dumps_of_the_lists(tmp_path, flag):
+    r, c, _ = _bench_instance(3, 300, 300, 0)
+    path = write_instance(tmp_path, "i.json", {"variant": "min_combined", "row_sums": r, "base": c})
+    run = _cli_process(["solve", "--instance", path, "--tie-policy", flag, "--seed", "11"], capture_output=True)
+    assert (run.returncode, run.stderr) == (0, b"")
+    kind = _POLICY_FLAGS[flag]
+    payload = solve(Instance("min_combined", r, base=c), TiePolicy(kind, 11 if kind == "uniform_random" else 0)).to_json()
+    payload["matrix"] = payload["matrix"].tolist()
+    assert run.stdout.decode() == _reference_text(payload)
+
+
+def test_enumerate_of_a_feasible_instance_the_sweep_strands_exits_3(tmp_path, capsys):
+    path = write_instance(tmp_path, "stranded.json", {
+        "variant": "general_min", "row_sums": [1, 3], "reference": [0, 0, 100], "ceiling": [2, 1, 1]
+    })
+    code, out, _ = run_cli(capsys, "feasible", "--instance", path)
+    assert (code, json.loads(out)) == (0, {"feasible": True})
+    code, out, err = run_cli(capsys, "enumerate", "--instance", path)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal invariant violated: ") and err.count("\n") == 1
+    assert "greedy capped sweep" in err
 
 
 def _reference_text(payload):
     return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+def _digit_cells(rows):
+    """``Cells`` whose digits are the given ones, written into the text as they stand."""
+    cells = Cells(len(rows), len(rows[0]) if rows else 0)
+    for i, row in enumerate(rows):
+        for j, digit in enumerate(row):
+            cells.data[i * cells.stride + 2 + 2 * j] = ord(str(digit))
+    return cells
 
 
 def _emitted(capsys, payload):
@@ -382,7 +466,7 @@ def test_emit_matches_json_dumps_of_lists(capsys):
         lists = {"matrix": a.tolist(), "objective": [n, m], "nested": [{"b": a.tolist(), "a": [1, 2]}]}
         assert _emitted(capsys, payload) == _reference_text(lists), (m, n)
         assert _emitted(capsys, a) == _reference_text(a.tolist()), (m, n)
-        cells = Cells(bytearray(a.tobytes()), (m, n))
+        cells = _digit_cells(a.tolist()) if m else Cells(0, n)
         assert _emitted(capsys, {"matrix": cells}) == _reference_text({"matrix": a.tolist()}), (m, n)
 
 
@@ -400,7 +484,7 @@ def test_zero_row_solve_prints_empty_matrix(tmp_path, capsys):
         np.array([[0, 2]], dtype=np.uint8),
         np.array([[10, 1], [0, 0]], dtype=np.uint8),
         np.array([[0, 1]], dtype=np.int64),
-        Cells(bytearray([0, 1, 2, 0]), (2, 2)),
+        _digit_cells([[0, 1], [2, 0]]),
         np.array([0, 1], dtype=np.uint8),
     ],
     ids=["entry-2", "entry-10", "int64", "cells-entry-2", "one-dimensional"],

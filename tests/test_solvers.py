@@ -1,3 +1,6 @@
+import copy
+import json
+import pickle
 import random
 from itertools import combinations
 
@@ -309,6 +312,57 @@ def _forbid_interpreter(monkeypatch, what):
 
 
 needs_kernel = pytest.mark.skipif(not _speedups.KERNEL_AVAILABLE, reason="compiled sweep unavailable")
+
+
+def _layout_shapes():
+    rng = random.Random(40)
+    return [(0, 0), (0, 3), (3, 0), (1, 1)] + [(rng.randint(0, 40), rng.randint(1, 40)) for _ in range(30)]
+
+
+@needs_kernel
+@pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
+def test_sweeps_write_the_same_text(capped):
+    # Both sweeps write the matrix as JSON row text into ``Cells.data``; the
+    # text, and every view derived from it, must agree byte for byte.
+    rng = random.Random(41 + capped)
+    sides = ((True, -1), (False, 1), (True, 1))
+    completed = 0
+    for m, n in _layout_shapes():
+        start = tuple(rng.randint(0, 9) for _ in range(n))
+        r = tuple(rng.randint(0, n) for _ in range(m))
+        caps = tuple(rng.randint(m // 2, m + 1) for _ in range(n)) if capped else None
+        for kind in TIE_KINDS:
+            seed = rng.getrandbits(64)
+            for largest, delta in sides:
+                try:
+                    py = _run_rounds_python(start, r, largest, delta, TiePolicy(kind, seed), caps)[1]
+                except InfeasibleError:
+                    continue
+                compiled = _speedups.sweep(start, r, largest, delta, kind, seed, caps)[1]
+                assert compiled.data == py.data and compiled.shape == py.shape == (m, n)
+                rows = compiled.tolist()
+                text = json.dumps(rows, separators=(",", ":")).encode()
+                assert b"[" + compiled.data[1:] + b"]" == text
+                a = compiled.array()
+                assert a.dtype == np.uint8 and a.shape == (m, n) and not a.flags.writeable
+                assert a.tolist() == rows == py.tolist()
+                assert np.array_equal(np.asarray(compiled), a) and np.array_equal(py.array(), a)
+                assert [sum(row) for row in rows] == list(r)
+                completed += 1
+    assert completed > 200
+
+
+def test_cells_layout():
+    cells = Cells(2, 3)
+    assert (cells.data, cells.stride) == (bytearray(b",[0,0,0],[0,0,0]"), 8)
+    cells.set_row(1, [0, 2])
+    assert cells.data == bytearray(b",[0,0,0],[1,0,1]")
+    assert cells.tolist() == [[0, 0, 0], [1, 0, 1]]
+    assert Cells(3, 0).data == bytearray(b",[],[],[]") and Cells(3, 0).tolist() == [[], [], []]
+    assert Cells(0, 4).data == bytearray() and Cells(0, 4).array().shape == (0, 4)
+    a = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8)
+    assert Cells.from_array(a).data == bytearray(b",[1,0],[0,1],[1,1]")
+    assert np.array_equal(Cells.from_array(a[:, ::-1]).array(), a[:, ::-1])
 
 
 @needs_kernel
@@ -677,3 +731,30 @@ def test_instance_and_policy_error_texts():
     ]
     for make, text in cases:
         assert _error_text(make) == text
+
+
+def test_records_compare_hash_and_stay_frozen():
+    policy = TiePolicy("uniform_random", 5)
+    inst = Instance("general_min", [1, 2], reference=[3, 4], ceiling=[2, 2])
+    same = Instance("general_min", (1, 2), reference=(3, 4), ceiling=(2, 2))
+    assert repr(policy) == "TiePolicy(kind='uniform_random', seed=5)"
+    assert repr(TiePolicy()) == "TiePolicy(kind='lowest_index', seed=0)"
+    assert repr(inst) == (
+        "Instance(variant='general_min', row_sums=(1, 2), ceiling=(2, 2), base=None, "
+        "reference=(3, 4), n=2)"
+    )
+    assert policy == random_ties(5) and policy != random_ties(6) and policy != ("uniform_random", 5)
+    assert hash(policy) == hash(("uniform_random", 5))
+    assert inst == same and hash(inst) == hash(same)
+    assert hash(inst) == hash(("general_min", (1, 2), (2, 2), None, (3, 4)))
+    res = peak_shave((3, 2), (1, 1))
+    assert res == res and res != peak_shave((3, 2), (1, 1))
+    assert sorted(vars(res)) == ["canonical_objective", "feasible", "matrix", "objective"]
+    assert repr(res).startswith("SolveResult(matrix=array([[1, 0],")
+    for record, name in ((policy, "seed"), (inst, "n"), (res, "feasible"), (policy, "other")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, 1)
+    with pytest.raises(AttributeError, match="cannot delete field 'matrix'"):
+        del res.matrix
+    assert pickle.loads(pickle.dumps(inst)) == inst and copy.deepcopy(policy) == policy
+    assert copy.copy(res).objective == res.objective
