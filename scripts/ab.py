@@ -82,12 +82,10 @@ def machine():
     )
 
 
-def run_once(root, side, workload, seed, trace, seconds, smoke, units):
+def run_once(root, side, workload, seed, trace, seconds, units):
     """One run of ``perfbench/run.py``; its metrics' units go into ``units``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(int(trace))]
-    if smoke:
-        argv.append("--smoke")
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     run = {"side": side, "workload": workload, "seed": seed, "trace": trace, "returncode": proc.returncode}
     try:
@@ -159,16 +157,14 @@ def main(argv=None):
     ap.add_argument("--change", default="the commit that adds this file",
                     help="how the BENCH file names the change side")
     ap.add_argument("--seconds", type=float, default=25)
-    ap.add_argument("--smoke", action="store_true", help="pass --smoke to every run")
     args = ap.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         declared = json.load(fh)
     better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
-    smoke = " --smoke" if args.smoke else ""
     doc = {
         "title": args.title,
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace T{smoke}, "
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace T, "
                    "run from the root of each checkout",
         "machine": machine(),
         "parent_commit": None,
@@ -191,7 +187,7 @@ def main(argv=None):
             for seed in seeds:
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
-                    run = run_once(roots[side], side, workload, seed, trace, args.seconds, args.smoke, units)
+                    run = run_once(roots[side], side, workload, seed, trace, args.seconds, units)
                     run["pair"] = pair
                     doc["runs"].append(run)
                     shown = run.get("metrics") or run["error"][-200:]

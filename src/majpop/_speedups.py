@@ -13,11 +13,10 @@ interchangeable and are tested for bit-identical output, capped or not.
 ``sweep`` is the one caller of the C function and the only module that
 knows its calling convention.  It takes the profile, the row sums and any
 caps as Python ints and the tie policy by name, builds the buffers itself
-(``array.array`` int64 vectors and an all-zero ``completion.Cells``, the
-matrix's JSON text, so no numpy is involved), checks every value that comes
-from its caller, and returns the final profile as a list together with the
-``Cells``, whose digits the C code wrote; that text is the one matrix buffer
-from the sweep to the CLI's output.  A row stranded below the caps raises
+(``array.array`` int64 vectors and a zeroed ``bytearray`` matrix, so no
+numpy is involved), checks every value that comes from its caller, and
+returns the final profile as a list together with the matrix as
+``completion.Cells``; a row stranded below the caps raises
 ``InfeasibleError``.
 
 The first import compiles ``_sweep.c`` with the system ``cc`` into
@@ -133,7 +132,7 @@ def _bind(lib):
         ctypes.c_int64,  # n
         ctypes.c_void_p,  # row_counts
         ctypes.c_int64,  # m
-        ctypes.c_void_p,  # text
+        ctypes.c_void_p,  # matrix
         ctypes.c_int,  # take_largest
         ctypes.c_int64,  # delta
         ctypes.c_int,  # policy
@@ -220,11 +219,10 @@ def sweep(start, row_counts, take_largest, delta, policy, seed, caps=None):
     needs more columns than remain below their caps raises InfeasibleError
     with the same text as ``solvers._run_rounds_python``.
 
-    The matrix comes back as ``completion.Cells``, whose text the C code
-    wrote in place: ``0`` or ``1`` into each cell's digit.  The C code
-    writes through raw pointers into buffers built here, so every value a
-    caller supplies is checked before anything is written; a bad one raises
-    ValueError.  Row counts and caps are checked
+    The matrix comes back as ``completion.Cells`` over the m*n bytes the C
+    code wrote.  The C code writes through raw pointers into buffers built
+    here, so every value a caller supplies is checked before anything is
+    written; a bad one raises ValueError.  Row counts and caps are checked
     by the C code's first pass over them, which spares the tall sweeps a
     second Python walk over the row counts.
     """
@@ -249,14 +247,14 @@ def sweep(start, row_counts, take_largest, delta, policy, seed, caps=None):
             # A cap of m or more never binds, so clamping to m changes
             # nothing and brings caps past int64 into range.
             limits = _int64s([c if c < m else m for c in caps], "caps")
-    cells = Cells(m, n)
+    matrix = bytearray(m * n)
     stranded = _Stranded()
     status = _kernel(
         values.buffer_info()[0],
         n,
         rows.buffer_info()[0],
         m,
-        ctypes.byref(ctypes.c_char.from_buffer(cells.data)) if cells.data else None,
+        ctypes.byref(ctypes.c_char.from_buffer(matrix)) if matrix else None,
         bool(take_largest),
         delta,
         POLICIES[policy],
@@ -275,4 +273,4 @@ def sweep(start, row_counts, take_largest, delta, policy, seed, caps=None):
         raise ValueError("caps must be nonnegative")
     if status != 0:
         raise MemoryError(f"no memory for the sweep's scratch buffers ({6 * n} int64)")
-    return values.tolist(), cells
+    return values.tolist(), Cells(matrix, (m, n))

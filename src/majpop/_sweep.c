@@ -12,11 +12,6 @@
  * that needs more columns than are open strands the sweep: the function
  * reports the row and its open count and returns 1.
  *
- * The matrix is written as its JSON text (completion.Cells in Python):
- * each row is ",[d,d,...,d]", 2n + 2 bytes, and the sweep writes the digit
- * '0' or '1' of each cell in place, so that text is the only matrix buffer
- * between the sweep and the CLI's output.
- *
  * Built, loaded and called only by _speedups.sweep, which allocates the
  * buffers itself and checks before the call that delta is +1 or -1, the
  * policy code is one below, and no value can leave the int64 range.  The
@@ -45,12 +40,12 @@ static uint64_t splitmix64(uint64_t *state)
     return z ^ (z >> 31);
 }
 
-/* Take column j into the current row: step its value by delta, write the
- * digit 1 into its cell and count the placement. */
+/* Take column j into the current row: step its value by delta, set its bit
+ * and count the placement. */
 static void take(int64_t *values, uint8_t *row, int64_t *placed, int64_t j, int64_t delta)
 {
     values[j] += delta;
-    row[2 * j] = '1';
+    row[j] = 1;
     placed[j]++;
 }
 
@@ -107,7 +102,7 @@ static int64_t kth_smallest(int64_t *buf, int64_t n, int64_t target)
  * majpop_solve_rounds, so each call compiles to its own loop and the
  * uncapped one carries no cap test. */
 SPECIALISED int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
-                         int64_t m, uint8_t *text, int take_largest,
+                         int64_t m, uint8_t *matrix, int take_largest,
                          int64_t delta, int policy, uint64_t seed,
                          const int64_t *caps, int64_t *stranded, const int capped)
 {
@@ -131,7 +126,7 @@ SPECIALISED int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
 
     for (i = 0; i < m; i++) {
         int64_t need = row_counts[i];
-        uint8_t *row = text + i * (2 * n + 2) + 2;
+        uint8_t *row = matrix + i * n;
         int64_t width = n, thr, taken = 0, t = 0, k, j, u;
         if (need == 0)
             continue;
@@ -159,15 +154,14 @@ SPECIALISED int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
         /* First pass: take every strictly better column, stage the ties.
          * Which columns pass is data-dependent and mispredicts as a
          * branch, so every column is written: those not taken get their
-         * own values back and the digit 0, and the stage slot is
-         * overwritten. */
+         * own values back and a 0 bit, and the stage slot is overwritten. */
         for (u = 0; u < width; u++) {
             int64_t v, better;
             j = capped ? open_cols[u] : u;
             v = values[j];
             better = take_largest ? v > thr : v < thr;
             values[j] = v + better * delta;
-            row[2 * j] = (uint8_t)('0' + better);
+            row[j] = (uint8_t)better;
             placed[j] += better;
             taken += better;
             ties[t] = j;
@@ -223,9 +217,7 @@ SPECIALISED int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
  *
  * values: int64[n] running profile, modified in place.
  * row_counts: int64[m] units to place per row.
- * text: the matrix's JSON text, m rows of ",[d,d,...,d]", all digits 0,
- *     written by the caller; row i starts at i * (2n + 2), and the digit of
- *     column j sits 2 + 2j bytes into its row.
+ * matrix: uint8[m, n] output, zero-initialized by the caller.
  * take_largest: select columns holding the largest values (else smallest).
  * delta: +1 or -1 applied to each selected column.
  * policy: POLICY_* code; seed feeds the splitmix64 stream for POLICY_RANDOM.
@@ -233,10 +225,10 @@ SPECIALISED int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
  *     for no caps.
  * stranded: int64[2] out; on status 1, the stranded row's index and how
  *     many columns were still open in it.  Rows before it are written to
- *     values and text; it and the rows after it are not.
+ *     values and matrix; it and the rows after it are not.
  */
 int majpop_solve_rounds(int64_t *values, int64_t n, const int64_t *row_counts,
-                        int64_t m, uint8_t *text, int take_largest,
+                        int64_t m, uint8_t *matrix, int take_largest,
                         int64_t delta, int policy, uint64_t seed,
                         const int64_t *caps, int64_t *stranded)
 {
@@ -250,8 +242,8 @@ int majpop_solve_rounds(int64_t *values, int64_t n, const int64_t *row_counts,
             if (caps[i] < 0)
                 return STATUS_NEGATIVE_CAP;
     if (caps == NULL)
-        return run_rows(values, n, row_counts, m, text, take_largest, delta,
+        return run_rows(values, n, row_counts, m, matrix, take_largest, delta,
                         policy, seed, NULL, stranded, 0);
-    return run_rows(values, n, row_counts, m, text, take_largest, delta,
+    return run_rows(values, n, row_counts, m, matrix, take_largest, delta,
                     policy, seed, caps, stranded, 1);
 }

@@ -2,11 +2,10 @@
 
 Results go to stdout as JSON (CSV for ``bench``); diagnostics go to stderr.
 Every payload goes through one encoder, ``_emit``, which writes bytes to
-``sys.stdout.buffer``: 0/1 matrices arrive as ``completion.Cells`` from
-``solve``, whose JSON row text the sweep wrote and which goes out as it
-stands, or as frozen ``uint8`` arrays from ``enumerate`` and ``construct``,
-which are first written into the same text; everything else goes to
-``json.dumps``.  The output equals
+``sys.stdout.buffer``: each 0/1 matrix, ``completion.Cells`` from ``solve``
+or a frozen ``uint8`` array from ``enumerate`` and ``construct``, is
+written as JSON text into one ``bytearray`` that goes out as it stands;
+everything else goes to ``json.dumps``.  The output equals
 ``json.dumps(payload, separators=(",", ":"), sort_keys=True)`` of the
 payload with each matrix as nested lists, without building those lists.
 ``solve`` imports neither numpy nor ``lattice`` and ``oracle``; the
@@ -55,6 +54,10 @@ _INSTANCE_KEYS = frozenset(("variant", "row_sums", "ceiling", "base", "reference
 # Most entries ``conjugate`` writes; its output length is known before any
 # memory is taken, so a longer one is refused as over budget.
 _MAX_CONJUGATE_DIM = 10_000_000
+
+# ``bytes.translate`` table: a 0/1 cell to its digit, any other byte to "?".
+_DIGITS = b"01" + b"?" * 254
+
 
 def _parse_vector(text: str, name: str) -> tuple[int, ...]:
     try:
@@ -115,35 +118,48 @@ def _tie_policy(kind: str, seed: int) -> TiePolicy:
     return TiePolicy(kind, seed) if kind == "uniform_random" else TiePolicy(kind)
 
 
-def _matrix_cells(matrix) -> Cells:
-    """``matrix`` as ``Cells``, checked to hold nothing but 0/1 cells.
+def _matrix_text(matrix) -> bytearray:
+    """JSON text of a 0/1 matrix, from its ``[``: ``Cells`` from ``solve``, or
+    a 2-D ``uint8`` buffer such as a numpy array from ``enumerate`` or
+    ``construct``.
 
-    ``solve`` hands over its ``Cells``; a 2-D ``uint8`` array, from
-    ``enumerate`` or ``construct``, is written into the same text.  The
-    writers touch only the digits, so the text holds nothing but ``01,[]``
-    exactly when every cell is 0 or 1.
+    Each row is ``,[a,b,...,z]``: one template row repeated m times, then
+    each row's cells, turned into digits by ``_DIGITS``, written over its
+    slots; a ``?`` anywhere in the text is a cell other than 0 or 1.  The
+    first comma becomes the opening ``[`` (an empty text becomes ``[``),
+    and the caller writes the closing ``]``.
     """
-    if not isinstance(matrix, Cells):
+    if isinstance(matrix, Cells):
+        shape, cells = matrix.shape, matrix.data
+    else:
         view = memoryview(matrix)
         if view.format != "B" or view.ndim != 2:
             raise InternalInvariantError(
                 f"expected a 2-D uint8 matrix, got format {view.format!r}, shape {view.shape}"
             )
-        matrix = Cells.from_array(matrix)
-    if matrix.data.translate(None, b"01,[]"):
-        raise InternalInvariantError(f"the {matrix.shape} matrix has an entry other than 0 or 1")
-    return matrix
+        shape, cells = view.shape, view.tobytes()
+    m, n = shape
+    row = b",[" + b"0," * (n - 1) + b"0]" if n else b",[]"
+    text = bytearray(row) * m
+    for i in range(m):
+        first = 2 + i * len(row)
+        text[first : first + 2 * n : 2] = cells[i * n : (i + 1) * n].translate(_DIGITS)
+    if b"?" in text:
+        raise InternalInvariantError(f"the {shape} matrix has an entry other than 0 or 1")
+    text[:1] = b"["
+    return text
 
 
 def _encode(value, parts: list) -> None:
     """Append the compact, key-sorted JSON text of ``value`` to ``parts``.
 
-    ``parts`` alternates text and matrices: text goes onto its last item, a
-    ``str``, and each matrix goes in as its ``Cells``, whose text from
-    offset 1 on follows a ``[`` and precedes the next ``]``.  A value with
-    no matrix inside goes to ``json.dumps`` whole, so a long flat list costs
-    no per-entry Python work; ``json.dumps`` raises ``TypeError`` at a
-    matrix, and only then is the dict or list walked.
+    ``parts`` alternates ``str`` and ``bytearray``: text goes onto its last
+    item, a ``str``, and each matrix goes in as the ``bytearray`` from
+    ``_matrix_text``, followed by a new ``str`` that starts with its
+    closing ``]``.  A value with no matrix inside goes to ``json.dumps``
+    whole, so a long flat list costs no per-entry Python work;
+    ``json.dumps`` raises ``TypeError`` at a matrix, and only then is the
+    dict or list walked.
     """
     try:
         parts[-1] += json.dumps(value, separators=(",", ":"), sort_keys=True)
@@ -161,8 +177,7 @@ def _encode(value, parts: list) -> None:
                 _encode(item, parts)
             parts[-1] += "]"
         else:
-            parts[-1] += "["
-            parts += [_matrix_cells(value), "]"]
+            parts += [_matrix_text(value), "]"]
 
 
 def _write_all(out, data) -> None:
@@ -180,8 +195,8 @@ def _emit(payload) -> None:
     """Write ``payload`` and a newline to stdout as bytes, then flush.
 
     The whole text is encoded before the first byte goes out, so a payload
-    that fails leaves stdout empty.  Each matrix's text goes out as a view
-    of its ``Cells``, uncopied.
+    that fails leaves stdout empty.  Each matrix's text goes out as the
+    one buffer ``_matrix_text`` wrote.
     """
     parts = [""]
     _encode(payload, parts)
@@ -190,7 +205,7 @@ def _emit(payload) -> None:
     sys.stdout.flush()
     out = getattr(sys.stdout, "buffer", sys.stdout)
     for k, part in enumerate(parts):
-        _write_all(out, memoryview(part.data)[1:] if k % 2 else part.encode("ascii"))
+        _write_all(out, part if k % 2 else part.encode("ascii"))
     out.flush()
 
 

@@ -1,12 +1,12 @@
 """Feasibility tests and constructive machinery for 0/1 matrices with line sums.
 
 Matrices are numpy ``uint8`` arrays with entries in {0, 1}.  The sweeps
-write theirs as :class:`Cells`, the matrix's JSON text row by row, and the
-numpy array is derived from that text on first use, so a caller that never
-asks for it never imports numpy; neither does importing this module.  The
-class of interest is all m-by-n such matrices with row sums ``r`` and column
-sums ``x``; it is nonempty exactly when ``x`` is majorized by the conjugate
-of ``r`` taken at dimension n.  The feasibility tests take O((m + n) log(m + n)),
+write theirs as :class:`Cells`, row-major bytes and a shape, and the numpy
+array is built from those on first use, so a caller that never asks for it
+never imports numpy; neither does importing this module.  The class of
+interest is all m-by-n such matrices with row sums ``r`` and column sums
+``x``; it is nonempty exactly when ``x`` is majorized by the conjugate of
+``r`` taken at dimension n.  The feasibility tests take O((m + n) log(m + n)),
 :func:`geth_vector` takes O(n log n), and :func:`construct_matrix` is one
 row sweep of the solvers, O(mn) when compiled; only
 :func:`enumerate_matrices` is desk-scale.
@@ -39,59 +39,31 @@ def _frozen(a: Matrix) -> Matrix:
 
 
 class Cells:
-    """A 0/1 matrix as the JSON text of its rows, usable without numpy.
+    """A 0/1 matrix as its row-major cells (a bytes-like value of 0 and 1
+    bytes) and its shape ``(m, n)``, usable without numpy.
 
-    ``data`` is a ``bytearray`` holding ``,[a,b,...,z]`` for each of the m
-    rows in turn, so cell (i, j) is the ASCII digit at offset
-    ``i * stride + 2 + 2 * j``, where ``stride``, the length of one row's
-    text, is 2n + 2 (3 when n = 0).  With ``[`` in place of the first comma
-    and a closing ``]``, the text is the matrix's compact JSON, which the CLI
-    writes as it stands.  A new ``Cells(m, n)`` is all zeros, one row's text
-    repeated; the sweeps write ``1`` into the cells they take.
-
-    ``tolist()`` parses the text; ``array()``, and ``numpy.asarray`` through
-    ``__array__``, give the read-only ``uint8`` array, derived on first use
-    in one strided copy.
+    ``tolist()`` gives the nested lists; ``array()``, and ``numpy.asarray``
+    through ``__array__``, give the read-only ``uint8`` array, built once on
+    first use.  The array shares memory with ``data``, which is therefore
+    never written after construction.
     """
 
-    __slots__ = ("data", "shape", "stride", "_array")
+    __slots__ = ("data", "shape", "_array")
 
-    def __init__(self, m: int, n: int):
-        row = b",[" + b"0," * (n - 1) + b"0]" if n else b",[]"
-        self.data = bytearray(row) * m
-        self.shape = (m, n)
-        self.stride = len(row)
+    def __init__(self, data, shape: tuple[int, int]):
+        self.data = data
+        self.shape = shape
         self._array = None
 
-    @classmethod
-    def from_array(cls, a) -> "Cells":
-        """The text of ``a``, a 2-D ``uint8`` array: each entry is added to its ``0``."""
-        cells = cls(*a.shape)
-        cells._digits()[...] += a
-        return cells
-
-    def set_row(self, i: int, cols) -> None:
-        """Write ``1`` into row i at each column in ``cols``."""
-        first = i * self.stride + 2
-        for j in cols:
-            self.data[first + 2 * j] = 49  # ord("1")
-
-    def _digits(self):
-        """The m-by-n numpy view of the digit bytes in ``data``."""
-        import numpy as np
-
-        m, n = self.shape
-        text = np.frombuffer(self.data, dtype=np.uint8).reshape(m, self.stride)
-        return text[:, 2 : 2 * n + 1 : 2]
-
     def tolist(self) -> list[list[int]]:
-        import json
-
-        return json.loads(b"[" + self.data[1:] + b"]")
+        m, n = self.shape
+        return [list(self.data[i * n : (i + 1) * n]) for i in range(m)]
 
     def array(self) -> Matrix:
         if self._array is None:
-            self._array = _frozen(self._digits() - ord("0"))
+            import numpy as np
+
+            self._array = _frozen(np.frombuffer(self.data, dtype=np.uint8).reshape(self.shape))
         return self._array
 
     def __array__(self, dtype=None, copy=None):
@@ -204,7 +176,7 @@ def construct_matrix(r, x) -> Matrix:
     if reason is not None:
         raise InfeasibleError(f"no 0/1 matrix has these line sums: {reason}")
     if not xv:
-        return Cells(len(rv), 0).array()
+        return Cells(b"", (len(rv), 0)).array()
     shaved = peak_shave(xv, rv)
     if any(shaved.objective):
         raise InternalInvariantError(f"greedy construction left demand {list(shaved.objective)}")

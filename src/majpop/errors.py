@@ -20,7 +20,3 @@ class BudgetExceededError(Exception):
 
 class InternalInvariantError(RuntimeError):
     """A cross-check that should hold by construction failed; report a bug."""
-
-
-class FrozenInstanceError(AttributeError):
-    """An attribute of a frozen record was assigned or deleted."""

@@ -24,21 +24,22 @@ the profile, the row sums, the policy's name and seed and any column caps to
 near the int64 limits is rank compressed first.  The interpreted twin
 ``_run_rounds_python`` runs only where the build failed, and is the
 reference the kernel is tested against bit for bit.
-Both write the matrix as ``completion.Cells``, its JSON text, digit by
-digit, so a solve imports no numpy: ``SolveResult.matrix`` derives the numpy
-array on first access, and the CLI writes the text as it stands.
+Both write the matrix into a ``bytearray`` and hand it back as
+``completion.Cells``, so a solve imports no numpy: ``SolveResult.matrix``
+builds the numpy array on first access.
 
 Resolving every row's ties in every way, row by row, enumerates the full
 set of optimal objective vectors; see :func:`enumerate_optima`.
 """
 
+from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 from typing import Optional, Sequence
 
 from . import _speedups
 from ._speedups import _MASK64
 from .completion import Cells, Matrix, feasible_min_remaining
-from .errors import BudgetExceededError, FrozenInstanceError, InfeasibleError
+from .errors import BudgetExceededError, InfeasibleError
 from .majorization import IntVector, as_vector, sort_desc
 
 # Variant -> its row sweep: the field it starts from, the field that caps
@@ -66,56 +67,18 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z
 
 
-class _Record:
-    """A frozen record: ``__init__`` puts the ``_fields`` straight into the
-    instance ``__dict__``; any later assignment or deletion raises
-    ``FrozenInstanceError``.  The repr lists the fields in order.
-
-    Written out rather than made with ``dataclasses``, whose import (with
-    ``inspect``) and class generation take about a third of
-    ``import majpop.cli``, which every ``majpop solve`` process pays."""
-
-    _fields: tuple[str, ...] = ()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-
-class _Value(_Record):
-    """A record compared and hashed by the tuple of its ``_compared`` fields."""
-
-    _compared: tuple[str, ...] = ()
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compared)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-
-class TiePolicy(_Value):
+@dataclass(frozen=True)
+class TiePolicy:
     """How a solver breaks ties among equally attractive columns."""
 
-    _fields = _compared = ("kind", "seed")
+    kind: str = "lowest_index"
+    seed: int = 0
 
-    def __init__(self, kind: str = "lowest_index", seed: int = 0):
-        if kind not in TIE_KINDS:
-            raise ValueError(f"unknown tie policy {kind!r}; expected one of {TIE_KINDS}")
-        if not isinstance(seed, int) or isinstance(seed, bool):
+    def __post_init__(self):
+        if self.kind not in TIE_KINDS:
+            raise ValueError(f"unknown tie policy {self.kind!r}; expected one of {TIE_KINDS}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError("tie policy seed must be an int")
-        self.__dict__.update(kind=kind, seed=seed)
 
 
 LOWEST_INDEX = TiePolicy("lowest_index")
@@ -127,41 +90,46 @@ def random_ties(seed: int) -> TiePolicy:
     return TiePolicy("uniform_random", seed)
 
 
-class Instance(_Value):
+@dataclass(frozen=True)
+class Instance:
     """One problem setup: a variant tag plus the vectors it needs.
 
     ``min_remaining`` shaves a ceiling profile down; ``min_combined`` fills a
     base profile up.  ``general_min`` shaves a reference profile while column
     sums stay below a separate ceiling; ``general_max`` fills a base profile
     toward the most concentrated (majorization-greatest) combined load under
-    the same column caps.  ``n``, the shared length of the vectors, is
-    derived and left out of comparisons.
+    the same column caps.
     """
 
-    _fields = ("variant", "row_sums", "ceiling", "base", "reference", "n")
-    _compared = _fields[:-1]
+    variant: str
+    row_sums: tuple[int, ...]
+    ceiling: Optional[tuple[int, ...]] = None
+    base: Optional[tuple[int, ...]] = None
+    reference: Optional[tuple[int, ...]] = None
+    n: int = field(init=False, default=0, compare=False)
 
-    def __init__(self, variant: str, row_sums, ceiling=None, base=None, reference=None):
-        if variant not in VARIANTS:
-            raise ValueError(f"variant: unknown value {variant!r}; expected one of {VARIANTS}")
-        row_sums = as_vector(row_sums, "row_sums", nonnegative=True)
-        vectors = {"ceiling": ceiling, "base": base, "reference": reference}
-        for name, v in vectors.items():
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant: unknown value {self.variant!r}; expected one of {VARIANTS}")
+        object.__setattr__(self, "row_sums", as_vector(self.row_sums, "row_sums", nonnegative=True))
+        for name in ("ceiling", "base", "reference"):
+            v = getattr(self, name)
             if v is not None:
-                vectors[name] = as_vector(v, name, nonnegative=True)
+                object.__setattr__(self, name, as_vector(v, name, nonnegative=True))
         lengths = set()
-        for name in _SWEEPS[variant][:2]:
+        for name in _SWEEPS[self.variant][:2]:
             if name is None:
                 continue
-            if vectors[name] is None:
-                raise ValueError(f"{name}: required for variant {variant!r}")
-            lengths.add(len(vectors[name]))
+            v = getattr(self, name)
+            if v is None:
+                raise ValueError(f"{name}: required for variant {self.variant!r}")
+            lengths.add(len(v))
         if len(lengths) != 1:
-            raise ValueError(f"vectors for variant {variant!r} must share one length")
+            raise ValueError(f"vectors for variant {self.variant!r} must share one length")
         n = lengths.pop()
         if n < 1:
             raise ValueError("instances need at least one column")
-        self.__dict__.update(variant=variant, row_sums=row_sums, **vectors, n=n)
+        object.__setattr__(self, "n", n)
 
 
 class _MatrixField:
@@ -177,7 +145,7 @@ class _MatrixField:
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            return self
+            raise AttributeError(self.name)  # so the dataclass field has no default
         value = obj.__dict__[self.name]
         return value.array() if isinstance(value, Cells) else value
 
@@ -185,29 +153,26 @@ class _MatrixField:
         obj.__dict__[self.name] = value
 
 
-class SolveResult(_Record):
+@dataclass(frozen=True, eq=False)
+class SolveResult:
     """Solver output: witness matrix, objective in input order, sorted form.
 
     ``matrix`` is the read-only numpy ``uint8`` array.  The solvers store the
     sweep's ``Cells`` and the array is built on first access, so a result
-    whose matrix is only written out never loads numpy.  Results compare by
-    identity.
+    whose matrix is only written out never loads numpy.
     """
 
-    _fields = ("matrix", "objective", "canonical_objective", "feasible")
-    matrix = _MatrixField()
-
-    def __init__(self, matrix, objective: IntVector, canonical_objective: IntVector, feasible: bool):
-        # ``matrix`` included: ``_MatrixField`` keeps its value in ``__dict__``.
-        self.__dict__.update(
-            matrix=matrix, objective=objective, canonical_objective=canonical_objective, feasible=feasible
-        )
+    matrix: Matrix = _MatrixField()
+    objective: IntVector
+    canonical_objective: IntVector
+    feasible: bool
 
     def to_json(self) -> dict:
         """The CLI payload.  ``"matrix"`` is the stored 0/1 value itself, not
         nested lists: for a solver's result, ``Cells``, which has ``.shape``
         and ``.tolist()`` and needs no numpy (``numpy.asarray`` on it gives
-        the array).  ``majpop.cli._emit`` writes its text as it stands."""
+        the array).  ``majpop.cli._emit`` writes it as JSON text straight
+        from its bytes."""
         return {
             "feasible": self.feasible,
             "objective": list(self.objective),
@@ -288,7 +253,7 @@ def _run_rounds_python(
     m = len(r)
     values = list(start)
     placed = [0] * n
-    cells = Cells(m, n)
+    a = bytearray(m * n)
     state = policy.seed & _MASK64
     everything = list(range(n))
     for i, need in enumerate(r):
@@ -301,8 +266,8 @@ def _run_rounds_python(
         for j in forced + chosen:
             values[j] += delta
             placed[j] += 1
-        cells.set_row(i, forced + chosen)
-    return values, cells
+            a[i * n + j] = 1
+    return values, Cells(a, (m, n))
 
 
 def _rank_compressed(start: IntVector, m: int) -> list[int]:
@@ -479,11 +444,12 @@ def enumerate_optima(inst: Instance, cap: int = 1_000_000) -> dict[IntVector, Ma
                         raise BudgetExceededError(over)
                     nxt[child] = rows + (tuple(forced + [j for j in ties if j not in out]),)
         level = nxt
-    # Every witness goes into one text, one after another, so the arrays
-    # come from one strided copy instead of one per optimum.
     m = len(r)
-    cells = Cells(len(level) * m, n)
-    for w, rows in enumerate(level.values()):
+    results: dict[IntVector, Matrix] = {}
+    for values, rows in level.items():
+        a = bytearray(m * n)
         for i, cols in enumerate(rows):
-            cells.set_row(w * m + i, cols)
-    return dict(zip(level, cells.array().reshape(len(level), m, n)))
+            for j in cols:
+                a[i * n + j] = 1
+        results[values] = Cells(a, (m, n)).array()
+    return results

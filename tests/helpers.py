@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from majpop import Instance, feasible_min_remaining, majorized, partitions, sort_desc
+from majpop.completion import Cells
 from majpop.errors import BudgetExceededError, InfeasibleError
 from majpop.solvers import _instance_rounds, _split_selection, feasible
 
@@ -147,11 +148,11 @@ def reference_enumerate_optima(inst: Instance, cap: int = 1_000_000) -> dict:
             if values not in results:
                 if len(results) >= cap:
                     raise BudgetExceededError(f"more than {cap} optimal objective vectors")
-                a = np.zeros((m, n), dtype=np.uint8)
+                a = bytearray(m * n)
                 for ri, cols in enumerate(rows):
-                    a[ri, list(cols)] = 1
-                a.setflags(write=False)
-                results[values] = a
+                    for j in cols:
+                        a[ri * n + j] = 1
+                results[values] = Cells(a, (m, n)).array()
             continue
         if caps is None:
             allowed = list(range(n))

@@ -442,15 +442,6 @@ def _reference_text(payload):
     return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
 
 
-def _digit_cells(rows):
-    """``Cells`` whose digits are the given ones, written into the text as they stand."""
-    cells = Cells(len(rows), len(rows[0]) if rows else 0)
-    for i, row in enumerate(rows):
-        for j, digit in enumerate(row):
-            cells.data[i * cells.stride + 2 + 2 * j] = ord(str(digit))
-    return cells
-
-
 def _emitted(capsys, payload):
     _emit(payload)
     return capsys.readouterr().out
@@ -466,7 +457,7 @@ def test_emit_matches_json_dumps_of_lists(capsys):
         lists = {"matrix": a.tolist(), "objective": [n, m], "nested": [{"b": a.tolist(), "a": [1, 2]}]}
         assert _emitted(capsys, payload) == _reference_text(lists), (m, n)
         assert _emitted(capsys, a) == _reference_text(a.tolist()), (m, n)
-        cells = _digit_cells(a.tolist()) if m else Cells(0, n)
+        cells = Cells(bytearray(a.tobytes()), (m, n))
         assert _emitted(capsys, {"matrix": cells}) == _reference_text({"matrix": a.tolist()}), (m, n)
 
 
@@ -483,11 +474,18 @@ def test_zero_row_solve_prints_empty_matrix(tmp_path, capsys):
     [
         np.array([[0, 2]], dtype=np.uint8),
         np.array([[10, 1], [0, 0]], dtype=np.uint8),
+        # 43, 45 and 252 added to the byte of "0" wrap to "[", "]" and ",",
+        # and 44 is the byte of ",": entries that must not pass as JSON.
+        np.array([[0, 43], [1, 1]], dtype=np.uint8),
+        np.array([[1, 45]], dtype=np.uint8),
+        np.array([[252]], dtype=np.uint8),
         np.array([[0, 1]], dtype=np.int64),
-        _digit_cells([[0, 1], [2, 0]]),
+        Cells(bytearray([0, 1, 2, 0]), (2, 2)),
+        Cells(bytearray([1, 0, 0, 44]), (2, 2)),
         np.array([0, 1], dtype=np.uint8),
     ],
-    ids=["entry-2", "entry-10", "int64", "cells-entry-2", "one-dimensional"],
+    ids=["entry-2", "entry-10", "entry-43", "entry-45", "entry-252", "int64", "cells-entry-2",
+         "cells-entry-44", "one-dimensional"],
 )
 def test_emit_rejects_non_binary_matrix(tmp_path, capsys, monkeypatch, matrix):
     with pytest.raises(InternalInvariantError):
