@@ -15,10 +15,12 @@ runs its own ``perfbench/run.py`` from its own root.
 The output file has the schema of the other ``BENCH_*.json`` files: title,
 command, machine, parent_commit, change, method, summary and runs.  Every
 run goes into ``runs``, a failed one with its exit code and the end of its
-stderr.  The summary holds, per workload (traced runs apart), each metric's
-median and quartiles on each side, the number of pairs in which the change
-is better, and the ratio of the medians.  The file is rewritten after every
-pair, so an interrupted session keeps what it measured.
+stderr.  The summary holds, per workload (traced runs apart), the number of
+pairs, whether they are enough to cite (``resolved``: at least
+``RESOLVED_PAIRS``), and each metric's median and quartiles on each side,
+the number of pairs in which the change is better, and the ratio of the
+medians.  The file is rewritten after every pair, so an interrupted session
+keeps what it measured.
 """
 
 import argparse
@@ -32,6 +34,10 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Fewest pairs a summary entry rests on before its figures may be cited: three
+# traced pairs have moved per-layer figures by 8-47% on unchanged code.
+RESOLVED_PAIRS = 10
 
 
 def parse_spec(text):
@@ -124,6 +130,7 @@ def summarize(runs, better, units):
         sides = ("parent", "change")
         entry = {
             "pairs": len(done),
+            "resolved": len(done) >= RESOLVED_PAIRS,
             "failed": {s: sum(p[s].get("failed", 0) for p in pairs.values() if s in p) for s in sides},
             "failed_runs": {s: sum("error" in p[s] for p in pairs.values() if s in p) for s in sides},
             "incorrect_runs": {s: sum(p[s].get("correct") is False for p in pairs.values() if s in p) for s in sides},

@@ -1,13 +1,17 @@
 """Compiled inner loop for the peak-shaving and valley-filling solvers.
 
 The row loop is inherently sequential, so the whole sweep is compiled as one
-C function (``_sweep.c``): per-row cost is a single in-place quickselect
-plus two passes over the columns, keeping the total at O(m*n) with no
-per-row interpreter overhead.  Column caps, for ``general_min`` and
-``general_max``, are a mask the C code applies per row: each row selects
-among the columns still below their caps.  Tie handling mirrors
-``solvers._split_selection`` and ``solvers._pick_ties`` exactly, including
-the splitmix64 stream, so the compiled and interpreted paths are
+C function (``_sweep.c``), with no per-row interpreter overhead.  It sorts
+the columns once, by value and then by index, and carries that order from
+row to row: each row reads its threshold at position r_i - 1, takes the
+columns before the threshold block, picks among the block, and restores
+the order by merging only the blocks at the threshold and one unit either
+side of it.  The total is O(n log n + sum of r_i + t_i), with t_i the
+columns in the blocks row i touches.  Column caps, for ``general_min`` and
+``general_max``, take a column out of the order once it reaches its cap,
+so each row selects among the columns still below their caps.  Tie handling
+mirrors ``solvers._split_selection`` and ``solvers._pick_ties`` exactly,
+including the splitmix64 stream, so the compiled and interpreted paths are
 interchangeable and are tested for bit-identical output, capped or not.
 
 ``sweep`` is the one caller of the C function and the only module that
@@ -61,6 +65,7 @@ _Stranded = ctypes.c_int64 * 2
 # The C code's statuses for values it refuses before writing anything.
 _BAD_ROW_COUNT = 2
 _NEGATIVE_CAP = 3
+_VALUE_RANGE = 4
 
 
 class BuildError(RuntimeError):
@@ -222,9 +227,10 @@ def sweep(start, row_counts, take_largest, delta, policy, seed, caps=None):
     The matrix comes back as ``completion.Cells`` over the m*n bytes the C
     code wrote.  The C code writes through raw pointers into buffers built
     here, so every value a caller supplies is checked before anything is
-    written; a bad one raises ValueError.  Row counts and caps are checked
-    by the C code's first pass over them, which spares the tall sweeps a
-    second Python walk over the row counts.
+    written; a bad one raises ValueError.  Row counts, caps and the start
+    profile's distance from the int64 limits are checked by the C code's
+    first pass over them, which spares every sweep a second Python walk
+    over its vectors.
     """
     if _kernel is None:
         raise RuntimeError(f"the compiled row sweep is unavailable: {BUILD_ERROR}")
@@ -233,9 +239,7 @@ def sweep(start, row_counts, take_largest, delta, policy, seed, caps=None):
         raise ValueError(f"delta must be +1 or -1, not {delta!r}")
     if policy not in POLICIES:
         raise ValueError(f"unknown tie policy {policy!r}")
-    if n and not fits(min(start), max(start), m):
-        raise ValueError("values too close to the int64 limits for this many rows")
-    values = array("q", start)
+    values = _int64s(start, "values")
     rows = _int64s(row_counts, "row counts")
     limits = None
     if caps is not None:
@@ -271,6 +275,8 @@ def sweep(start, row_counts, take_largest, delta, policy, seed, caps=None):
         raise ValueError(f"row counts must lie in [0, {n}]")
     if status == _NEGATIVE_CAP:
         raise ValueError("caps must be nonnegative")
+    if status == _VALUE_RANGE:
+        raise ValueError("values too close to the int64 limits for this many rows")
     if status != 0:
-        raise MemoryError(f"no memory for the sweep's scratch buffers ({6 * n} int64)")
+        raise MemoryError(f"no memory for the sweep's scratch buffers ({5 * n + 8} int64)")
     return values.tolist(), Cells(matrix, (m, n))

@@ -191,6 +191,29 @@ def _write_all(out, data) -> None:
         view = view[written:]
 
 
+# Linux's default pipe capacity, and the most ``_grow_pipe`` asks for.
+_DEFAULT_PIPE = 1 << 16
+_MAX_PIPE = 1 << 20
+
+
+def _grow_pipe(size: int) -> None:
+    """Raise the capacity of stdout's pipe toward ``size`` bytes, at most
+    ``_MAX_PIPE``, so a large write needs fewer turns of the reader.  Any
+    failure (no ``fcntl``, stdout not a pipe, a refused size) is ignored: it
+    only costs time.  A payload that fits a default pipe skips the import
+    and the system calls."""
+    if size <= _DEFAULT_PIPE:
+        return
+    try:
+        import fcntl
+
+        fd = sys.stdout.fileno()
+        if fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) < size:
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, min(size, _MAX_PIPE))
+    except (ImportError, AttributeError, OSError, ValueError):
+        pass
+
+
 def _emit(payload) -> None:
     """Write ``payload`` and a newline to stdout as bytes, then flush.
 
@@ -203,6 +226,7 @@ def _emit(payload) -> None:
     parts[-1] += "\n"
     # Text written through sys.stdout before this goes first.
     sys.stdout.flush()
+    _grow_pipe(sum(map(len, parts)))
     out = getattr(sys.stdout, "buffer", sys.stdout)
     for k, part in enumerate(parts):
         _write_all(out, part if k % 2 else part.encode("ascii"))

@@ -21,7 +21,10 @@ Every sweep, capped or not and whatever its size, runs through the compiled
 C sweep (built from ``_sweep.c`` on first import): ``_sweep_result`` hands
 the profile, the row sums, the policy's name and seed and any column caps to
 ``_speedups.sweep``, which alone knows the C calling convention; a profile
-near the int64 limits is rank compressed first.  The interpreted twin
+near the int64 limits is rank compressed first.  The C sweep sorts the
+columns once and carries that order from row to row, so each row sorts
+only its threshold block: O(n log n + sum of r_i + t_i), with t_i the
+columns in the blocks row i touches.  The interpreted twin
 ``_run_rounds_python`` runs only where the build failed, and is the
 reference the kernel is tested against bit for bit.
 Both write the matrix into a ``bytearray`` and hand it back as
@@ -182,6 +185,9 @@ class SolveResult:
 
 
 def _check_rows(r: IntVector, n: int) -> None:
+    # max() clears the rows at C speed; only a bad one takes the loop that names it.
+    if not r or max(r) <= n:
+        return
     for i, v in enumerate(r):
         if v > n:
             raise InfeasibleError(
@@ -299,7 +305,8 @@ def _sweep_result(
         moved, a = _speedups.sweep(packed, r, largest, delta, policy.kind, policy.seed, caps)
         values = [s + v - p for s, v, p in zip(start, moved, packed)]
     objective = tuple(values)
-    return SolveResult(a, objective, sort_desc(objective), delta > 0 or min(objective) >= 0)
+    canonical = sort_desc(objective)
+    return SolveResult(a, objective, canonical, delta > 0 or canonical[-1] >= 0)
 
 
 def peak_shave(ceiling, row_sums, policy: TiePolicy = LOWEST_INDEX) -> SolveResult:

@@ -201,9 +201,11 @@ def test_c08_property_suites_thousand_cases():
 def _scaling_instance(seed, m, n):
     """Random row demands against a flat, ample capacity profile.
 
-    A flat profile keeps the per-row selection work free of data-dependent
-    phase changes, so the measured growth isolates the per-cell linear law
-    rather than pivot luck on one particular value distribution.
+    A flat profile stays within one unit of flat under peak shaving, so
+    every row's threshold block and its neighbours span the columns and the
+    per-row work grows with n alone, free of data-dependent phase changes:
+    the measured growth isolates the per-cell linear law rather than the
+    block sizes of one particular value distribution.
     """
     from majpop.solvers import _splitmix64
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +460,56 @@ def test_emit_matches_json_dumps_of_lists(capsys):
         assert _emitted(capsys, a) == _reference_text(a.tolist()), (m, n)
         cells = Cells(bytearray(a.tobytes()), (m, n))
         assert _emitted(capsys, {"matrix": cells}) == _reference_text({"matrix": a.tolist()}), (m, n)
+
+
+def _large_payload():
+    """A payload whose text is larger than a default 64 KiB pipe."""
+    a = np.random.default_rng(7).integers(0, 2, size=(300, 300), dtype=np.uint8)
+    payload = {"matrix": Cells(bytearray(a.tobytes()), a.shape), "objective": [300, 300]}
+    text = _reference_text({"matrix": a.tolist(), "objective": [300, 300]}).encode()
+    assert len(text) > 1 << 16
+    return payload, text
+
+
+def test_emit_ignores_a_pipe_it_cannot_grow(tmp_path, monkeypatch):
+    fcntl = pytest.importorskip("fcntl")
+    asked = []
+
+    def refuse(fd, cmd, *arg):
+        asked.append(cmd)
+        raise OSError(1, "Operation not permitted")
+
+    monkeypatch.setattr(fcntl, "fcntl", refuse)
+    payload, text = _large_payload()
+    path = tmp_path / "out.json"
+    with open(path, "w", encoding="ascii") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        _emit(payload)
+    assert asked, "the pipe size was never asked for"
+    assert path.read_bytes() == text
+
+
+def test_emit_grows_the_pipe_it_writes_to(monkeypatch):
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_GETPIPE_SZ"):
+        pytest.skip("no F_GETPIPE_SZ on this platform")
+    payload, text = _large_payload()
+    read_end, write_end = os.pipe()
+    received = []
+
+    def read_all():
+        with os.fdopen(read_end, "rb") as pipe:
+            received.append(pipe.read())
+
+    reader = threading.Thread(target=read_all)
+    reader.start()
+    with os.fdopen(write_end, "w", encoding="ascii") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        _emit(payload)
+        capacity = fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ)
+    reader.join()
+    assert received == [text]
+    assert capacity >= len(text)
 
 
 def test_zero_row_solve_prints_empty_matrix(tmp_path, capsys):

@@ -313,6 +313,57 @@ def _forbid_interpreter(monkeypatch, what):
 needs_kernel = pytest.mark.skipif(not _speedups.KERNEL_AVAILABLE, reason="compiled sweep unavailable")
 
 
+def _swept(sweep, *args):
+    """A sweep's profile and cell bytes, or the text of the InfeasibleError it raised."""
+    try:
+        values, cells = sweep(*args)
+    except InfeasibleError as exc:
+        return str(exc)
+    return list(values), bytes(cells.data)
+
+
+# Start profiles whose blocks of equal values sit far apart, in runs, or in
+# order, so the compiled sweep's carried column order merges across gaps.
+CARRIED_PROFILES = {
+    "distinct": lambda rng, n, m: tuple(rng.sample(range(3 * n + 5), n)),
+    "staircase": lambda rng, n, m: tuple(j // 3 for j in range(n)),
+    "sorted": lambda rng, n, m: tuple(sorted(rng.randint(0, 3 * m) for _ in range(n))),
+    "reversed": lambda rng, n, m: tuple(sorted((rng.randint(0, 3 * m) for _ in range(n)), reverse=True)),
+    "spread-3m": lambda rng, n, m: tuple(rng.randint(0, 3 * m) for _ in range(n)),
+    "spread-1e6": lambda rng, n, m: tuple(rng.randint(0, 10**6) for _ in range(n)),
+}
+
+
+@needs_kernel
+@pytest.mark.parametrize("profile", sorted(CARRIED_PROFILES))
+def test_carried_order_matches_interpreter(profile):
+    rng = random.Random(sorted(CARRIED_PROFILES).index(profile))
+    sides = ((True, -1), (False, 1), (True, 1))  # shave, fill, general_max
+    outcomes = {"completed": 0, "stranded": 0, "negative": 0}
+    for n in (1, 2, 7, 31, 90, 200) * 2:
+        m = rng.randint(n // 4, 60)
+        start = CARRIED_PROFILES[profile](rng, n, m)
+        # Rows that take nothing and rows that take every column, among others.
+        r = tuple(rng.choice((0, n, rng.randint(0, n), rng.randint(0, n))) for _ in range(m))
+        # Caps of 0, caps that close columns partway through, and no caps.
+        for caps in (None, tuple(rng.choice((0, rng.randint(1, m + 1), m + 1)) for _ in range(n))):
+            for kind in TIE_KINDS:
+                seed = rng.getrandbits(64)
+                for largest, delta in sides:
+                    args = (start, r, largest, delta)
+                    py = _swept(_run_rounds_python, *args, TiePolicy(kind, seed), caps)
+                    kernel = _swept(_speedups.sweep, *args, kind, seed, caps)
+                    assert py == kernel, (profile, n, m, caps is not None, kind, largest, delta)
+                    if isinstance(py, str):
+                        outcomes["stranded"] += 1
+                    else:
+                        outcomes["completed"] += 1
+                        outcomes["negative"] += min(py[0]) < 0
+    assert outcomes["completed"] and outcomes["stranded"], outcomes
+    # Values up to 10**6 cannot reach 0 in 60 rows; the others go below it.
+    assert outcomes["negative"] or profile == "spread-1e6", outcomes
+
+
 def _layout_shapes():
     rng = random.Random(40)
     return [(0, 0), (0, 3), (3, 0), (1, 1)] + [(rng.randint(0, 40), rng.randint(1, 40)) for _ in range(30)]

@@ -70,10 +70,14 @@ from majpop import InfeasibleError, _speedups
 _speedups._kernel = _speedups._bind(ctypes.CDLL(sys.argv[1]))
 rng = np.random.default_rng(3)
 calls = 0
-for trial in range(400):
-    n = int(rng.integers(1, 40))
+for trial in range(500):
+    # 400 narrow trials on a few levels, then wide ones whose blocks of equal
+    # values sit far apart, so the carried column order merges across gaps.
+    wide = trial >= 400
+    n = int(rng.integers(1, 150 if wide else 40))
     m = int(rng.integers(0, 40))
-    start = [int(v) for v in rng.integers(0, 9, size=n)]
+    top = (10**6, 3 * m + 1, 2 * n + 1)[trial % 3] if wide else 9
+    start = [int(v) for v in rng.integers(0, top, size=n)]
     rows = [int(v) for v in rng.integers(0, n + 1, size=m)]
     caps = None if trial % 3 == 0 else [int(v) for v in rng.integers(0, m + 2, size=n)]
     for policy in _speedups.POLICIES:
@@ -114,7 +118,7 @@ def test_sweep_is_clean_under_address_and_undefined_sanitizers(tmp_path):
         timeout=300,
     )
     assert run.returncode == 0, run.stderr[-4000:]
-    assert run.stdout.strip() == "4800 calls"
+    assert run.stdout.strip() == "6000 calls"
 
 
 def _solve_process(tmp_path, pythonpath, env_extra):
