@@ -52,6 +52,13 @@ def parse_spec(text):
     return parts[0], seeds, len(parts) == 3
 
 
+def declared_better():
+    """Metric name -> ``"lower"`` or ``"higher"``, as ``BENCHMARK.json`` declares it."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        declared = json.load(fh)
+    return {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+
+
 def export(rev, directory):
     """The files of ``rev`` under ``directory``; returns the full commit id."""
     commit = subprocess.run(
@@ -166,9 +173,7 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, default=25)
     args = ap.parse_args(argv)
 
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        declared = json.load(fh)
-    better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    better = declared_better()
     doc = {
         "title": args.title,
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace T, "

@@ -21,6 +21,7 @@ each majorization test once per sorted form.
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
+from operator import le
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -83,12 +84,14 @@ class CertificationReport:
 
 def _column_vectors(
     n: int, total: int, upper: Sequence[int], threshold: IntVector
-) -> list[IntVector]:
-    """All x >= 0 with the given total, x <= upper, and x majorized by threshold.
+) -> tuple[list[IntVector], set[IntVector]]:
+    """All x >= 0 with the given total, x <= upper, and x majorized by threshold,
+    together with the set of their sorted forms.
 
     ``n`` is at least 1.  Majorization reads only the sorted form, so the
     leaf test is decided once per sorted form and looked up for its
-    rearrangements.
+    rearrangements; the forms that passed are exactly the sorted forms of
+    the returned vectors.
     """
     out: list[IntVector] = []
     suffix_capacity = [0] * (n + 1)
@@ -113,7 +116,7 @@ def _column_vectors(
         # Pushed smallest first, so the largest value is popped first.
         for v in range(max(remaining - suffix_capacity[j + 1], 0), min(upper[j], remaining) + 1):
             stack.append((j + 1, remaining - v, partial + (v,)))
-    return out
+    return out, {key for key, ok in below.items() if ok}
 
 
 def enumerate_attainable(
@@ -122,6 +125,12 @@ def enumerate_attainable(
     max_total: int = DEFAULT_MAX_TOTAL,
 ) -> AttainableSet:
     """Exhaustively enumerate the feasible and attainable sets of an instance."""
+    return _attainable(inst, max_cols, max_total)[0]
+
+
+def _attainable(inst: Instance, max_cols: int, max_total: int) -> tuple[AttainableSet, set[IntVector]]:
+    """:func:`enumerate_attainable` plus the sorted forms of the feasible
+    column-sum vectors."""
     r = inst.row_sums
     n = inst.n
     total = sum(r)
@@ -131,21 +140,21 @@ def enumerate_attainable(
             f"(max_cols={max_cols}, max_total={max_total})"
         )
     if any(v > n for v in r):
-        return AttainableSet(inst.variant, frozenset(), frozenset())
+        return AttainableSet(inst.variant, frozenset(), frozenset()), set()
     t = conjugate(r, n)
     peak = t[0] if t else 0
     if inst.variant == "min_combined":
         upper = [peak] * n
     else:
         upper = [min(cj, peak) for cj in inst.ceiling]
-    xs = _column_vectors(n, total, upper, t)
+    xs, forms = _column_vectors(n, total, upper, t)
     if inst.variant == "min_remaining":
         vectors = frozenset(tuple(a - b for a, b in zip(inst.ceiling, x)) for x in xs)
     elif inst.variant == "general_min":
         vectors = frozenset(tuple(a - b for a, b in zip(inst.reference, x)) for x in xs)
     else:
         vectors = frozenset(tuple(a + b for a, b in zip(inst.base, x)) for x in xs)
-    return AttainableSet(inst.variant, frozenset(xs), vectors)
+    return AttainableSet(inst.variant, frozenset(xs), vectors), forms
 
 
 def _extremal_elements(vectors: Iterable[Sequence[int]], name: str, lowest: bool) -> set[IntVector]:
@@ -329,10 +338,16 @@ def certify(
     its attainable set can have several incomparable maximal elements.
     (The least-majorized element that ``general_min`` needs exists on any
     M-convex set; Tamir 1995.)
+
+    The closure check calls the lattice cores only for incomparable pairs.
+    Sorted forms of one total that satisfy a ≼ b also satisfy a ≤ b
+    lexicographically, so in sorted order the only comparable case is
+    a ≼ b, whose meet is a and whose join is b: both are in the set, and
+    such a pair cannot fail.
     """
     exact_scope = inst.variant in ("min_remaining", "min_combined")
-    aset = enumerate_attainable(inst, max_cols=max_cols, max_total=max_total)
-    nonempty = bool(aset.column_sets)
+    aset, closed = _attainable(inst, max_cols, max_total)
+    nonempty = bool(closed)
     records: list[CheckRecord] = []
 
     def record(claim: str, ok: bool, witness: str = "") -> None:
@@ -345,12 +360,16 @@ def certify(
     except InfeasibleError as exc:
         solve_error = str(exc)
 
-    canonicals = sorted(aset.canonical_vectors)
+    # Each attainable vector is sorted once; every claim below reads its form here.
+    form = {v: sort_desc(v) for v in aset.vectors}
+    canonical = set(form.values())
+    canonicals = sorted(canonical)
     star: Optional[IntVector] = None
     if inst.variant == "general_max":
         pass  # several incomparable maximal elements are possible; see above
     elif nonempty:
-        extremal = sorted({sort_desc(v) for v in minimal_elements(aset.vectors)})
+        # The minimal sorted forms are the sorted forms of the minimal vectors.
+        extremal = sorted(minimal_elements(canonicals))
         ok = len(extremal) == 1
         record("essential_uniqueness", ok, "" if ok else f"distinct sorted optima: {extremal}")
         if ok:
@@ -381,7 +400,7 @@ def certify(
 
     if exact_scope:
         if star is not None:
-            want = {v for v in aset.vectors if sort_desc(v) == star}
+            want = {v for v, key in form.items() if key == star}
             got = set(enumerate_optima(inst, cap=branch_cap))
             ok = got == want
             record(
@@ -394,10 +413,14 @@ def certify(
 
     if nonempty:
         # Sorted feasible vectors share one length and total, so the
-        # unchecked lattice cores apply.
-        closed = {sort_desc(x) for x in aset.column_sets}
+        # unchecked lattice cores apply; a comparable pair is skipped (see
+        # the docstring).
+        forms = sorted(closed)
+        prefix = [tuple(accumulate(a)) for a in forms]
         bad = ""
-        for a, b in combinations(sorted(closed), 2):
+        for (a, pa), (b, pb) in combinations(zip(forms, prefix), 2):
+            if all(map(le, pa, pb)):
+                continue
             lo = lattice._meet(a, b)
             hi = lattice._join(a, b)
             if lo not in closed or hi not in closed:
@@ -441,7 +464,7 @@ def certify(
 
     if absent_canonical is not None:
         key = sort_desc(absent_canonical)
-        ok = key not in aset.canonical_vectors
+        ok = key not in canonical
         record("claimed_absent_vector", ok, "" if ok else f"{key} is attainable")
 
     return CertificationReport(inst.variant, tuple(records))

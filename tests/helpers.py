@@ -193,3 +193,21 @@ def random_instance(rng: random.Random, variant: str, max_mn: int = 6, max_value
     if variant == "general_min":
         return Instance(variant, r, reference=profile, ceiling=caps)
     return Instance(variant, r, base=profile, ceiling=caps)
+
+
+def reference_lattice_closure(column_sets, cores) -> tuple[bool, str]:
+    """The all-pairs closure loop, kept as the reference for the
+    ``canonical_column_lattice_closed`` record of :func:`majpop.certify`:
+    every pair of sorted feasible column-sum vectors, comparable or not,
+    goes through ``cores._meet`` and ``cores._join`` (``majpop.lattice`` or
+    a stand-in with the same two functions).  Returns the record's
+    ``passed`` and ``witness``."""
+    if not column_sets:
+        return True, "vacuous: attainable set is empty"
+    closed = {sort_desc(x) for x in column_sets}
+    for a, b in combinations(sorted(closed), 2):
+        lo = cores._meet(a, b)
+        hi = cores._join(a, b)
+        if lo not in closed or hi not in closed:
+            return False, f"pair {a}, {b} gives meet {lo} join {hi}"
+    return True, ""

@@ -1,0 +1,112 @@
+"""Tests for ``scripts/ab.py``, the paired runner that writes the BENCH files."""
+
+import argparse
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "ab.py")
+_spec = importlib.util.spec_from_file_location("ab", _PATH)
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+BETTER = ab.declared_better()
+
+
+def test_parse_spec_reads_a_seed_a_range_and_trace():
+    assert ab.parse_spec("desk:7") == ("desk", [7], False)
+    assert ab.parse_spec("cli-large:1-4") == ("cli-large", [1, 2, 3, 4], False)
+    assert ab.parse_spec("lib-small:3-3:trace") == ("lib-small", [3], True)
+
+
+@pytest.mark.parametrize("text", ["desk:1:traced", "desk:1-2:", "desk", "desk:1:trace:x", "desk:5-3"])
+def test_parse_spec_rejects_bad_suffix_and_empty_range(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        ab.parse_spec(text)
+
+
+def test_directions_come_from_the_benchmark():
+    assert BETTER["op_median_ms"] == "lower"
+    assert BETTER["ops_per_s"] == "higher"
+    assert BETTER["oracle.certify_ms"] == "lower"
+
+
+def _pair(pair, parent, change, workload="desk", trace=False):
+    """Both runs of one pair; ``parent`` and ``change`` are metric dicts."""
+    return [
+        {"side": side, "workload": workload, "seed": pair, "trace": trace, "returncode": 0, "pair": pair,
+         "correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+        for side, metrics in (("parent", parent), ("change", change))
+    ]
+
+
+UNITS = {"op_median_ms": "ms", "ops_per_s": "1/s"}
+
+
+def test_wins_are_strict_in_the_declared_direction():
+    runs = []
+    # op_median_ms (lower is better): change wins, ties, loses, wins.
+    # ops_per_s (higher is better): change wins, loses, ties, ties.
+    for k, (pm, cm, po, co) in enumerate([(5, 4, 10, 12), (5, 5, 10, 9), (5, 6, 10, 10), (5, 3, 10, 10)]):
+        runs += _pair(k, {"op_median_ms": pm, "ops_per_s": po}, {"op_median_ms": cm, "ops_per_s": co})
+    entry = ab.summarize(runs, BETTER, UNITS)["desk"]
+    assert entry["pairs"] == 4
+    median = entry["op_median_ms"]
+    assert median["better"] == "lower"
+    assert median["change_better_in_pairs"] == 2
+    assert median["parent"] == {"median": 5, "q1": 5, "q3": 5}
+    assert median["change"]["median"] == 4.5
+    assert median["change_over_parent"] == 0.9
+    rate = entry["ops_per_s"]
+    assert rate["better"] == "higher"
+    assert rate["change_better_in_pairs"] == 1
+    assert rate["change_over_parent"] == 1.0
+
+
+def test_resolved_needs_ten_complete_pairs():
+    runs = []
+    for k in range(ab.RESOLVED_PAIRS - 1):
+        runs += _pair(k, {"op_median_ms": 5}, {"op_median_ms": 4})
+    assert ab.RESOLVED_PAIRS == 10
+    assert ab.summarize(runs, BETTER, UNITS)["desk"]["resolved"] is False
+    # A pair whose change run failed is not complete.
+    broken = _pair(9, {"op_median_ms": 5}, {"op_median_ms": 4})
+    del broken[1]["metrics"]
+    broken[1]["error"] = "Traceback ..."
+    assert ab.summarize(runs + broken, BETTER, UNITS)["desk"]["resolved"] is False
+    runs += _pair(9, {"op_median_ms": 5}, {"op_median_ms": 4})
+    entry = ab.summarize(runs, BETTER, UNITS)["desk"]
+    assert entry["pairs"] == 10 and entry["resolved"] is True
+
+
+def test_failures_and_incorrect_runs_are_counted_per_side():
+    runs = _pair(0, {"op_median_ms": 5}, {"op_median_ms": 4})
+    runs[0]["failed"] = 2
+    more = _pair(1, {"op_median_ms": 5}, {"op_median_ms": 4})
+    more[1]["failed"] = 3
+    more[1]["correct"] = False
+    crashed = _pair(2, {"op_median_ms": 5}, {"op_median_ms": 4})
+    for run in crashed:
+        del run["metrics"], run["correct"], run["attempted"], run["failed"]
+        run["returncode"], run["error"] = 1, "boom"
+    entry = ab.summarize(runs + more + crashed, BETTER, UNITS)["desk"]
+    assert entry["pairs"] == 2
+    assert entry["failed"] == {"parent": 2, "change": 3}
+    assert entry["failed_runs"] == {"parent": 1, "change": 1}
+    assert entry["incorrect_runs"] == {"parent": 0, "change": 1}
+
+
+def test_ratio_is_none_when_the_parent_median_is_zero():
+    runs = _pair(0, {"op_median_ms": 0}, {"op_median_ms": 1}) + _pair(1, {"op_median_ms": 0}, {"op_median_ms": 0})
+    entry = ab.summarize(runs, BETTER, UNITS)["desk"]["op_median_ms"]
+    assert entry["change_over_parent"] is None
+    assert entry["change_better_in_pairs"] == 0
+
+
+def test_traced_runs_are_summarised_apart():
+    runs = _pair(0, {"op_median_ms": 5}, {"op_median_ms": 4})
+    runs += _pair(1, {"op_median_ms": 50}, {"op_median_ms": 40}, trace=True)
+    summary = ab.summarize(runs, BETTER, UNITS)
+    assert set(summary) == {"desk", "desk traced"}
+    assert summary["desk traced"]["op_median_ms"]["parent"]["median"] == 50

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -14,10 +15,11 @@ from majpop import (
     minimal_elements,
     sort_desc,
 )
-from majpop.oracle import all_matrices, matrix_exists
+from majpop import conjugate, lattice, oracle
+from majpop.oracle import DEFAULT_MAX_TOTAL, all_matrices, matrix_exists
 from majpop import col_sums, enumerate_matrices, matrix_rows, row_sums
 
-from helpers import random_feasible_instance
+from helpers import random_feasible_instance, random_instance, reference_lattice_closure
 
 GAP_MIN = Instance("min_remaining", (4, 2), ceiling=(8, 6, 6, 6, 4, 4, 4))
 GAP_MAX = Instance("min_combined", (4, 2), base=(4, 4, 4, 2, 2, 2, 0))
@@ -310,3 +312,97 @@ def test_certify_wide_instance_without_deep_recursion():
     report = certify(inst, max_cols=2000, max_total=5)
     assert report.passed
     assert enumerate_attainable(inst, max_cols=2000, max_total=5).column_sets == {(0,) * 1500}
+
+
+def _closure_record(report):
+    return next(r for r in report.records if r.claim == "canonical_column_lattice_closed")
+
+
+def _incomparable(a, b):
+    return not majorized(a, b) and not majorized(b, a)
+
+
+class _Cores:
+    """Stand-ins for the lattice cores that certify calls: each call is
+    logged, and when ``faulty`` picks an incomparable pair, both cores answer
+    it with a vector outside every feasible set.  Comparable pairs always get
+    the true meet and join."""
+
+    def __init__(self, faulty=lambda a, b: False):
+        self.faulty = faulty
+        self.calls = {"meet": [], "join": []}
+
+    def _answer(self, name, a, b):
+        self.calls[name].append((a, b))
+        if _incomparable(a, b) and self.faulty(a, b):
+            return (-1,) * len(a)
+        return getattr(lattice, "_" + name)(a, b)
+
+    def _meet(self, a, b):
+        return self._answer("meet", a, b)
+
+    def _join(self, a, b):
+        return self._answer("join", a, b)
+
+
+@pytest.mark.parametrize("inst", [
+    Instance("min_remaining", (4, 4, 3, 1, 1), ceiling=(7, 6, 5, 4, 4)),
+    Instance("min_combined", (4, 3, 3, 2, 1), base=(8, 6, 5, 2, 2)),
+    Instance("general_min", (3, 3, 2, 2, 1, 1), reference=(4, 1, 0, 3, 2), ceiling=(6, 6, 6, 2, 1)),
+])
+def test_closure_check_calls_the_cores_only_for_incomparable_pairs(monkeypatch, inst):
+    forms = sorted({sort_desc(x) for x in enumerate_attainable(inst).column_sets})
+    pairs = list(itertools.combinations(forms, 2))
+    incomparable = [p for p in pairs if _incomparable(*p)]
+    assert len(incomparable) > 1 and len(incomparable) < len(pairs)
+
+    honest = _Cores()
+    monkeypatch.setattr(oracle, "lattice", honest)
+    assert _closure_record(certify(inst)).passed
+    assert honest.calls == {"meet": incomparable, "join": incomparable}
+
+    # Wrong answers on every incomparable pair: the first one in sorted order
+    # fails the record, with the witness the all-pairs loop gives.
+    faulty = _Cores(faulty=lambda a, b: True)
+    monkeypatch.setattr(oracle, "lattice", faulty)
+    rec = _closure_record(certify(inst))
+    (a, b), outside = incomparable[0], (-1,) * inst.n
+    assert not rec.passed
+    assert rec.witness == f"pair {a}, {b} gives meet {outside} join {outside}"
+    assert (rec.passed, rec.witness) == reference_lattice_closure(
+        enumerate_attainable(inst).column_sets, _Cores(faulty=lambda a, b: True)
+    )
+    assert faulty.calls == {"meet": [(a, b)], "join": [(a, b)]}
+
+
+def _every_third(a, b):
+    return sum(i * (u + v) for i, (u, v) in enumerate(zip(a, b))) % 3 == 0
+
+
+def test_closure_record_matches_all_pairs_reference(monkeypatch):
+    # Cores that are wrong on about a third of the incomparable pairs make
+    # the witness depend on which pair fails first.
+    rng = random.Random(1973)
+    variants = ("min_remaining", "min_combined", "general_min", "general_max")
+    seen = collections.Counter()
+    checked = 0
+    while checked < 400:
+        variant = variants[checked % 4]
+        inst = random_instance(rng, variant, max_mn=6, max_value=5)
+        if sum(inst.row_sums) > DEFAULT_MAX_TOTAL:
+            continue
+        column_sets = enumerate_attainable(inst).column_sets
+        for faulty in (lambda a, b: False, _every_third):
+            monkeypatch.setattr(oracle, "lattice", _Cores(faulty))
+            rec = _closure_record(certify(inst))
+            want = reference_lattice_closure(column_sets, _Cores(faulty))
+            assert (rec.passed, rec.witness) == want, inst
+            seen["failed"] += not rec.passed
+        checked += 1
+        seen["infeasible"] += not column_sets
+        seen["n=6"] += inst.n == 6
+        seen["m=6"] += len(inst.row_sums) == 6
+        if variant.startswith("general"):
+            peak = conjugate(inst.row_sums, inst.n)[0]
+            seen["binding" if min(inst.ceiling) < peak else "slack"] += 1
+    assert min(seen[k] for k in ("failed", "infeasible", "n=6", "m=6", "binding", "slack")) >= 10, seen
