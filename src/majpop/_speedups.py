@@ -14,14 +14,19 @@ mirrors ``solvers._split_selection`` and ``solvers._pick_ties`` exactly,
 including the splitmix64 stream, so the compiled and interpreted paths are
 interchangeable and are tested for bit-identical output, capped or not.
 
-``sweep`` is the one caller of the C function and the only module that
-knows its calling convention.  It takes the profile, the row sums and any
-caps as Python ints and the tie policy by name, builds the buffers itself
-(``array.array`` int64 vectors and a zeroed ``bytearray`` matrix, so no
-numpy is involved), checks every value that comes from its caller, and
-returns the final profile as a list together with the matrix as
-``completion.Cells``; a row stranded below the caps raises
-``InfeasibleError``.
+``sweep`` is the one caller of the C function, ``majpop_solve_rounds``, and
+the only module that knows its calling convention: six arguments, the
+profile, the row counts, the matrix, the caps or NULL, one int64 frame
+that carries n, m, the side, the step and the policy code in and a
+stranded row out, and the seed.  ``sweep`` takes the profile, the row sums
+and any caps as Python ints and the tie policy by name, builds the buffers
+itself (``array.array`` int64 vectors and a zeroed ``bytearray`` matrix, so
+no numpy is involved), and returns the final profile as a list together
+with the matrix as ``completion.Cells``; a row stranded below the caps
+raises ``InfeasibleError``.  The C code's first pass checks the row
+counts, the caps and the profile's distance from the int64 limits, so
+no Python pass over a vector repeats it; a refused input raises
+ValueError.
 
 The first import compiles ``_sweep.c`` with the system ``cc`` into
 ``majpop/__pycache__/``, or into a private per-user directory under the
@@ -59,13 +64,16 @@ _INT64_MAX = (1 << 63) - 1
 # Also the seed mask in ``solvers`` and the largest entry the CLI accepts.
 _MASK64 = (1 << 64) - 1
 
-# The stranded row's index and its open column count, written by the C code.
-_Stranded = ctypes.c_int64 * 2
-
-# The C code's statuses for values it refuses before writing anything.
+# The C code's statuses: a stranded row, and values it refuses before
+# writing anything.
+_STRANDED = 1
 _BAD_ROW_COUNT = 2
 _NEGATIVE_CAP = 3
 _VALUE_RANGE = 4
+# The frame slots the C code writes a stranded row's index and open column
+# count to; slots 0-4 carry n, m, take_largest, delta and the policy code in.
+_STRANDED_ROW = 5
+_STRANDED_OPEN = 6
 
 
 class BuildError(RuntimeError):
@@ -134,16 +142,11 @@ def _bind(lib):
     fn = lib.majpop_solve_rounds
     fn.argtypes = [
         ctypes.c_void_p,  # values
-        ctypes.c_int64,  # n
         ctypes.c_void_p,  # row_counts
-        ctypes.c_int64,  # m
         ctypes.c_void_p,  # matrix
-        ctypes.c_int,  # take_largest
-        ctypes.c_int64,  # delta
-        ctypes.c_int,  # policy
-        ctypes.c_uint64,  # seed
         ctypes.c_void_p,  # caps, or None
-        ctypes.POINTER(ctypes.c_int64),  # stranded
+        ctypes.c_void_p,  # frame
+        ctypes.c_uint64,  # seed
     ]
     fn.restype = ctypes.c_int
     return fn
@@ -201,14 +204,6 @@ def fits(low: int, high: int, m: int) -> bool:
     return _INT64_MIN + m <= low and high <= _INT64_MAX - m
 
 
-def _int64s(values, what):
-    """``values`` as an int64 ``array.array``; ValueError if one lies outside int64."""
-    try:
-        return array("q", values)
-    except OverflowError:
-        raise ValueError(f"{what} must lie within the int64 range") from None
-
-
 def sweep(start, row_counts, take_largest, delta, policy, seed, caps=None):
     """Run every row compiled; returns the final profile (a list) and the matrix.
 
@@ -227,20 +222,27 @@ def sweep(start, row_counts, take_largest, delta, policy, seed, caps=None):
     The matrix comes back as ``completion.Cells`` over the m*n bytes the C
     code wrote.  The C code writes through raw pointers into buffers built
     here, so every value a caller supplies is checked before anything is
-    written; a bad one raises ValueError.  Row counts, caps and the start
-    profile's distance from the int64 limits are checked by the C code's
-    first pass over them, which spares every sweep a second Python walk
-    over its vectors.
+    written; a bad one raises ValueError.  Delta, the policy and the caps'
+    length are checked here; the row counts, the caps' signs and the start
+    profile's distance from the int64 limits only by the C code's first
+    pass, so no vector is walked in Python except to convert it.
     """
     if _kernel is None:
         raise RuntimeError(f"the compiled row sweep is unavailable: {BUILD_ERROR}")
-    m, n = len(row_counts), len(start)
     if delta not in (1, -1):
         raise ValueError(f"delta must be +1 or -1, not {delta!r}")
-    if policy not in POLICIES:
+    code = POLICIES.get(policy)
+    if code is None:
         raise ValueError(f"unknown tie policy {policy!r}")
-    values = _int64s(start, "values")
-    rows = _int64s(row_counts, "row counts")
+    m, n = len(row_counts), len(start)
+    try:
+        values = array("q", start)
+    except OverflowError:
+        raise ValueError("values must lie within the int64 range") from None
+    try:
+        rows = array("q", row_counts)
+    except OverflowError:
+        raise ValueError("row counts must lie within the int64 range") from None
     limits = None
     if caps is not None:
         if len(caps) != n:
@@ -250,33 +252,31 @@ def sweep(start, row_counts, take_largest, delta, policy, seed, caps=None):
         except OverflowError:
             # A cap of m or more never binds, so clamping to m changes
             # nothing and brings caps past int64 into range.
-            limits = _int64s([c if c < m else m for c in caps], "caps")
+            try:
+                limits = array("q", [c if c < m else m for c in caps])
+            except OverflowError:
+                raise ValueError("caps must lie within the int64 range") from None
     matrix = bytearray(m * n)
-    stranded = _Stranded()
+    frame = array("q", (n, m, 1 if take_largest else 0, delta, code, 0, 0))
     status = _kernel(
         values.buffer_info()[0],
-        n,
         rows.buffer_info()[0],
-        m,
-        ctypes.byref(ctypes.c_char.from_buffer(matrix)) if matrix else None,
-        bool(take_largest),
-        delta,
-        POLICIES[policy],
-        seed & _MASK64,
+        ctypes.addressof(ctypes.c_char.from_buffer(matrix)) if matrix else None,
         None if limits is None else limits.buffer_info()[0],
-        stranded,
+        frame.buffer_info()[0],
+        seed & _MASK64,
     )
-    if status == 1:
-        need = rows[stranded[0]]
-        raise InfeasibleError(
-            f"a row needs {need} columns but only {stranded[1]} remain below their caps"
-        )
-    if status == _BAD_ROW_COUNT:
-        raise ValueError(f"row counts must lie in [0, {n}]")
-    if status == _NEGATIVE_CAP:
-        raise ValueError("caps must be nonnegative")
-    if status == _VALUE_RANGE:
-        raise ValueError("values too close to the int64 limits for this many rows")
-    if status != 0:
+    if status:
+        if status == _STRANDED:
+            raise InfeasibleError(
+                f"a row needs {rows[frame[_STRANDED_ROW]]} columns but only "
+                f"{frame[_STRANDED_OPEN]} remain below their caps"
+            )
+        if status == _BAD_ROW_COUNT:
+            raise ValueError(f"row counts must lie in [0, {n}]")
+        if status == _NEGATIVE_CAP:
+            raise ValueError("caps must be nonnegative")
+        if status == _VALUE_RANGE:
+            raise ValueError("values too close to the int64 limits for this many rows")
         raise MemoryError(f"no memory for the sweep's scratch buffers ({5 * n + 8} int64)")
     return values.tolist(), Cells(matrix, (m, n))

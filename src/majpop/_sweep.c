@@ -17,11 +17,16 @@
  * that needs more columns than are open strands the sweep: the function
  * reports the row and its open count and returns 1.
  *
- * Built, loaded and called only by _speedups.sweep, which allocates the
- * buffers itself and checks before the call that delta is +1 or -1 and the
- * policy code is one below.  The row counts, caps and values are checked
- * here, in one pass each before anything is written: 0 <= row_counts[i]
- * <= n, 0 <= caps[j], and no value can leave the int64 range over m rows.
+ * Built, loaded and called only by _speedups.sweep, through the one entry
+ * point majpop_solve_rounds, which takes the sizes, the side, the step and
+ * the policy code in one int64 frame and writes a stranded row back into
+ * it.  _speedups.sweep allocates the buffers itself and checks that delta
+ * is +1 or -1 and the policy code is one below.  The row counts, caps and
+ * values are checked here, in one pass each before anything is written:
+ * 0 <= row_counts[i] <= n, 0 <= caps[j], and no value can leave the int64
+ * range over m rows.  The Python callers make no such pass of their own;
+ * only when this code refuses an input do they rerun their checks, to
+ * name the cause.
  */
 
 #include <stdint.h>
@@ -36,6 +41,16 @@
 #define STATUS_BAD_ROW_COUNT 2
 #define STATUS_NEGATIVE_CAP 3
 #define STATUS_VALUE_RANGE 4
+
+/* The slots of majpop_solve_rounds' frame: read on the way in, and the
+ * last two written on the way out when a row is stranded. */
+#define FRAME_N 0
+#define FRAME_M 1
+#define FRAME_TAKE_LARGEST 2
+#define FRAME_DELTA 3
+#define FRAME_POLICY 4
+#define FRAME_STRANDED_ROW 5
+#define FRAME_STRANDED_OPEN 6
 
 /* Inlined into each caller: the per-row helpers, and the sweep into its
  * two specialised copies. */
@@ -496,21 +511,22 @@ INLINE int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
  * values: int64[n] running profile, modified in place.
  * row_counts: int64[m] units to place per row.
  * matrix: uint8[m, n] output, zero-initialized by the caller.
- * take_largest: select columns holding the largest values (else smallest).
- * delta: +1 or -1 applied to each selected column.
- * policy: POLICY_* code; seed feeds the splitmix64 stream for POLICY_RANDOM.
  * caps: int64[n] most units each column may take over the sweep, or NULL
  *     for no caps.
- * stranded: int64[2] out; on status 1, the stranded row's index and how
- *     many columns were still open in it.  Rows before it are written to
- *     values and matrix; it and the rows after it are not.
+ * frame: int64[7], the FRAME_* slots.  In: n, m, take_largest (select
+ *     columns holding the largest values, else the smallest), delta (+1 or
+ *     -1, applied to each selected column) and the POLICY_* code.  Out, on
+ *     status 1: the stranded row's index and how many columns were still
+ *     open in it.  Rows before it are written to values and matrix; it and
+ *     the rows after it are not.
+ * seed: feeds the splitmix64 stream for POLICY_RANDOM.
  */
-int majpop_solve_rounds(int64_t *values, int64_t n, const int64_t *row_counts,
-                        int64_t m, uint8_t *matrix, int take_largest,
-                        int64_t delta, int policy, uint64_t seed,
-                        const int64_t *caps, int64_t *stranded)
+int majpop_solve_rounds(int64_t *values, const int64_t *row_counts, uint8_t *matrix,
+                        const int64_t *caps, int64_t *frame, uint64_t seed)
 {
-    int64_t i;
+    int64_t n = frame[FRAME_N], m = frame[FRAME_M], delta = frame[FRAME_DELTA], i;
+    int take_largest = frame[FRAME_TAKE_LARGEST] != 0, policy = (int)frame[FRAME_POLICY];
+    int64_t *stranded = frame + FRAME_STRANDED_ROW;
     /* Read as unsigned, a negative count exceeds every n. */
     for (i = 0; i < m; i++)
         if ((uint64_t)row_counts[i] > (uint64_t)n)

@@ -20,8 +20,12 @@ policy reaches an optimum; the policies below pick *which* optimum:
 Every sweep, capped or not and whatever its size, runs through the compiled
 C sweep (built from ``_sweep.c`` on first import): ``_sweep_result`` hands
 the profile, the row sums, the policy's name and seed and any column caps to
-``_speedups.sweep``, which alone knows the C calling convention; a profile
-near the int64 limits is rank compressed first.  The C sweep sorts the
+``_speedups.sweep``, which alone knows the C calling convention.  The C
+code's first pass checks the row sums and the profile's distance from the
+int64 limits, so the solvers make no pass of their own; only when it
+refuses an input do they rerun their checks, in their old order: a row
+above n raises the error that names it, and a profile near the int64
+limits is rank compressed and swept again.  The C sweep sorts the
 columns once and carries that order from row to row, so each row sorts
 only its threshold block: O(n log n + sum of r_i + t_i), with t_i the
 columns in the blocks row i touches.  The interpreted twin
@@ -41,7 +45,7 @@ from typing import Optional, Sequence
 
 from . import _speedups
 from ._speedups import _MASK64
-from .completion import Cells, Matrix, feasible_min_remaining
+from .completion import Cells, Matrix, _feasible_min_remaining, feasible_min_remaining
 from .errors import BudgetExceededError, InfeasibleError
 from .majorization import IntVector, as_vector, sort_desc
 
@@ -190,9 +194,11 @@ def _check_rows(r: IntVector, n: int) -> None:
         return
     for i, v in enumerate(r):
         if v > n:
+            # from None: raised while handling a sweep the C code refused, or
+            # a capped sweep's stranded row, it names the cause itself.
             raise InfeasibleError(
                 f"row_sums[{i}] = {v} exceeds the number of columns {n}: no row can hold it"
-            )
+            ) from None
 
 
 def _split_selection(
@@ -292,18 +298,29 @@ def _sweep_result(
     policy: TiePolicy,
     caps: Optional[IntVector] = None,
 ) -> SolveResult:
-    """Sweep rows already checked to fit; a negative entry certifies infeasibility.
+    """Sweep the rows; a negative entry certifies infeasibility.
 
-    Values m + 1 or more apart compare alike through m rows, so a profile the
-    kernel cannot take is swept rank compressed and moved back after."""
+    Nothing is checked before the compiled sweep, whose first pass checks
+    the row sums and the profile.  Only when it refuses them do the checks
+    run here, in their old order: a row above n raises the InfeasibleError
+    that names it, and a profile within m of an int64 limit is swept rank
+    compressed and moved back after, since values m + 1 or more apart
+    compare alike through m rows.  The interpreted sweep checks the rows
+    first."""
     if not _speedups.KERNEL_AVAILABLE:
+        _check_rows(r, len(start))
         values, a = _run_rounds_python(start, r, largest, delta, policy, caps)
-    elif _speedups.fits(min(start), max(start), len(r)):
-        values, a = _speedups.sweep(start, r, largest, delta, policy.kind, policy.seed, caps)
     else:
-        packed = _rank_compressed(start, len(r))
-        moved, a = _speedups.sweep(packed, r, largest, delta, policy.kind, policy.seed, caps)
-        values = [s + v - p for s, v, p in zip(start, moved, packed)]
+        try:
+            values, a = _speedups.sweep(start, r, largest, delta, policy.kind, policy.seed, caps)
+        except ValueError:
+            _check_rows(r, len(start))
+            m = len(r)
+            if _speedups.fits(min(start), max(start), m):
+                raise
+            packed = _rank_compressed(start, m)
+            moved, a = _speedups.sweep(packed, r, largest, delta, policy.kind, policy.seed, caps)
+            values = [s + v - p for s, v, p in zip(start, moved, packed)]
     objective = tuple(values)
     canonical = sort_desc(objective)
     return SolveResult(a, objective, canonical, delta > 0 or canonical[-1] >= 0)
@@ -320,7 +337,6 @@ def peak_shave(ceiling, row_sums, policy: TiePolicy = LOWEST_INDEX) -> SolveResu
     r = as_vector(row_sums, "row_sums", nonnegative=True)
     if not c:
         raise ValueError("ceiling must have at least one entry")
-    _check_rows(r, len(c))
     return _sweep_result(c, r, largest=True, delta=-1, policy=policy)
 
 
@@ -330,7 +346,6 @@ def valley_fill(base, row_sums, policy: TiePolicy = LOWEST_INDEX) -> SolveResult
     r = as_vector(row_sums, "row_sums", nonnegative=True)
     if not b:
         raise ValueError("base must have at least one entry")
-    _check_rows(r, len(b))
     return _sweep_result(b, r, largest=False, delta=+1, policy=policy)
 
 
@@ -338,21 +353,21 @@ def min_remaining_profile(ceiling, row_sums) -> IntVector:
     """Canonical (nonincreasing) optimal remaining profile for a feasible setup."""
     c = as_vector(ceiling, "ceiling", nonnegative=True)
     r = as_vector(row_sums, "row_sums", nonnegative=True)
-    if not feasible_min_remaining(c, r):
+    if not _feasible_min_remaining(c, r):
         raise InfeasibleError(f"ceiling {c} cannot absorb row sums {r}")
     if not c:
         return ()
-    return peak_shave(c, r).canonical_objective
+    return _sweep_result(c, r, True, -1, LOWEST_INDEX).canonical_objective
 
 
 def min_combined_profile(base, row_sums) -> IntVector:
     """Canonical (nonincreasing) optimal combined profile; always exists."""
     b = as_vector(base, "base", nonnegative=True)
     r = as_vector(row_sums, "row_sums", nonnegative=True)
-    _check_rows(r, len(b))
     if not b:
+        _check_rows(r, 0)
         return ()
-    return valley_fill(b, r).canonical_objective
+    return _sweep_result(b, r, False, +1, LOWEST_INDEX).canonical_objective
 
 
 def solve(inst: Instance, policy: TiePolicy = LOWEST_INDEX) -> SolveResult:
@@ -371,11 +386,14 @@ def solve(inst: Instance, policy: TiePolicy = LOWEST_INDEX) -> SolveResult:
     value, and a sweep can stop on an instance that a different row order
     would complete.  The uncapped variants carry none of these caveats.
     """
-    start, largest, delta, caps = _instance_rounds(inst)
+    start, cap, largest, delta = _SWEEPS[inst.variant]
+    caps = None if cap is None else getattr(inst, cap)
     try:
-        return _sweep_result(start, inst.row_sums, largest, delta, policy, caps)
+        return _sweep_result(getattr(inst, start), inst.row_sums, largest, delta, policy, caps)
     except InfeasibleError as exc:
-        # Only a capped sweep can strand a row once the row sums fit.
+        # A row above n is named as such; only a capped sweep can strand a
+        # row that fits.
+        _check_rows(inst.row_sums, inst.n)
         raise InfeasibleError(f"variant {inst.variant}: {exc}") from None
 
 

@@ -496,6 +496,130 @@ def test_sweep_matches_interpreter_at_the_int64_edges(monkeypatch):
     assert outside > 100 and stranded > 100 and completed > 1000
 
 
+def _raised(call):
+    """The type and text of the exception ``call`` raises; it must not show
+    another exception it was raised while handling."""
+    with pytest.raises(Exception) as info:
+        call()
+    exc = info.value
+    assert exc.__cause__ is None and (exc.__context__ is None or exc.__suppress_context__)
+    return type(exc), str(exc)
+
+
+def _instances(r, start, caps):
+    """One instance per variant, each sweeping ``start``, capped by ``caps``."""
+    return (
+        Instance("min_remaining", r, ceiling=start),
+        Instance("min_combined", r, base=start),
+        Instance("general_min", r, reference=start, ceiling=caps),
+        Instance("general_max", r, base=start, ceiling=caps),
+    )
+
+
+# Row sums with row 1 above n = 2: what it is, and what ``_speedups.sweep`` says.
+ROWS_ABOVE_N = {
+    "above n": ((1, 3, 4), "row counts must lie in [0, 2]"),
+    "past int64": ((1, 2**63, 4), "row counts must lie within the int64 range"),
+}
+
+
+@needs_kernel
+@pytest.mark.parametrize("case", sorted(ROWS_ABOVE_N))
+def test_a_row_above_n_keeps_its_error(case):
+    r, refused = ROWS_ABOVE_N[case]
+    named = (InfeasibleError, f"row_sums[1] = {r[1]} exceeds the number of columns 2: no row can hold it")
+    for policy in ALL_POLICIES:
+        for inst in _instances(r, (5, 4), (1, 1)):
+            # No ``variant ...:`` prefix: the row, not the sweep, is at fault.
+            assert _raised(lambda: solve(inst, policy)) == named, inst.variant
+        assert _raised(lambda: peak_shave((5, 4), r, policy)) == named
+        assert _raised(lambda: valley_fill((5, 4), r, policy)) == named
+    assert _raised(lambda: min_combined_profile((5, 4), r)) == named
+    assert _raised(lambda: min_combined_profile((), r)) == (
+        InfeasibleError, "row_sums[0] = 1 exceeds the number of columns 0: no row can hold it"
+    )
+    for kind in TIE_KINDS:
+        for caps in (None, (1, 1)):
+            assert _raised(lambda: _speedups.sweep((5, 4), r, True, -1, kind, 0, caps)) == (
+                ValueError, refused
+            )
+
+
+# Profiles the C code cannot take over m = 3 rows, and what ``_speedups.sweep`` says.
+EDGE_PROFILES = {
+    "past int64": ((2**64 - 1, 5, 2**63, 0), "values must lie within the int64 range"),
+    "within m of the top": ((2**63 - 2, 5, 2**63 - 4, 0), "values too close to the int64 limits for this many rows"),
+}
+
+
+@needs_kernel
+@pytest.mark.parametrize("case", sorted(EDGE_PROFILES))
+def test_profiles_at_the_int64_edge_are_rank_compressed(case):
+    start, refused = EDGE_PROFILES[case]
+    r, caps = (2, 1, 3), (3, 2, 3, 1)
+    for policy in ALL_POLICIES:
+        for inst in _instances(r, start, caps):
+            _, cap, largest, delta = solvers._SWEEPS[inst.variant]
+            values, cells = _run_rounds_python(start, r, largest, delta, policy, cap and caps)
+            res = solve(inst, policy)
+            assert (res.objective, res.matrix.tobytes()) == (tuple(values), cells.data), inst.variant
+        for sweep, largest, delta in ((peak_shave, True, -1), (valley_fill, False, 1)):
+            values, cells = _run_rounds_python(start, r, largest, delta, policy, None)
+            res = sweep(start, r, policy)
+            assert (res.objective, res.matrix.tobytes()) == (tuple(values), cells.data)
+    for kind in TIE_KINDS:
+        for caps in (None, (3, 2, 3, 1)):
+            assert _raised(lambda: _speedups.sweep(start, r, True, -1, kind, 0, caps)) == (
+                ValueError, refused
+            )
+    # Within m of the bottom: only ``_speedups.sweep`` takes negative values.
+    low = (-(2**63) + 2, 5, 0, 0)
+    assert _raised(lambda: _speedups.sweep(low, r, False, 1, "lowest_index", 0)) == (
+        ValueError, "values too close to the int64 limits for this many rows"
+    )
+
+
+@needs_kernel
+@pytest.mark.parametrize("top", [100, 2**64 - 1], ids=["small", "past-int64"])
+def test_a_stranded_row_keeps_its_variant_prefix(top):
+    # The first row takes column 2, which reaches its cap; the second needs
+    # all three columns.
+    stranded = "a row needs 3 columns but only 2 remain below their caps"
+    for variant, field in (("general_min", "reference"), ("general_max", "base")):
+        inst = Instance(variant, (1, 3), ceiling=(2, 1, 1), **{field: (0, 0, top)})
+        for policy in ALL_POLICIES:
+            assert _raised(lambda: solve(inst, policy)) == (
+                InfeasibleError, f"variant {variant}: {stranded}"
+            )
+    for kind in TIE_KINDS:
+        assert _raised(lambda: _speedups.sweep((0, 0, 100), (1, 3), True, -1, kind, 0, (2, 1, 1))) == (
+            InfeasibleError, stranded
+        )
+
+
+@needs_kernel
+def test_valid_solves_run_no_check_before_the_sweep(monkeypatch):
+    r = (3, 1, 2, 3, 0)
+    start, caps = (4, 6, 1, 3), (4, 2, 4, 3)  # binding caps that strand no row
+
+    def outputs():
+        results = [solve(inst, policy) for inst in _instances(r, start, caps) for policy in ALL_POLICIES]
+        results += [peak_shave(start, r, policy) for policy in ALL_POLICIES]
+        results += [valley_fill(start, r, policy) for policy in ALL_POLICIES]
+        return [
+            (res.objective, res.canonical_objective, res.feasible, res.matrix.tobytes()) for res in results
+        ] + [min_remaining_profile((9, 7, 6, 5), r), min_combined_profile(start, r)]
+
+    expected = outputs()
+
+    def pre_pass(*args):
+        raise AssertionError("a check ran before the sweep")
+
+    monkeypatch.setattr(solvers, "_check_rows", pre_pass)
+    monkeypatch.setattr(_speedups, "fits", pre_pass)
+    assert outputs() == expected
+
+
 def test_random_policy_reproducible():
     a = peak_shave(PEAK_C, PEAK_R, random_ties(314))
     b = peak_shave(PEAK_C, PEAK_R, random_ties(314))

@@ -61,11 +61,27 @@ def test_c_source_compiles_without_warnings():
     assert proc.returncode == 0, proc.stderr
 
 
-# Drives the library named by argv[1] through ``sweep``, capped and not.
+# Drives the library named by argv[1] through ``sweep``, capped and not, and
+# through inputs the C code refuses before it writes anything.
 _SANITIZED_CALLS = """
 import ctypes, sys
 import numpy as np
 from majpop import InfeasibleError, _speedups
+
+refused = 0
+for start, rows, caps in (
+    ([0, 1, 2, 3], [2, 5, 1], None),  # a row count above n
+    ([0, 1, 2, 3], [2, -1, 1], [3, 3, 3, 3]),  # a negative row count
+    ([0, 1, 2, 3], [2, 2, 1], [3, -1, 3, 3]),  # a negative cap
+    ([0, 1, 2, 2**63 - 2], [2, 2, 1], None),  # values within m of the top
+    ([-(2**63) + 1, 1, 2, 3], [2, 2, 1], [3, 3, 3, 3]),  # and of the bottom
+):
+    for policy in _speedups.POLICIES:
+        try:
+            _speedups.sweep(start, rows, True, -1, policy, 7, caps)
+        except ValueError:
+            refused += 1
+print(refused, "refused")
 
 _speedups._kernel = _speedups._bind(ctypes.CDLL(sys.argv[1]))
 rng = np.random.default_rng(3)
@@ -118,7 +134,7 @@ def test_sweep_is_clean_under_address_and_undefined_sanitizers(tmp_path):
         timeout=300,
     )
     assert run.returncode == 0, run.stderr[-4000:]
-    assert run.stdout.strip() == "6000 calls"
+    assert run.stdout.splitlines() == ["20 refused", "6000 calls"]
 
 
 def _solve_process(tmp_path, pythonpath, env_extra):
@@ -159,6 +175,11 @@ def test_failed_build_keeps_stdout(fallback_run, tmp_path):
     assert b"RuntimeWarning" not in normal.stderr
 
 
+# The C signature of ``majpop_solve_rounds``: the values, row counts,
+# matrix, caps and frame pointers, and the seed.
+_SOLVE_ROUNDS = ctypes.CFUNCTYPE(ctypes.c_int, *[ctypes.c_void_p] * 5, ctypes.c_uint64)
+
+
 class _Loader:
     """Runs ``_speedups._load`` on one cache directory, recording builds and loads."""
 
@@ -176,7 +197,7 @@ class _Loader:
             self.loaded.append(path)
             if len(self.loaded) <= self._load_errors:
                 raise OSError(f"{path}: wrong ELF class")
-            return types.SimpleNamespace(majpop_solve_rounds=ctypes.CFUNCTYPE(ctypes.c_int)())
+            return types.SimpleNamespace(majpop_solve_rounds=_SOLVE_ROUNDS())
 
         monkeypatch.setattr(_speedups, "_cache_dirs", lambda: iter([str(directory)]))
         monkeypatch.setattr(_speedups, "_build", build)
@@ -198,7 +219,7 @@ def _plant(directory, dir_mode=0o700, file_mode=0o755):
 def test_loader_loads_a_private_library(tmp_path, monkeypatch):
     library = _plant(tmp_path / "cache")
     loader = _Loader(monkeypatch, tmp_path / "cache")
-    loader.load()
+    assert tuple(loader.load().argtypes) == _SOLVE_ROUNDS._argtypes_
     assert loader.loaded == [str(library)] and loader.built == []
 
 
