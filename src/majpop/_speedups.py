@@ -9,10 +9,10 @@ the order by merging only the blocks at the threshold and one unit either
 side of it.  The total is O(n log n + sum of r_i + t_i), with t_i the
 columns in the blocks row i touches.  Column caps, for ``general_min`` and
 ``general_max``, take a column out of the order once it reaches its cap,
-so each row selects among the columns still below their caps.  Tie handling
-mirrors ``solvers._split_selection`` and ``solvers._pick_ties`` exactly,
-including the splitmix64 stream, so the compiled and interpreted paths are
-interchangeable and are tested for bit-identical output, capped or not.
+so each row selects among the columns still below their caps.  Each row
+selects as ``solvers._split_selection`` does, and tie handling, including
+the splitmix64 stream, is tested bit for bit, capped or not, against the
+plain per-row reference sweep the test suite keeps.
 
 ``sweep`` is the one caller of the C function, ``majpop_solve_rounds``, and
 the only module that knows its calling convention: six arguments, the
@@ -37,9 +37,10 @@ later imports only load it.  Each cache directory, and the library in it,
 must be one that only this user or root can change, else it is skipped; a
 cached library that fails to load is rebuilt once.
 
-When the build or the load fails, ``KERNEL_AVAILABLE`` is False,
-``BUILD_ERROR`` holds the reason (the compiler's own error text, say), one
-``RuntimeWarning`` is emitted, and callers use the interpreted path.
+When the build or the load fails, the import still succeeds:
+``KERNEL_AVAILABLE`` is False, ``BUILD_ERROR`` holds the reason (the
+compiler's own error text, say), and every call to ``sweep`` raises
+``BuildError`` with that reason.  There is no other sweep to fall back on.
 """
 
 import ctypes
@@ -56,12 +57,12 @@ from .errors import InfeasibleError
 POLICIES = {"lowest_index": 0, "highest_index": 1, "load_order": 2, "uniform_random": 3}
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
-# No flag that changes arithmetic: the output must match the interpreter.
+# No flag that changes arithmetic: the output must match the reference sweep.
 _COMPILE = ("cc", "-O2", "-shared", "-fPIC")
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
-# Also the seed mask in ``solvers`` and the largest entry the CLI accepts.
+# Also the splitmix64 word mask in ``solvers`` and the largest entry the CLI accepts.
 _MASK64 = (1 << 64) - 1
 
 # The C code's statuses: a stranded row, and values it refuses before
@@ -77,7 +78,7 @@ _STRANDED_OPEN = 6
 
 
 class BuildError(RuntimeError):
-    """The compiler could not be run or rejected the source."""
+    """The compiled row sweep could not be built or loaded."""
 
 
 def _cache_dirs():
@@ -181,17 +182,9 @@ def _load():
 BUILD_ERROR = None
 try:
     _kernel = _load()
-except Exception as exc:  # any failure leaves the interpreted sweep in charge
+except Exception as exc:  # reported by ``sweep``, so what needs no sweep still works
     _kernel = None
     BUILD_ERROR = str(exc) or repr(exc)
-    import warnings
-
-    warnings.warn(
-        "majpop: the compiled row sweep is unavailable, so solves run the much slower "
-        f"interpreted sweep ({BUILD_ERROR.splitlines()[0]}; full text in "
-        "majpop._speedups.BUILD_ERROR)",
-        RuntimeWarning,
-    )
 KERNEL_AVAILABLE = _kernel is not None
 
 
@@ -217,7 +210,7 @@ def sweep(start, row_counts, take_largest, delta, policy, seed, caps=None):
     rows, and each row selects among the columns still below their caps.
     Caps of m or more never bind, so any size is accepted.  A row that
     needs more columns than remain below their caps raises InfeasibleError
-    with the same text as ``solvers._run_rounds_python``.
+    naming its need and its open column count.
 
     The matrix comes back as ``completion.Cells`` over the m*n bytes the C
     code wrote.  The C code writes through raw pointers into buffers built
@@ -225,10 +218,11 @@ def sweep(start, row_counts, take_largest, delta, policy, seed, caps=None):
     written; a bad one raises ValueError.  Delta, the policy and the caps'
     length are checked here; the row counts, the caps' signs and the start
     profile's distance from the int64 limits only by the C code's first
-    pass, so no vector is walked in Python except to convert it.
+    pass, so no vector is walked in Python except to convert it.  Where the
+    build failed, every call raises BuildError naming ``BUILD_ERROR``.
     """
     if _kernel is None:
-        raise RuntimeError(f"the compiled row sweep is unavailable: {BUILD_ERROR}")
+        raise BuildError(f"the compiled row sweep is unavailable: {BUILD_ERROR}")
     if delta not in (1, -1):
         raise ValueError(f"delta must be +1 or -1, not {delta!r}")
     code = POLICIES.get(policy)

@@ -8,8 +8,8 @@
  * one unit either side of it can fall out of order, and the row restores
  * the order by merging those alone.  The total is O(n log n + sum_i (r_i +
  * t_i)), with t_i the columns in the blocks row i touches.  Tie handling,
- * the load-order keys and the splitmix64 stream match solvers._pick_ties
- * bit for bit.
+ * the load-order keys and the splitmix64 stream match the test suite's
+ * reference sweep (tests/helpers.py, reference_sweep) bit for bit.
  *
  * With column caps, the order holds the open columns alone: a column that
  * reaches its cap leaves it, so each row selects among its open columns, in

@@ -28,10 +28,9 @@ above n raises the error that names it, and a profile near the int64
 limits is rank compressed and swept again.  The C sweep sorts the
 columns once and carries that order from row to row, so each row sorts
 only its threshold block: O(n log n + sum of r_i + t_i), with t_i the
-columns in the blocks row i touches.  The interpreted twin
-``_run_rounds_python`` runs only where the build failed, and is the
-reference the kernel is tested against bit for bit.
-Both write the matrix into a ``bytearray`` and hand it back as
+columns in the blocks row i touches.  There is no other sweep: where the
+build failed, every call that sweeps raises ``_speedups.BuildError``.
+The C code writes the matrix into a ``bytearray``, handed back as
 ``completion.Cells``, so a solve imports no numpy: ``SolveResult.matrix``
 builds the numpy array on first access.
 
@@ -223,65 +222,6 @@ def _split_selection(
     return forced, ties, need - len(forced)
 
 
-def _pick_ties(
-    ties: list[int],
-    k: int,
-    policy: TiePolicy,
-    placed: list[int],
-    largest: bool,
-    state: int,
-) -> tuple[list[int], int]:
-    """Choose k of the tied columns; mirrors the compiled kernel bit for bit."""
-    if k >= len(ties):
-        return list(ties), state
-    kind = policy.kind
-    if kind == "lowest_index":
-        return ties[:k], state
-    if kind == "highest_index":
-        return ties[-k:], state
-    if kind == "load_order":
-        if largest:
-            order = sorted(ties, key=lambda j: (-placed[j], j))
-        else:
-            order = sorted(ties, key=lambda j: (-placed[j], -j))
-        return order[:k], state
-    pool = list(ties)
-    for u in range(k):
-        state, z = _splitmix64(state)
-        w = u + z % (len(pool) - u)
-        pool[u], pool[w] = pool[w], pool[u]
-    return pool[:k], state
-
-
-def _run_rounds_python(
-    start: IntVector,
-    r: IntVector,
-    largest: bool,
-    delta: int,
-    policy: TiePolicy,
-    caps: Optional[IntVector],
-) -> tuple[list[int], Cells]:
-    n = len(start)
-    m = len(r)
-    values = list(start)
-    placed = [0] * n
-    a = bytearray(m * n)
-    state = policy.seed & _MASK64
-    everything = list(range(n))
-    for i, need in enumerate(r):
-        if caps is None:
-            allowed = everything
-        else:
-            allowed = [j for j in everything if placed[j] < caps[j]]
-        forced, ties, k = _split_selection(values, need, largest, allowed)
-        chosen, state = _pick_ties(ties, k, policy, placed, largest, state) if k > 0 else ([], state)
-        for j in forced + chosen:
-            values[j] += delta
-            placed[j] += 1
-            a[i * n + j] = 1
-    return values, Cells(a, (m, n))
-
-
 def _rank_compressed(start: IntVector, m: int) -> list[int]:
     """``start`` ranked from 0, each gap between sorted distinct values cut to at most m + 1."""
     distinct = sorted(set(start))
@@ -305,22 +245,18 @@ def _sweep_result(
     run here, in their old order: a row above n raises the InfeasibleError
     that names it, and a profile within m of an int64 limit is swept rank
     compressed and moved back after, since values m + 1 or more apart
-    compare alike through m rows.  The interpreted sweep checks the rows
-    first."""
-    if not _speedups.KERNEL_AVAILABLE:
+    compare alike through m rows.  Without the compiled sweep it raises
+    ``_speedups.BuildError``."""
+    try:
+        values, a = _speedups.sweep(start, r, largest, delta, policy.kind, policy.seed, caps)
+    except ValueError:
         _check_rows(r, len(start))
-        values, a = _run_rounds_python(start, r, largest, delta, policy, caps)
-    else:
-        try:
-            values, a = _speedups.sweep(start, r, largest, delta, policy.kind, policy.seed, caps)
-        except ValueError:
-            _check_rows(r, len(start))
-            m = len(r)
-            if _speedups.fits(min(start), max(start), m):
-                raise
-            packed = _rank_compressed(start, m)
-            moved, a = _speedups.sweep(packed, r, largest, delta, policy.kind, policy.seed, caps)
-            values = [s + v - p for s, v, p in zip(start, moved, packed)]
+        m = len(r)
+        if _speedups.fits(min(start), max(start), m):
+            raise
+        packed = _rank_compressed(start, m)
+        moved, a = _speedups.sweep(packed, r, largest, delta, policy.kind, policy.seed, caps)
+        values = [s + v - p for s, v, p in zip(start, moved, packed)]
     objective = tuple(values)
     canonical = sort_desc(objective)
     return SolveResult(a, objective, canonical, delta > 0 or canonical[-1] >= 0)

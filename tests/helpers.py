@@ -2,14 +2,17 @@
 
 import random
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 from hypothesis import strategies as st
 
 from majpop import Instance, feasible_min_remaining, majorized, partitions, sort_desc
+from majpop._speedups import _MASK64
 from majpop.completion import Cells
 from majpop.errors import BudgetExceededError, InfeasibleError
-from majpop.solvers import _instance_rounds, _split_selection, feasible
+from majpop.majorization import IntVector
+from majpop.solvers import TiePolicy, _instance_rounds, _splitmix64, _split_selection, feasible
 
 
 def int_vectors(min_len=1, max_len=8, max_value=9):
@@ -177,6 +180,72 @@ def reference_enumerate_optima(inst: Instance, cap: int = 1_000_000) -> dict:
                 nxt[j] += delta
             stack.append((i + 1, tuple(nxt), rows + (sel,)))
     return results
+
+
+def _pick_ties(
+    ties: list[int],
+    k: int,
+    policy: TiePolicy,
+    placed: list[int],
+    largest: bool,
+    state: int,
+) -> tuple[list[int], int]:
+    """Choose k of the tied columns; mirrors the compiled kernel bit for bit."""
+    if k >= len(ties):
+        return list(ties), state
+    kind = policy.kind
+    if kind == "lowest_index":
+        return ties[:k], state
+    if kind == "highest_index":
+        return ties[-k:], state
+    if kind == "load_order":
+        if largest:
+            order = sorted(ties, key=lambda j: (-placed[j], j))
+        else:
+            order = sorted(ties, key=lambda j: (-placed[j], -j))
+        return order[:k], state
+    pool = list(ties)
+    for u in range(k):
+        state, z = _splitmix64(state)
+        w = u + z % (len(pool) - u)
+        pool[u], pool[w] = pool[w], pool[u]
+    return pool[:k], state
+
+
+def reference_sweep(
+    start: IntVector,
+    r: IntVector,
+    largest: bool,
+    delta: int,
+    policy: TiePolicy,
+    caps: Optional[IntVector],
+) -> tuple[list[int], Cells]:
+    """The plain per-row sweep, kept as the reference for the compiled one,
+    ``majpop._speedups.sweep``: each row sorts the open columns to find its
+    threshold (``_split_selection``) and picks among the tied ones with
+    :func:`_pick_ties`.  The compiled sweep must return the same final
+    profile and the same cell bytes, or raise InfeasibleError with the same
+    text where caps strand a row.  It takes the policy as a ``TiePolicy``
+    and, unlike the solvers, does not name a row above n itself."""
+    n = len(start)
+    m = len(r)
+    values = list(start)
+    placed = [0] * n
+    a = bytearray(m * n)
+    state = policy.seed & _MASK64
+    everything = list(range(n))
+    for i, need in enumerate(r):
+        if caps is None:
+            allowed = everything
+        else:
+            allowed = [j for j in everything if placed[j] < caps[j]]
+        forced, ties, k = _split_selection(values, need, largest, allowed)
+        chosen, state = _pick_ties(ties, k, policy, placed, largest, state) if k > 0 else ([], state)
+        for j in forced + chosen:
+            values[j] += delta
+            placed[j] += 1
+            a[i * n + j] = 1
+    return values, Cells(a, (m, n))
 
 
 def random_instance(rng: random.Random, variant: str, max_mn: int = 6, max_value: int = 5) -> Instance:

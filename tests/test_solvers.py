@@ -31,9 +31,9 @@ from majpop import (
 from majpop import _speedups, solvers
 from majpop.completion import Cells
 from majpop.oracle import enumerate_attainable, maximal_elements, minimal_elements
-from majpop.solvers import TIE_KINDS, _run_rounds_python
+from majpop.solvers import TIE_KINDS
 
-from helpers import random_feasible_instance, random_instance, reference_enumerate_optima
+from helpers import random_feasible_instance, random_instance, reference_enumerate_optima, reference_sweep
 
 PEAK_C = (7, 6, 5, 4, 4)
 PEAK_R = (4, 4, 3, 1, 1)
@@ -260,19 +260,20 @@ def test_kernel_matches_interpreter():
             seed = int(rng.integers(0, 2**63))
             policy = TiePolicy(kind, seed)
             for largest, delta in ((True, -1), (False, 1)):
-                vals_py, a_py = _run_rounds_python(start, r, largest, delta, policy, None)
+                vals_py, a_py = reference_sweep(start, r, largest, delta, policy, None)
                 vals_nb, a_nb = _speedups.sweep(start, r, largest, delta, kind, seed)
                 assert vals_py == vals_nb
                 assert np.array_equal(a_py, a_nb)
 
 
-def _capped_sweep(sweep, *args):
-    """A sweep's profile and matrix, or the text of the InfeasibleError it raised."""
+def _outcome(sweep, *args):
+    """A sweep's profile, matrix shape and cell bytes, or the text of the
+    InfeasibleError it raised."""
     try:
-        values, a = sweep(*args)
+        values, cells = sweep(*args)
     except InfeasibleError as exc:
         return str(exc)
-    return list(values), a.tolist()
+    return list(values), cells.shape, bytes(cells.data)
 
 
 def test_capped_kernel_matches_interpreter():
@@ -295,31 +296,12 @@ def test_capped_kernel_matches_interpreter():
             seed = int(rng.integers(0, 2**63))
             for largest, delta in sides:
                 policy = TiePolicy(kind, seed)
-                py = _capped_sweep(_run_rounds_python, start, r, largest, delta, policy, caps)
-                kernel = _capped_sweep(_speedups.sweep, start, r, largest, delta, kind, seed, caps)
+                py = _outcome(reference_sweep, start, r, largest, delta, policy, caps)
+                kernel = _outcome(_speedups.sweep, start, r, largest, delta, kind, seed, caps)
                 assert py == kernel, (start, r, caps, kind, largest, delta)
                 stranded += isinstance(py, str)
                 completed += not isinstance(py, str)
     assert stranded > 100 and completed > 100
-
-
-def _forbid_interpreter(monkeypatch, what):
-    def interpreted(*args):
-        raise AssertionError(f"{what} ran interpreted")
-
-    monkeypatch.setattr(solvers, "_run_rounds_python", interpreted)
-
-
-needs_kernel = pytest.mark.skipif(not _speedups.KERNEL_AVAILABLE, reason="compiled sweep unavailable")
-
-
-def _swept(sweep, *args):
-    """A sweep's profile and cell bytes, or the text of the InfeasibleError it raised."""
-    try:
-        values, cells = sweep(*args)
-    except InfeasibleError as exc:
-        return str(exc)
-    return list(values), bytes(cells.data)
 
 
 # Start profiles whose blocks of equal values sit far apart, in runs, or in
@@ -334,7 +316,6 @@ CARRIED_PROFILES = {
 }
 
 
-@needs_kernel
 @pytest.mark.parametrize("profile", sorted(CARRIED_PROFILES))
 def test_carried_order_matches_interpreter(profile):
     rng = random.Random(sorted(CARRIED_PROFILES).index(profile))
@@ -351,8 +332,8 @@ def test_carried_order_matches_interpreter(profile):
                 seed = rng.getrandbits(64)
                 for largest, delta in sides:
                     args = (start, r, largest, delta)
-                    py = _swept(_run_rounds_python, *args, TiePolicy(kind, seed), caps)
-                    kernel = _swept(_speedups.sweep, *args, kind, seed, caps)
+                    py = _outcome(reference_sweep, *args, TiePolicy(kind, seed), caps)
+                    kernel = _outcome(_speedups.sweep, *args, kind, seed, caps)
                     assert py == kernel, (profile, n, m, caps is not None, kind, largest, delta)
                     if isinstance(py, str):
                         outcomes["stranded"] += 1
@@ -369,7 +350,6 @@ def _layout_shapes():
     return [(0, 0), (0, 3), (3, 0), (1, 1)] + [(rng.randint(0, 40), rng.randint(1, 40)) for _ in range(30)]
 
 
-@needs_kernel
 @pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
 def test_sweeps_write_the_same_cells(capped):
     # Both sweeps write the matrix into ``Cells.data``; the bytes, and every
@@ -385,7 +365,7 @@ def test_sweeps_write_the_same_cells(capped):
             seed = rng.getrandbits(64)
             for largest, delta in sides:
                 try:
-                    py = _run_rounds_python(start, r, largest, delta, TiePolicy(kind, seed), caps)[1]
+                    py = reference_sweep(start, r, largest, delta, TiePolicy(kind, seed), caps)[1]
                 except InfeasibleError:
                     continue
                 compiled = _speedups.sweep(start, r, largest, delta, kind, seed, caps)[1]
@@ -400,9 +380,7 @@ def test_sweeps_write_the_same_cells(capped):
     assert completed > 200
 
 
-@needs_kernel
-def test_capped_solves_run_compiled(monkeypatch):
-    _forbid_interpreter(monkeypatch, "a capped sweep")
+def test_capped_solves_run_compiled():
     low = solve(Instance("general_min", (2, 1), reference=(3, 1, 2), ceiling=(1, 2, 2)))
     assert low.objective == (2, 0, 1) and row_sums(low.matrix) == (2, 1)
     high = solve(Instance("general_max", (2, 2), base=(0, 5, 1), ceiling=(2, 1, 2)))
@@ -412,51 +390,33 @@ def test_capped_solves_run_compiled(monkeypatch):
         solve(stuck)
 
 
-@needs_kernel
-def test_small_uncapped_solves_run_compiled(monkeypatch):
-    _forbid_interpreter(monkeypatch, "an uncapped sweep")
+def test_small_uncapped_solves_run_compiled():
     assert peak_shave((2, 1), (1, 1)).objective == (0, 1)
     assert valley_fill((0, 1), (1, 2)).objective == (2, 2)
     assert solve(Instance("min_remaining", (1, 1), ceiling=(2, 1))).feasible
 
 
-def _edge_outcomes():
-    """Solver outputs on profiles mixing 2**64 - 1 - k, 2**63 and small values."""
+def test_int64_edge_solves_run_compiled():
+    # Profiles mixing 2**64 - 1 - k, 2**63 and small values: the solvers'
+    # outputs against the reference sweep's, run on the same Python ints.
     r = (3, 2, 2, 1)
     top = (2**64 - 1, 2**64 - 2, 2**63, 5, 2**64 - 1, 2**63, 0, 2**64 - 4)
     caps = (2, 3, 1, 4, 2, 0, 2, 3)
-    instances = (
-        Instance("min_remaining", r, ceiling=top),
-        Instance("min_combined", r, base=top),
-        Instance("general_min", r, reference=top, ceiling=caps),
-        Instance("general_max", r, base=top, ceiling=caps),
-    )
-    results = [solve(inst, policy) for inst in instances for policy in ALL_POLICIES]
-    results += [peak_shave(top, r, policy) for policy in ALL_POLICIES]
-    results += [valley_fill(top, r, policy) for policy in ALL_POLICIES]
-    outcomes = [
-        (res.objective, res.canonical_objective, res.feasible, res.matrix.tobytes())
-        for res in results
+    runs = []  # (solver result, step, reference profile and cells)
+    for policy in ALL_POLICIES:
+        for inst in _instances(r, top, caps):
+            _, cap, largest, delta = solvers._SWEEPS[inst.variant]
+            runs.append((solve(inst, policy), delta, reference_sweep(top, r, largest, delta, policy, cap and caps)))
+        runs.append((peak_shave(top, r, policy), -1, reference_sweep(top, r, True, -1, policy, None)))
+        runs.append((valley_fill(top, r, policy), 1, reference_sweep(top, r, False, 1, policy, None)))
+    outcomes = [(res.objective, res.canonical_objective, res.feasible, res.matrix.tobytes()) for res, _, _ in runs]
+    expected = [
+        (tuple(values), sort_desc(values), delta > 0 or min(values) >= 0, bytes(cells.data))
+        for _, delta, (values, cells) in runs
     ]
-    return outcomes + [min_remaining_profile(top, r)]
-
-
-@needs_kernel
-def test_int64_edge_solves_run_compiled(monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(_speedups, "KERNEL_AVAILABLE", False)
-        expected = _edge_outcomes()
-    _forbid_interpreter(monkeypatch, "an int64-edge sweep")
-    assert _edge_outcomes() == expected
-
-
-def _edge_sweep(sweep, *args):
-    """A sweep's profile, matrix shape and bytes, or its InfeasibleError text."""
-    try:
-        values, a = sweep(*args)
-    except InfeasibleError as exc:
-        return str(exc)
-    return list(values), a.shape, bytes(a.data)
+    assert outcomes + [min_remaining_profile(top, r)] == expected + [
+        sort_desc(reference_sweep(top, r, True, -1, LOWEST_INDEX, None)[0])
+    ]
 
 
 def _sweep_result_cells(*args):
@@ -464,10 +424,7 @@ def _sweep_result_cells(*args):
     return result.objective, vars(result)["matrix"]
 
 
-@needs_kernel
-def test_sweep_matches_interpreter_at_the_int64_edges(monkeypatch):
-    # ``_run_rounds_python`` here is the module's own, unpatched.
-    _forbid_interpreter(monkeypatch, "an int64-edge sweep")
+def test_sweep_matches_interpreter_at_the_int64_edges():
     rng = random.Random(64)
     sides = ((True, -1), (False, 1), (True, 1))  # shave, fill, general_max
     bases = (0, 2**62, 2**63 - 5, 2**64 - 21, 2**64 - 41)
@@ -489,8 +446,8 @@ def test_sweep_matches_interpreter_at_the_int64_edges(monkeypatch):
             policy = TiePolicy(kind, rng.getrandbits(64))
             for largest, delta in sides:
                 args = (start, r, largest, delta, policy, caps)
-                py = _edge_sweep(_run_rounds_python, *args)
-                assert _edge_sweep(_sweep_result_cells, *args) == py, args
+                py = _outcome(reference_sweep, *args)
+                assert _outcome(_sweep_result_cells, *args) == py, args
                 stranded += isinstance(py, str)
                 completed += not isinstance(py, str)
     assert outside > 100 and stranded > 100 and completed > 1000
@@ -523,7 +480,6 @@ ROWS_ABOVE_N = {
 }
 
 
-@needs_kernel
 @pytest.mark.parametrize("case", sorted(ROWS_ABOVE_N))
 def test_a_row_above_n_keeps_its_error(case):
     r, refused = ROWS_ABOVE_N[case]
@@ -552,7 +508,6 @@ EDGE_PROFILES = {
 }
 
 
-@needs_kernel
 @pytest.mark.parametrize("case", sorted(EDGE_PROFILES))
 def test_profiles_at_the_int64_edge_are_rank_compressed(case):
     start, refused = EDGE_PROFILES[case]
@@ -560,11 +515,11 @@ def test_profiles_at_the_int64_edge_are_rank_compressed(case):
     for policy in ALL_POLICIES:
         for inst in _instances(r, start, caps):
             _, cap, largest, delta = solvers._SWEEPS[inst.variant]
-            values, cells = _run_rounds_python(start, r, largest, delta, policy, cap and caps)
+            values, cells = reference_sweep(start, r, largest, delta, policy, cap and caps)
             res = solve(inst, policy)
             assert (res.objective, res.matrix.tobytes()) == (tuple(values), cells.data), inst.variant
         for sweep, largest, delta in ((peak_shave, True, -1), (valley_fill, False, 1)):
-            values, cells = _run_rounds_python(start, r, largest, delta, policy, None)
+            values, cells = reference_sweep(start, r, largest, delta, policy, None)
             res = sweep(start, r, policy)
             assert (res.objective, res.matrix.tobytes()) == (tuple(values), cells.data)
     for kind in TIE_KINDS:
@@ -579,7 +534,6 @@ def test_profiles_at_the_int64_edge_are_rank_compressed(case):
     )
 
 
-@needs_kernel
 @pytest.mark.parametrize("top", [100, 2**64 - 1], ids=["small", "past-int64"])
 def test_a_stranded_row_keeps_its_variant_prefix(top):
     # The first row takes column 2, which reaches its cap; the second needs
@@ -597,7 +551,6 @@ def test_a_stranded_row_keeps_its_variant_prefix(top):
         )
 
 
-@needs_kernel
 def test_valid_solves_run_no_check_before_the_sweep(monkeypatch):
     r = (3, 1, 2, 3, 0)
     start, caps = (4, 6, 1, 3), (4, 2, 4, 3)  # binding caps that strand no row

@@ -14,10 +14,6 @@ import pytest
 import majpop
 from majpop import _speedups
 
-needs_kernel = pytest.mark.skipif(
-    not _speedups.KERNEL_AVAILABLE, reason=f"compiled sweep unavailable: {_speedups.BUILD_ERROR}"
-)
-
 
 def _args(m=3, n=4):
     return [list(range(n)), [2] * m, True, -1, "lowest_index", 0, None]
@@ -35,7 +31,6 @@ BAD_ARGUMENTS = {
 }
 
 
-@needs_kernel
 @pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
 def test_wrapper_rejects_what_the_c_code_cannot_take(case):
     pos, bad = BAD_ARGUMENTS[case]
@@ -45,7 +40,6 @@ def test_wrapper_rejects_what_the_c_code_cannot_take(case):
         _speedups.sweep(*args)
 
 
-@needs_kernel
 def test_wrapper_accepts_its_own_example():
     values, matrix = _speedups.sweep(*_args())
     # Shave (0, 1, 2, 3) by two units per row; the lowest index wins ties.
@@ -137,42 +131,67 @@ def test_sweep_is_clean_under_address_and_undefined_sanitizers(tmp_path):
     assert run.stdout.splitlines() == ["20 refused", "6000 calls"]
 
 
-def _solve_process(tmp_path, pythonpath, env_extra):
+def _majpop_process(tmp_path, pythonpath, env_extra, command, *options):
     instance = tmp_path / "inst.json"
     instance.write_text(
         json.dumps({"variant": "min_remaining", "row_sums": [40] * 80, "ceiling": [50] * 80})
     )
     env = dict(os.environ, PYTHONPATH=str(pythonpath), **env_extra)
-    cmd = [sys.executable, "-m", "majpop.cli", "solve", "--instance", str(instance)]
-    cmd += ["--tie-policy", "random", "--seed", "11"]
+    cmd = [sys.executable, "-m", "majpop.cli", command, "--instance", str(instance), *options]
     return subprocess.run(cmd, capture_output=True, env=env, cwd=tmp_path)
 
 
 @pytest.fixture(scope="module")
-def fallback_run(tmp_path_factory):
-    """A solve from a copy of the package with no cached library and no compiler on PATH."""
-    tmp_path = tmp_path_factory.mktemp("fallback")
+def without_cc(tmp_path_factory):
+    """Runs ``majpop`` from a copy of the package with no cached library and
+    no compiler on PATH: ``without_cc("solve", *options)``."""
+    tmp_path = tmp_path_factory.mktemp("without_cc")
     src = os.path.dirname(majpop.__file__)
     copy = tmp_path / "pkg"
     shutil.copytree(src, copy / "majpop", ignore=shutil.ignore_patterns("__pycache__"))
     empty = tmp_path / "empty"
     empty.mkdir()
-    return _solve_process(tmp_path, copy, {"PATH": str(empty), "TMPDIR": str(tmp_path)})
+    env = {"PATH": str(empty), "TMPDIR": str(tmp_path)}
+    return lambda *argv: _majpop_process(tmp_path, copy, env, *argv)
 
 
-def test_failed_build_warns_once(fallback_run):
-    assert fallback_run.returncode == 0
-    err = fallback_run.stderr.decode()
-    assert err.count("RuntimeWarning") == 1
-    assert "compiled row sweep is unavailable" in err and "cannot run cc" in err
+def test_failed_build_fails_a_solve_with_one_error(without_cc):
+    run = without_cc("solve", "--tie-policy", "random", "--seed", "11")
+    assert run.returncode == 3 and run.stdout == b""
+    err = run.stderr.decode()
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    assert err.startswith("internal error: BuildError(")
+    assert "the compiled row sweep is unavailable: cannot run cc" in err
 
 
-@needs_kernel
-def test_failed_build_keeps_stdout(fallback_run, tmp_path):
-    normal = _solve_process(tmp_path, os.path.dirname(os.path.dirname(majpop.__file__)), {})
-    assert normal.returncode == 0
-    assert fallback_run.stdout == normal.stdout
-    assert b"RuntimeWarning" not in normal.stderr
+def test_failed_build_keeps_what_needs_no_sweep(without_cc, tmp_path):
+    run = without_cc("feasible")
+    normal = _majpop_process(tmp_path, os.path.dirname(os.path.dirname(majpop.__file__)), {}, "feasible")
+    assert (run.returncode, run.stderr) == (normal.returncode, normal.stderr) == (0, b"")
+    assert run.stdout == normal.stdout
+
+
+def test_failed_build_fails_every_call_that_sweeps(monkeypatch):
+    monkeypatch.setattr(_speedups, "_kernel", None)
+    monkeypatch.setattr(_speedups, "BUILD_ERROR", "cannot run cc: not found")
+    inst = majpop.Instance("min_remaining", (2, 1), ceiling=(3, 2, 1))
+    sweeping = (
+        lambda: majpop.solve(inst),
+        lambda: majpop.peak_shave((3, 2, 1), (2, 1)),
+        lambda: majpop.valley_fill((3, 2, 1), (2, 1)),
+        lambda: majpop.min_remaining_profile((3, 2, 1), (2, 1)),
+        lambda: majpop.min_combined_profile((3, 2, 1), (2, 1)),
+        lambda: majpop.construct_matrix((2, 1), (1, 1, 1)),
+        lambda: majpop.certify(inst),
+    )
+    for call in sweeping:
+        with pytest.raises(_speedups.BuildError) as info:
+            call()
+        assert str(info.value) == "the compiled row sweep is unavailable: cannot run cc: not found"
+    assert majpop.solvers.feasible(inst)
+    assert majpop.conjugate((2, 1), 3) == (2, 1, 0)
+    assert list(majpop.enumerate_optima(inst)) == [(1, 1, 1)]
+    assert majpop.meet((2, 1, 0), (1, 1, 1)) == (1, 1, 1)
 
 
 # The C signature of ``majpop_solve_rounds``: the values, row counts,
