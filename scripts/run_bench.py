@@ -13,7 +13,7 @@ import statistics
 import sys
 import time
 
-from majpop.cli import _bench_instance
+from majpop._commands import _bench_instance
 from majpop.solvers import peak_shave
 
 

@@ -50,7 +50,7 @@ import sys
 import zlib
 from array import array
 
-from .completion import Cells
+from ._cells import Cells
 from .errors import InfeasibleError
 
 # Tie policy name -> the code ``_sweep.c`` takes; ``solvers.TIE_KINDS`` is its keys.

@@ -2,14 +2,16 @@
 
 Results go to stdout as JSON (CSV for ``bench``); diagnostics go to stderr.
 Every payload goes through one encoder, ``_emit``, which writes bytes to
-``sys.stdout.buffer``: each 0/1 matrix, ``completion.Cells`` from ``solve``
+``sys.stdout.buffer``: each 0/1 matrix, ``Cells`` from ``solve``
 or a frozen ``uint8`` array from ``enumerate`` and ``construct``, is
 written as JSON text into one ``bytearray`` that goes out as it stands;
 everything else goes to ``json.dumps``.  The output equals
 ``json.dumps(payload, separators=(",", ":"), sort_keys=True)`` of the
 payload with each matrix as nested lists, without building those lists.
-``solve`` imports neither numpy nor ``lattice`` and ``oracle``; the
-commands that need them import them when they run.  The ``majpop``
+Only ``solve`` and ``feasible`` are handled here; the other commands'
+handlers are in ``majpop._commands``, which ``main`` imports when one of
+them runs.  So ``solve`` imports neither numpy nor ``completion``,
+``lattice``, ``oracle`` and ``dataclasses``.  The ``majpop``
 command is ``run``: ``main``, a flush, and ``os._exit``, which skips the
 garbage collection of interpreter shutdown; ``main`` itself returns.
 Exit codes: 0 success, 1 infeasible instance, 2 invalid input or exceeded
@@ -20,27 +22,15 @@ byte-identical output.
 """
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
-import time
 from typing import Optional, Sequence
 
+from ._cells import Cells
 from ._speedups import _MASK64
-from .completion import Cells, construct_matrix, geth_vector
 from .errors import BudgetExceededError, InfeasibleError, InternalInvariantError
-from .majorization import conjugate, default_conjugate_dim
-from .solvers import (
-    Instance,
-    TiePolicy,
-    enumerate_optima,
-    feasible,
-    solve,
-    _SWEEPS,
-    _splitmix64,
-)
+from .solvers import Instance, TiePolicy, feasible, solve
 
 _POLICY_FLAGS = {
     "random": "uniform_random",
@@ -51,20 +41,8 @@ _POLICY_FLAGS = {
 
 _INSTANCE_KEYS = frozenset(("variant", "row_sums", "ceiling", "base", "reference"))
 
-# Most entries ``conjugate`` writes; its output length is known before any
-# memory is taken, so a longer one is refused as over budget.
-_MAX_CONJUGATE_DIM = 10_000_000
-
 # ``bytes.translate`` table: a 0/1 cell to its digit, any other byte to "?".
 _DIGITS = b"01" + b"?" * 254
-
-
-def _parse_vector(text: str, name: str) -> tuple[int, ...]:
-    try:
-        values = [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ValueError(f"{name}: expected comma-separated integers, got {text!r}") from None
-    return _check_json_vector(values, name)
 
 
 def _check_json_vector(data, name: str) -> tuple[int, ...]:
@@ -240,135 +218,11 @@ def _cmd_solve(args) -> int:
     return 0 if result.feasible else 1
 
 
-def _cmd_enumerate(args) -> int:
-    inst = load_instance(args.instance)
-    optima = enumerate_optima(inst, cap=args.max_branches)
-    if not optima and feasible(inst):
-        raise InternalInvariantError(
-            f"variant {inst.variant}: the greedy capped sweep reached no completion "
-            "of an instance that `majpop feasible` accepts"
-        )
-    payload = [
-        {"objective": list(obj), "matrix": optima[obj]} for obj in sorted(optima)
-    ]
-    _emit({"count": len(payload), "optima": payload})
-    return 0
-
-
 def _cmd_feasible(args) -> int:
     inst = load_instance(args.instance)
     ok = feasible(inst)
     _emit({"feasible": ok})
     return 0 if ok else 1
-
-
-def _cmd_conjugate(args) -> int:
-    v = _parse_vector(args.vector, "--vector")
-    dim = args.dim if args.dim is not None else default_conjugate_dim(v)
-    if dim > _MAX_CONJUGATE_DIM:
-        raise BudgetExceededError(
-            f"the conjugate would have {dim} entries; the output cap is {_MAX_CONJUGATE_DIM}"
-        )
-    _emit(list(conjugate(v, dim)))
-    return 0
-
-
-def _cmd_geth(args) -> int:
-    c = _parse_vector(args.ceiling, "--ceiling")
-    t = _parse_vector(args.threshold, "--threshold")
-    _emit(list(geth_vector(c, t)))
-    return 0
-
-
-def _cmd_construct(args) -> int:
-    r = _parse_vector(args.row_sums, "--row-sums")
-    x = _parse_vector(args.col_sums, "--col-sums")
-    _emit(construct_matrix(r, x))
-    return 0
-
-
-def _cmd_lattice(args) -> int:
-    from . import lattice
-
-    x = _parse_vector(args.x, "--x")
-    y = _parse_vector(args.y, "--y")
-    if args.lattice_op == "meet":
-        _emit(list(lattice.meet(x, y)))
-    elif args.lattice_op == "join":
-        _emit(list(lattice.join(x, y)))
-    else:
-        _emit({"covers": lattice.covers(y, x)})
-    return 0
-
-
-def _cmd_certify(args) -> int:
-    from . import oracle
-
-    inst = load_instance(args.instance)
-    absent = _parse_vector(args.absent, "--absent") if args.absent else None
-    report = oracle.certify(
-        inst,
-        max_cols=oracle.DEFAULT_MAX_COLS if args.max_cols is None else args.max_cols,
-        max_total=oracle.DEFAULT_MAX_TOTAL if args.max_total is None else args.max_total,
-        absent_canonical=absent,
-    )
-    _emit(report.to_json())
-    return 0 if report.passed else 3
-
-
-def _bench_instance(seed: int, m: int, n: int, rep: int):
-    """Deterministic instance: fold (m, n, rep) into the seed, then draw."""
-    state = seed & _MASK64
-    for salt in (m, n, rep):
-        state, _ = _splitmix64(state ^ salt)
-    r = []
-    for _ in range(m):
-        state, z = _splitmix64(state)
-        r.append(1 + z % n)
-    lo = m // 2
-    c = []
-    for _ in range(n):
-        state, z = _splitmix64(state)
-        c.append(lo + z % (m - lo + 1))
-    return tuple(r), tuple(c), state
-
-
-def _cmd_bench(args) -> int:
-    ms = [int(v) for v in args.rows.split(",")]
-    ns = [int(v) for v in args.cols.split(",")]
-    if args.repeats < 1 or any(v < 1 for v in ms + ns):
-        raise ValueError("bench sizes and repeats must be positive")
-    seed = _seed_from_args(args)
-    policy_kind = _POLICY_FLAGS[args.tie_policy]
-    records = []
-    for m in ms:
-        for n in ns:
-            for rep in range(args.repeats):
-                r, c, state = _bench_instance(seed, m, n, rep)
-                inst = Instance(args.variant, r, **{_SWEEPS[args.variant][0]: c})
-                policy = _tie_policy(policy_kind, state)
-                t0 = time.perf_counter_ns()
-                result = solve(inst, policy)
-                t1 = time.perf_counter_ns()
-                records.append(
-                    {
-                        "m": m,
-                        "n": n,
-                        "policy": args.tie_policy,
-                        "seed": seed,
-                        "wall_time_ns": t1 - t0,
-                        "feasible": result.feasible,
-                    }
-                )
-    if args.format == "json":
-        _emit(records)
-    else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=["m", "n", "policy", "seed", "wall_time_ns", "feasible"])
-        writer.writeheader()
-        writer.writerows(records)
-        sys.stdout.write(buf.getvalue())
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list every optimal objective vector")
     p.add_argument("--instance", required=True)
     p.add_argument("--max-branches", type=int, default=1_000_000)
-    p.set_defaults(func=_cmd_enumerate)
+    p.set_defaults(func="cmd_enumerate")
 
     p = sub.add_parser("feasible", help="report instance feasibility")
     p.add_argument("--instance", required=True)
@@ -404,17 +258,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjugate", help="partition conjugate of a vector")
     p.add_argument("--vector", required=True)
     p.add_argument("--dim", type=int, default=None)
-    p.set_defaults(func=_cmd_conjugate)
+    p.set_defaults(func="cmd_conjugate")
 
     p = sub.add_parser("geth", help="vector below a threshold within capacities")
     p.add_argument("--ceiling", required=True)
     p.add_argument("--threshold", required=True)
-    p.set_defaults(func=_cmd_geth)
+    p.set_defaults(func="cmd_geth")
 
     p = sub.add_parser("construct", help="build a 0/1 matrix with given line sums")
     p.add_argument("--row-sums", required=True)
     p.add_argument("--col-sums", required=True)
-    p.set_defaults(func=_cmd_construct)
+    p.set_defaults(func="cmd_construct")
 
     p = sub.add_parser("lattice", help="dominance-lattice operations")
     lat = p.add_subparsers(dest="lattice_op", required=True)
@@ -422,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         q = lat.add_parser(op)
         q.add_argument("--x", required=True, help="partition (comma-separated)")
         q.add_argument("--y", required=True, help="partition (comma-separated)")
-        q.set_defaults(func=_cmd_lattice)
+        q.set_defaults(func="cmd_lattice")
 
     p = sub.add_parser("oracle", help="brute-force certification")
     orc = p.add_subparsers(dest="oracle_op", required=True)
@@ -432,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Unset reads as the oracle's default, looked up when the command runs.
     q.add_argument("--max-cols", type=int, default=None)
     q.add_argument("--max-total", type=int, default=None)
-    q.set_defaults(func=_cmd_certify)
+    q.set_defaults(func="cmd_certify")
 
     p = sub.add_parser("bench", help="time the solver over size grids, emit records")
     p.add_argument("--rows", required=True, help="comma-separated row counts")
@@ -441,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=["min_remaining", "min_combined"], default="min_remaining")
     add_policy_flags(p)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=_cmd_bench)
+    p.set_defaults(func="cmd_bench")
 
     return parser
 
@@ -450,6 +304,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if isinstance(args.func, str):
+            # A handler in ``_commands``, which only its commands import.  It
+            # gets this module, which under ``python -m`` is ``__main__``.
+            from . import _commands
+
+            return getattr(_commands, args.func)(args, sys.modules[__name__])
         return args.func(args)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -1,7 +1,9 @@
 """Feasibility tests and constructive machinery for 0/1 matrices with line sums.
 
 Matrices are numpy ``uint8`` arrays with entries in {0, 1}.  The sweeps
-write theirs as :class:`Cells`, row-major bytes and a shape, and the numpy
+write theirs as :class:`Cells` (defined in ``majpop._cells``, so that a
+solve does not import this module, and re-exported here), row-major bytes
+and a shape, and the numpy
 array is built from those on first use, so a caller that never asks for it
 never imports numpy; neither does importing this module.  The class of
 interest is all m-by-n such matrices with row sums ``r`` and column sums
@@ -14,6 +16,7 @@ row sweep of the solvers, O(mn) when compiled; only
 
 from itertools import accumulate
 
+from ._cells import Cells, Matrix, _frozen
 from .errors import BudgetExceededError, InfeasibleError, InternalInvariantError, LengthMismatchError
 from .majorization import (
     IntVector,
@@ -26,50 +29,6 @@ from .majorization import (
     weakly_submajorized,
     weakly_supermajorized,
 )
-
-# A 2-D numpy uint8 array of 0/1 entries, named by string so that this
-# module can be imported without numpy.
-Matrix = "numpy.ndarray"
-
-
-def _frozen(a: Matrix) -> Matrix:
-    # Matrices are value types; freezing guards against accidental mutation.
-    a.setflags(write=False)
-    return a
-
-
-class Cells:
-    """A 0/1 matrix as its row-major cells (a bytes-like value of 0 and 1
-    bytes) and its shape ``(m, n)``, usable without numpy.
-
-    ``tolist()`` gives the nested lists; ``array()``, and ``numpy.asarray``
-    through ``__array__``, give the read-only ``uint8`` array, built once on
-    first use.  The array shares memory with ``data``, which is therefore
-    never written after construction.
-    """
-
-    __slots__ = ("data", "shape", "_array")
-
-    def __init__(self, data, shape: tuple[int, int]):
-        self.data = data
-        self.shape = shape
-        self._array = None
-
-    def tolist(self) -> list[list[int]]:
-        m, n = self.shape
-        return [list(self.data[i * n : (i + 1) * n]) for i in range(m)]
-
-    def array(self) -> Matrix:
-        if self._array is None:
-            import numpy as np
-
-            self._array = _frozen(np.frombuffer(self.data, dtype=np.uint8).reshape(self.shape))
-        return self._array
-
-    def __array__(self, dtype=None, copy=None):
-        import numpy as np
-
-        return np.array(self.array(), dtype=dtype, copy=copy)
 
 
 def make_matrix(rows) -> Matrix:
@@ -173,7 +132,7 @@ def construct_matrix(r, x) -> Matrix:
     column-sum demand, lowest index first on ties, so the whole build is one
     row sweep.  Infeasible sums raise, naming the violated prefix.
     """
-    from .solvers import peak_shave  # solvers imports this module
+    from .solvers import peak_shave  # so that importing this module builds no C sweep
 
     rv = as_vector(r, name="row_sums")
     xv = as_vector(x, name="col_sums")

@@ -31,20 +31,24 @@ only its threshold block: O(n log n + sum of r_i + t_i), with t_i the
 columns in the blocks row i touches.  There is no other sweep: where the
 build failed, every call that sweeps raises ``_speedups.BuildError``.
 The C code writes the matrix into a ``bytearray``, handed back as
-``completion.Cells``, so a solve imports no numpy: ``SolveResult.matrix``
-builds the numpy array on first access.
+``Cells``, so a solve imports no numpy: ``SolveResult.matrix`` builds the
+numpy array on first access.  Nor does a solve import
+:mod:`majpop.completion`: only ``feasible`` and ``min_remaining_profile``
+need it, and they import it when they run.  They import the module, not
+a name from it: ``from .completion import name`` in a function costs
+≈2 µs a call, most of it the failed lookup of ``__path__`` on a module
+that is not a package.
 
 Resolving every row's ties in every way, row by row, enumerates the full
 set of optimal objective vectors; see :func:`enumerate_optima`.
 """
 
-from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 from typing import Optional, Sequence
 
 from . import _speedups
+from ._cells import Cells, Matrix
 from ._speedups import _MASK64
-from .completion import Cells, Matrix, _feasible_min_remaining, feasible_min_remaining
 from .errors import BudgetExceededError, InfeasibleError
 from .majorization import IntVector, as_vector, sort_desc
 
@@ -73,18 +77,62 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z
 
 
-@dataclass(frozen=True)
-class TiePolicy:
+class _Record:
+    """A frozen record with the behaviour of a frozen dataclass.
+
+    ``__init__`` writes the fields straight into the instance ``__dict__``;
+    any later assignment or deletion raises ``AttributeError``, and the repr
+    lists ``_fields`` in order.  Written out rather than made with
+    ``dataclasses``, whose import (with ``inspect``, ``ast`` and ``dis``)
+    and class generation were the largest part of ``import majpop.cli``,
+    which every ``majpop solve`` process pays.  So ``dataclasses.fields``,
+    ``replace``, ``asdict`` and ``is_dataclass`` do not apply to these
+    records; positional ``match`` does, through ``__match_args__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Value(_Record):
+    """A record compared and hashed by the tuple of its ``_compared`` fields."""
+
+    _compared: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([self.__dict__[name] for name in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class TiePolicy(_Value):
     """How a solver breaks ties among equally attractive columns."""
 
-    kind: str = "lowest_index"
-    seed: int = 0
+    _fields = _compared = __match_args__ = ("kind", "seed")
 
-    def __post_init__(self):
-        if self.kind not in TIE_KINDS:
-            raise ValueError(f"unknown tie policy {self.kind!r}; expected one of {TIE_KINDS}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+    def __init__(self, kind: str = "lowest_index", seed: int = 0):
+        if kind not in TIE_KINDS:
+            raise ValueError(f"unknown tie policy {kind!r}; expected one of {TIE_KINDS}")
+        if not isinstance(seed, int) or isinstance(seed, bool):
             raise ValueError("tie policy seed must be an int")
+        d = self.__dict__
+        d["kind"] = kind
+        d["seed"] = seed
 
 
 LOWEST_INDEX = TiePolicy("lowest_index")
@@ -96,82 +144,69 @@ def random_ties(seed: int) -> TiePolicy:
     return TiePolicy("uniform_random", seed)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Value):
     """One problem setup: a variant tag plus the vectors it needs.
 
     ``min_remaining`` shaves a ceiling profile down; ``min_combined`` fills a
     base profile up.  ``general_min`` shaves a reference profile while column
     sums stay below a separate ceiling; ``general_max`` fills a base profile
     toward the most concentrated (majorization-greatest) combined load under
-    the same column caps.
+    the same column caps.  ``n``, the shared length of the vectors, is
+    derived, and left out of comparisons and the hash.
     """
 
-    variant: str
-    row_sums: tuple[int, ...]
-    ceiling: Optional[tuple[int, ...]] = None
-    base: Optional[tuple[int, ...]] = None
-    reference: Optional[tuple[int, ...]] = None
-    n: int = field(init=False, default=0, compare=False)
+    _fields = ("variant", "row_sums", "ceiling", "base", "reference", "n")
+    _compared = __match_args__ = _fields[:-1]
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant: unknown value {self.variant!r}; expected one of {VARIANTS}")
-        object.__setattr__(self, "row_sums", as_vector(self.row_sums, "row_sums", nonnegative=True))
-        for name in ("ceiling", "base", "reference"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, as_vector(v, name, nonnegative=True))
+    def __init__(self, variant: str, row_sums, ceiling=None, base=None, reference=None):
+        if variant not in VARIANTS:
+            raise ValueError(f"variant: unknown value {variant!r}; expected one of {VARIANTS}")
+        d = self.__dict__
+        d["variant"] = variant
+        d["row_sums"] = as_vector(row_sums, "row_sums", nonnegative=True)
+        for name, v in (("ceiling", ceiling), ("base", base), ("reference", reference)):
+            d[name] = v if v is None else as_vector(v, name, nonnegative=True)
         lengths = set()
-        for name in _SWEEPS[self.variant][:2]:
+        for name in _SWEEPS[variant][:2]:
             if name is None:
                 continue
-            v = getattr(self, name)
+            v = d[name]
             if v is None:
-                raise ValueError(f"{name}: required for variant {self.variant!r}")
+                raise ValueError(f"{name}: required for variant {variant!r}")
             lengths.add(len(v))
         if len(lengths) != 1:
-            raise ValueError(f"vectors for variant {self.variant!r} must share one length")
+            raise ValueError(f"vectors for variant {variant!r} must share one length")
         n = lengths.pop()
         if n < 1:
             raise ValueError("instances need at least one column")
-        object.__setattr__(self, "n", n)
+        d["n"] = n
 
 
-class _MatrixField:
-    """``SolveResult.matrix``: holds the sweep's ``Cells``, reads as their array.
-
-    The instance keeps what it was given under ``matrix`` in its ``__dict__``
-    (array-like either way, as ``vars(result)`` shows it), and reading the
-    attribute turns ``Cells`` into the read-only numpy array, built once.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.name)  # so the dataclass field has no default
-        value = obj.__dict__[self.name]
-        return value.array() if isinstance(value, Cells) else value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
-
-
-@dataclass(frozen=True, eq=False)
-class SolveResult:
+class SolveResult(_Record):
     """Solver output: witness matrix, objective in input order, sorted form.
 
     ``matrix`` is the read-only numpy ``uint8`` array.  The solvers store the
     sweep's ``Cells`` and the array is built on first access, so a result
-    whose matrix is only written out never loads numpy.
+    whose matrix is only written out never loads numpy.  Results compare
+    and hash by identity.
     """
 
-    matrix: Matrix = _MatrixField()
-    objective: IntVector
-    canonical_objective: IntVector
-    feasible: bool
+    _fields = __match_args__ = ("matrix", "objective", "canonical_objective", "feasible")
+
+    def __init__(self, matrix: Matrix, objective: IntVector, canonical_objective: IntVector, feasible: bool):
+        d = self.__dict__
+        d["matrix"] = matrix
+        d["objective"] = objective
+        d["canonical_objective"] = canonical_objective
+        d["feasible"] = feasible
+
+    @property
+    def matrix(self) -> Matrix:
+        # A property is read before the ``__dict__`` entry of its name, which
+        # keeps what the record was given (array-like either way, as
+        # ``vars(result)`` shows it); ``Cells`` read as their array.
+        value = self.__dict__["matrix"]
+        return value.array() if isinstance(value, Cells) else value
 
     def to_json(self) -> dict:
         """The CLI payload.  ``"matrix"`` is the stored 0/1 value itself, not
@@ -287,9 +322,11 @@ def valley_fill(base, row_sums, policy: TiePolicy = LOWEST_INDEX) -> SolveResult
 
 def min_remaining_profile(ceiling, row_sums) -> IntVector:
     """Canonical (nonincreasing) optimal remaining profile for a feasible setup."""
+    from . import completion
+
     c = as_vector(ceiling, "ceiling", nonnegative=True)
     r = as_vector(row_sums, "row_sums", nonnegative=True)
-    if not _feasible_min_remaining(c, r):
+    if not completion._feasible_min_remaining(c, r):
         raise InfeasibleError(f"ceiling {c} cannot absorb row sums {r}")
     if not c:
         return ()
@@ -348,7 +385,9 @@ def feasible(inst: Instance) -> bool:
     """
     if inst.variant == "min_combined":
         return all(v <= inst.n for v in inst.row_sums)
-    return feasible_min_remaining(inst.ceiling, inst.row_sums)
+    from . import completion
+
+    return completion.feasible_min_remaining(inst.ceiling, inst.row_sums)
 
 
 def enumerate_optima(inst: Instance, cap: int = 1_000_000) -> dict[IntVector, Matrix]:

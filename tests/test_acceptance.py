@@ -30,7 +30,7 @@ from majpop import (
     sort_desc,
     valley_fill,
 )
-from majpop.solvers import feasible_min_remaining
+from majpop.completion import feasible_min_remaining
 
 from helpers import PartitionTable, random_feasible_instance, random_partition
 

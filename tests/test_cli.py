@@ -12,7 +12,8 @@ import pytest
 
 import majpop
 from majpop import Instance, TiePolicy, solve
-from majpop.cli import _MAX_CONJUGATE_DIM, _POLICY_FLAGS, _bench_instance, _emit, main
+from majpop._commands import _MAX_CONJUGATE_DIM, _bench_instance
+from majpop.cli import _POLICY_FLAGS, _emit, main
 from majpop.completion import Cells
 from majpop.errors import InternalInvariantError
 
@@ -306,7 +307,10 @@ GOLDEN_RUNS["construct.json"] = ["construct", "--row-sums", "3,2,2,1,0", "--col-
 # which of the modules that ``solve`` must not load were loaded after each.
 _IMPORT_PROBE = """
 import json, sys
-watched = ("numpy", "majpop.oracle", "majpop.lattice")
+watched = (
+    "numpy", "majpop.oracle", "majpop.lattice", "dataclasses", "inspect", "csv",
+    "majpop.completion", "majpop._commands",
+)
 import majpop.cli
 after_import = [m for m in watched if m in sys.modules]
 code = majpop.cli.main(sys.argv[1:])
@@ -332,6 +336,28 @@ def test_solve_path_loads_neither_numpy_nor_the_oracle():
     assert set(majpop.__all__) <= set(dir(majpop))
     with pytest.raises(AttributeError):
         majpop.no_such_name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        GOLDEN_RUNS["enumerate-peak_shave_demo.json"],
+        GOLDEN_RUNS["construct.json"],
+        ["bench", "--rows", "3", "--cols", "4", "--format", "json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_other_commands_do_not_import_the_cli_twice(argv):
+    # Under ``python -m majpop.cli`` the running module is ``__main__``; a
+    # handler module that imported ``majpop.cli`` would load it once more.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(majpop.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "majpop.cli", *argv], capture_output=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stderr.decode().splitlines()
+    assert any(line.endswith("majpop._commands") for line in lines)
+    assert not [line for line in lines if "majpop.cli" in line]
 
 
 def test_public_names_keep_their_order():

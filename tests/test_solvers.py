@@ -870,3 +870,29 @@ def test_records_compare_hash_and_stay_frozen():
         del res.matrix
     assert pickle.loads(pickle.dumps(inst)) == inst and copy.deepcopy(policy) == policy
     assert copy.copy(res).objective == res.objective
+
+
+def _positional_fields(record):
+    match record:
+        case TiePolicy(kind, seed):
+            return kind, seed
+        case Instance(variant, rows, ceiling, base, reference):
+            return variant, rows, ceiling, base, reference
+        case solvers.SolveResult(matrix, objective, canonical, ok):
+            return matrix, objective, canonical, ok
+    return None
+
+
+def test_records_match_positionally_and_are_not_dataclasses():
+    import dataclasses
+
+    inst = Instance("general_min", [1, 2], reference=[3, 4], ceiling=[2, 2])
+    res = peak_shave((3, 2), (1, 1))
+    assert _positional_fields(random_ties(5)) == ("uniform_random", 5)
+    assert _positional_fields(inst) == ("general_min", (1, 2), (2, 2), None, (3, 4))
+    matrix, *rest = _positional_fields(res)
+    assert matrix is res.matrix and rest == [(1, 2), (2, 1), True]
+    # A stated break: the records are plain classes, so that the solve path
+    # does not import ``dataclasses``.
+    for record in (LOWEST_INDEX, inst, res):
+        assert not dataclasses.is_dataclass(record)
