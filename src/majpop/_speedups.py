@@ -14,28 +14,34 @@ selects as ``solvers._split_selection`` does, and tie handling, including
 the splitmix64 stream, is tested bit for bit, capped or not, against the
 plain per-row reference sweep the test suite keeps.
 
-``sweep`` is the one caller of the C function, ``majpop_solve_rounds``, and
-the only module that knows its calling convention: six arguments, the
-profile, the row counts, the matrix, the caps or NULL, one int64 frame
-that carries n, m, the side, the step and the policy code in and a
-stranded row out, and the seed.  ``sweep`` takes the profile, the row sums
-and any caps as Python ints and the tie policy by name, builds the buffers
-itself (``array.array`` int64 vectors and a zeroed ``bytearray`` matrix, so
-no numpy is involved), and returns the final profile as a list together
-with the matrix as ``completion.Cells``; a row stranded below the caps
-raises ``InfeasibleError``.  The C code's first pass checks the row
-counts, the caps and the profile's distance from the int64 limits, so
-no Python pass over a vector repeats it; a refused input raises
-ValueError.
+``sweep`` is the one caller of the C code, and the only module that knows
+its calling convention.  The sweep, ``majpop_solve_rounds`` in
+``_sweep.c``, is bound to Python by ``_sweepmodule.c``, built with it into
+one extension module whose one function, ``solve``, takes the profile, the
+row sums and any caps as lists or tuples of Python ints, the side, the
+step, the policy code and the seed.  In one C call it converts the vectors
+to int64, allocates the zeroed ``bytearray`` matrix, runs every row and
+builds the final profile as a tuple; ``sweep`` takes the tie policy by
+name and returns that tuple together with the matrix as
+``completion.Cells``, so no numpy, ctypes or ``array`` is involved.  The C
+code checks the row counts, the caps and the profile's distance from the
+int64 limits in one pass each, so no Python pass over a vector repeats it.
+What it refuses comes back as a status that ``sweep`` maps to its error:
+ValueError for a refused input, InfeasibleError for a row stranded below
+the caps, MemoryError when the sweep finds no scratch memory.
 
-The first import compiles ``_sweep.c`` with the system ``cc`` into
+The first import compiles both C files with the system ``cc`` and the
+Python headers (``sysconfig``'s include directories) into
 ``majpop/__pycache__/``, or into a private per-user directory under the
-system temporary directory when that one is not writable, and loads it
-with ctypes.  The library's file name carries a checksum of the source and
-the compile command and the platform, so an edited source is rebuilt and
-later imports only load it.  Each cache directory, and the library in it,
-must be one that only this user or root can change, else it is skipped; a
-cached library that fails to load is rebuilt once.
+system temporary directory when that one is not writable, and loads the
+result with ``importlib.machinery.ExtensionFileLoader``.  The library's
+file name carries a checksum of the sources, the compile command and the
+platform, and ends in the interpreter's extension suffix, which names its
+ABI, so an edited source or another Python is rebuilt and later imports
+only load it.  A build removes the libraries earlier sources left beside
+it.  Each cache directory, and the library in it, must be one that only
+this user or root can change, else it is skipped; a cached library that
+fails to import is rebuilt once.
 
 When the build or the load fails, the import still succeeds:
 ``KERNEL_AVAILABLE`` is False, ``BUILD_ERROR`` holds the reason (the
@@ -43,12 +49,11 @@ compiler's own error text, say), and every call to ``sweep`` raises
 ``BuildError`` with that reason.  There is no other sweep to fall back on.
 """
 
-import ctypes
 import os
 import stat
 import sys
 import zlib
-from array import array
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 
 from ._cells import Cells
 from .errors import InfeasibleError
@@ -56,25 +61,35 @@ from .errors import InfeasibleError
 # Tie policy name -> the code ``_sweep.c`` takes; ``solvers.TIE_KINDS`` is its keys.
 POLICIES = {"lowest_index": 0, "highest_index": 1, "load_order": 2, "uniform_random": 3}
 
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
+_DIRECTORY = os.path.dirname(os.path.abspath(__file__))
+# The sweep, and the binding that converts its inputs and builds its outputs.
+_SOURCES = tuple(os.path.join(_DIRECTORY, name) for name in ("_sweep.c", "_sweepmodule.c"))
 # No flag that changes arithmetic: the output must match the reference sweep.
+# ``_build`` adds the Python include directories.
 _COMPILE = ("cc", "-O2", "-shared", "-fPIC")
+# The module's name; ``_sweepmodule.c`` defines ``PyInit__sweep`` to match.
+_MODULE = "majpop._sweep"
+_PREFIX = "_sweep-"
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 # Also the splitmix64 word mask in ``solvers`` and the largest entry the CLI accepts.
 _MASK64 = (1 << 64) - 1
 
-# The C code's statuses: a stranded row, and values it refuses before
-# writing anything.
+# ``solve``'s statuses: a stranded row, the values ``_sweep.c`` refuses
+# before writing anything, the entries ``_sweepmodule.c`` cannot convert,
+# and no scratch memory.
 _STRANDED = 1
-_BAD_ROW_COUNT = 2
-_NEGATIVE_CAP = 3
-_VALUE_RANGE = 4
-# The frame slots the C code writes a stranded row's index and open column
-# count to; slots 0-4 carry n, m, take_largest, delta and the policy code in.
-_STRANDED_ROW = 5
-_STRANDED_OPEN = 6
+_NO_MEMORY = -1
+_REFUSED = {
+    2: "row counts must lie in [0, {n}]",
+    3: "caps must be nonnegative",
+    4: "values too close to the int64 limits for this many rows",
+    5: "values must lie within the int64 range",
+    6: "row counts must lie within the int64 range",
+    7: "caps must have {n} entries, not {caps}",
+    8: "caps must lie within the int64 range",
+}
 
 
 class BuildError(RuntimeError):
@@ -82,7 +97,7 @@ class BuildError(RuntimeError):
 
 
 def _cache_dirs():
-    yield os.path.join(os.path.dirname(_SOURCE), "__pycache__")
+    yield os.path.join(_DIRECTORY, "__pycache__")
     import tempfile
 
     yield os.path.join(tempfile.gettempdir(), f"majpop-{os.getuid()}")
@@ -102,22 +117,32 @@ def _check_private(path: str, is_kind) -> None:
         raise PermissionError(f"{path} can be changed by another user")
 
 
+def _include_flags() -> list[str]:
+    import sysconfig
+
+    paths = (sysconfig.get_path("include"), sysconfig.get_path("platinclude"))
+    return [f"-I{path}" for path in dict.fromkeys(paths)]
+
+
 def _build(path: str) -> None:
-    """Compile the source to ``path``, in a directory already checked private."""
+    """Compile the sources to ``path``, in a directory already checked
+    private, and remove the libraries older sources left there."""
     import subprocess
     import tempfile
 
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
+    directory, name = os.path.split(path)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
     os.close(fd)
     try:
-        cmd = [*_COMPILE, "-o", tmp, _SOURCE]
+        cmd = [*_COMPILE, *_include_flags(), "-o", tmp, *_SOURCES]
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True)
         except OSError as exc:
             raise BuildError(f"cannot run {cmd[0]}: {exc}") from None
         if proc.returncode != 0:
+            sources = " ".join(os.path.basename(source) for source in _SOURCES)
             raise BuildError(
-                f"{cmd[0]} failed on {os.path.basename(_SOURCE)} with status {proc.returncode}\n"
+                f"{cmd[0]} failed on {sources} with status {proc.returncode}\n"
                 f"{' '.join(cmd)}\n{proc.stderr.strip()}"
             )
         # The linker may recreate the file under the umask; the loader
@@ -129,28 +154,44 @@ def _build(path: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    _remove_stale(directory, name)
+
+
+def _remove_stale(directory: str, keep: str) -> None:
+    """Unlink the libraries other sources or compile commands left in
+    ``directory``: regular files named ``_sweep-*`` other than ``keep``,
+    built for this interpreter's ABI, or by the ctypes loader this module
+    once had (``_sweep-<checksum>-<platform>-<machine>.so``).  Libraries of
+    other ABIs, symbolic links and other names are left alone.
+    """
+    suffixes = (EXTENSION_SUFFIXES[0], f"-{sys.platform}-{os.uname().machine}.so")
+    for entry in os.scandir(directory):
+        name = entry.name
+        if name == keep or not name.startswith(_PREFIX) or not name.endswith(suffixes):
+            continue
+        if entry.is_file(follow_symlinks=False):
+            try:
+                os.unlink(entry.path)
+            except OSError:
+                pass
 
 
 def _library_name() -> str:
-    with open(_SOURCE, "rb") as fh:
-        key = zlib.crc32(" ".join(_COMPILE).encode() + b"\0" + fh.read())
-    # A directory shared between machines keeps one library per platform.
-    return f"_sweep-{key:08x}-{sys.platform}-{os.uname().machine}.so"
+    # A directory shared between machines keeps one library per platform,
+    # and the suffix, one per Python ABI.
+    key = zlib.crc32(f"{' '.join(_COMPILE)}\0{sys.platform}-{os.uname().machine}".encode())
+    for source in _SOURCES:
+        with open(source, "rb") as fh:
+            key = zlib.crc32(b"\0" + fh.read(), key)
+    return f"{_PREFIX}{key:08x}{EXTENSION_SUFFIXES[0]}"
 
 
-def _bind(lib):
-    """The sweep function of a loaded library, with its C signature declared."""
-    fn = lib.majpop_solve_rounds
-    fn.argtypes = [
-        ctypes.c_void_p,  # values
-        ctypes.c_void_p,  # row_counts
-        ctypes.c_void_p,  # matrix
-        ctypes.c_void_p,  # caps, or None
-        ctypes.c_void_p,  # frame
-        ctypes.c_uint64,  # seed
-    ]
-    fn.restype = ctypes.c_int
-    return fn
+def _import(path: str):
+    """The ``solve`` function of the extension module built at ``path``."""
+    loader = ExtensionFileLoader(_MODULE, path)
+    module = loader.create_module(ModuleSpec(_MODULE, loader, origin=path))
+    loader.exec_module(module)
+    return module.solve
 
 
 def _load():
@@ -161,21 +202,21 @@ def _load():
         try:
             os.makedirs(directory, mode=0o700, exist_ok=True)
             _check_private(directory, stat.S_ISDIR)
-            lib = None
+            solve = None
             if os.path.lexists(path):
                 _check_private(path, stat.S_ISREG)
                 try:
-                    lib = ctypes.CDLL(path)
-                except OSError:
-                    pass  # a library this machine cannot load: rebuild it once
-            if lib is None:
+                    solve = _import(path)
+                except ImportError:
+                    pass  # a library this interpreter cannot load: rebuild it once
+            if solve is None:
                 _build(path)
                 _check_private(path, stat.S_ISREG)
-                lib = ctypes.CDLL(path)
-        except OSError as exc:
+                solve = _import(path)
+        except (OSError, ImportError) as exc:
             unusable.append(f"{directory}: {exc}")
             continue
-        return _bind(lib)
+        return solve
     raise BuildError("no usable cache directory: " + "; ".join(unusable))
 
 
@@ -198,7 +239,7 @@ def fits(low: int, high: int, m: int) -> bool:
 
 
 def sweep(start, row_counts, take_largest, delta, policy, seed, caps=None):
-    """Run every row compiled; returns the final profile (a list) and the matrix.
+    """Run every row compiled; returns the final profile (a tuple) and the matrix.
 
     start: the starting profile, n Python ints within ``fits`` for m rows.
     row_counts: the m units to place per row, each in [0, n].
@@ -212,14 +253,16 @@ def sweep(start, row_counts, take_largest, delta, policy, seed, caps=None):
     needs more columns than remain below their caps raises InfeasibleError
     naming its need and its open column count.
 
-    The matrix comes back as ``completion.Cells`` over the m*n bytes the C
-    code wrote.  The C code writes through raw pointers into buffers built
-    here, so every value a caller supplies is checked before anything is
-    written; a bad one raises ValueError.  Delta, the policy and the caps'
-    length are checked here; the row counts, the caps' signs and the start
-    profile's distance from the int64 limits only by the C code's first
-    pass, so no vector is walked in Python except to convert it.  Where the
-    build failed, every call raises BuildError naming ``BUILD_ERROR``.
+    start, row_counts and caps are lists or tuples.  The profile comes back
+    as a tuple of ints and the matrix as ``completion.Cells`` over the m*n
+    bytes the C code wrote, both built by the C call.  Delta and the policy
+    are checked here; the C code converts each vector to int64 and checks
+    the row counts, the caps' length and signs and the start profile's
+    distance from the int64 limits before it writes anything, so no vector
+    is walked in Python.  What it refuses raises ValueError here, naming
+    the first cause in that order; an entry that is not an int raises
+    TypeError.  Where the build failed, every call raises BuildError naming
+    ``BUILD_ERROR``.
     """
     if _kernel is None:
         raise BuildError(f"the compiled row sweep is unavailable: {BUILD_ERROR}")
@@ -228,49 +271,15 @@ def sweep(start, row_counts, take_largest, delta, policy, seed, caps=None):
     code = POLICIES.get(policy)
     if code is None:
         raise ValueError(f"unknown tie policy {policy!r}")
-    m, n = len(row_counts), len(start)
-    try:
-        values = array("q", start)
-    except OverflowError:
-        raise ValueError("values must lie within the int64 range") from None
-    try:
-        rows = array("q", row_counts)
-    except OverflowError:
-        raise ValueError("row counts must lie within the int64 range") from None
-    limits = None
-    if caps is not None:
-        if len(caps) != n:
-            raise ValueError(f"caps must have {n} entries, not {len(caps)}")
-        try:
-            limits = array("q", caps)
-        except OverflowError:
-            # A cap of m or more never binds, so clamping to m changes
-            # nothing and brings caps past int64 into range.
-            try:
-                limits = array("q", [c if c < m else m for c in caps])
-            except OverflowError:
-                raise ValueError("caps must lie within the int64 range") from None
-    matrix = bytearray(m * n)
-    frame = array("q", (n, m, 1 if take_largest else 0, delta, code, 0, 0))
-    status = _kernel(
-        values.buffer_info()[0],
-        rows.buffer_info()[0],
-        ctypes.addressof(ctypes.c_char.from_buffer(matrix)) if matrix else None,
-        None if limits is None else limits.buffer_info()[0],
-        frame.buffer_info()[0],
-        seed & _MASK64,
-    )
+    status, values, matrix = _kernel(start, row_counts, caps, take_largest, delta, code, seed)
     if status:
         if status == _STRANDED:
+            # The other two slots hold the stranded row's need and open count.
             raise InfeasibleError(
-                f"a row needs {rows[frame[_STRANDED_ROW]]} columns but only "
-                f"{frame[_STRANDED_OPEN]} remain below their caps"
+                f"a row needs {values} columns but only {matrix} remain below their caps"
             )
-        if status == _BAD_ROW_COUNT:
-            raise ValueError(f"row counts must lie in [0, {n}]")
-        if status == _NEGATIVE_CAP:
-            raise ValueError("caps must be nonnegative")
-        if status == _VALUE_RANGE:
-            raise ValueError("values too close to the int64 limits for this many rows")
-        raise MemoryError(f"no memory for the sweep's scratch buffers ({5 * n + 8} int64)")
-    return values.tolist(), Cells(matrix, (m, n))
+        n = len(start)
+        if status == _NO_MEMORY:
+            raise MemoryError(f"no memory for the sweep's scratch buffers ({5 * n + 8} int64)")
+        raise ValueError(_REFUSED[status].format(n=n, caps=len(caps or ())))
+    return values, Cells(matrix, (len(row_counts), len(start)))

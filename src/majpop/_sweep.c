@@ -17,16 +17,18 @@
  * that needs more columns than are open strands the sweep: the function
  * reports the row and its open count and returns 1.
  *
- * Built, loaded and called only by _speedups.sweep, through the one entry
- * point majpop_solve_rounds, which takes the sizes, the side, the step and
- * the policy code in one int64 frame and writes a stranded row back into
- * it.  _speedups.sweep allocates the buffers itself and checks that delta
- * is +1 or -1 and the policy code is one below.  The row counts, caps and
- * values are checked here, in one pass each before anything is written:
- * 0 <= row_counts[i] <= n, 0 <= caps[j], and no value can leave the int64
- * range over m rows.  The Python callers make no such pass of their own;
- * only when this code refuses an input do they rerun their checks, to
- * name the cause.
+ * The one entry point is majpop_solve_rounds, which takes the sizes, the
+ * side, the step and the policy code in one int64 frame and writes a
+ * stranded row back into it.  Its one caller is _sweepmodule.c, the
+ * CPython binding built with this file into the extension module that
+ * _speedups loads; this file includes no Python header.  The binding
+ * converts the Python vectors into the int64 buffers and allocates the
+ * matrix; _speedups.sweep checks that delta is +1 or -1 and the policy
+ * code is one below.  The row counts, caps and values are checked here,
+ * in one pass each before anything is written: 0 <= row_counts[i] <= n,
+ * 0 <= caps[j], and no value can leave the int64 range over m rows.  The
+ * Python callers make no such pass of their own; only when this code
+ * refuses an input do they rerun their checks, to name the cause.
  */
 
 #include <stdint.h>

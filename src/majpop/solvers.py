@@ -18,11 +18,13 @@ policy reaches an optimum; the policies below pick *which* optimum:
     so traces reproduce exactly across platforms.
 
 Every sweep, capped or not and whatever its size, runs through the compiled
-C sweep (built from ``_sweep.c`` on first import): ``_sweep_result`` hands
-the profile, the row sums, the policy's name and seed and any column caps to
-``_speedups.sweep``, which alone knows the C calling convention.  The C
-code's first pass checks the row sums and the profile's distance from the
-int64 limits, so the solvers make no pass of their own; only when it
+C sweep (built from ``_sweep.c`` and its CPython binding on first import):
+``_sweep_result`` hands the profile, the row sums, the policy's name and
+seed and any column caps to ``_speedups.sweep``, which alone knows the C
+calling convention.  One C call converts them, sweeps, and returns the
+final profile as the tuple that becomes the objective.  The C code's first
+pass checks the row sums and the profile's distance from the int64
+limits, so the solvers make no pass of their own; only when it
 refuses an input do they rerun their checks, in their old order: a row
 above n raises the error that names it, and a profile near the int64
 limits is rank compressed and swept again.  The C sweep sorts the
@@ -283,7 +285,7 @@ def _sweep_result(
     compare alike through m rows.  Without the compiled sweep it raises
     ``_speedups.BuildError``."""
     try:
-        values, a = _speedups.sweep(start, r, largest, delta, policy.kind, policy.seed, caps)
+        objective, a = _speedups.sweep(start, r, largest, delta, policy.kind, policy.seed, caps)
     except ValueError:
         _check_rows(r, len(start))
         m = len(r)
@@ -291,8 +293,7 @@ def _sweep_result(
             raise
         packed = _rank_compressed(start, m)
         moved, a = _speedups.sweep(packed, r, largest, delta, policy.kind, policy.seed, caps)
-        values = [s + v - p for s, v, p in zip(start, moved, packed)]
-    objective = tuple(values)
+        objective = tuple([s + v - p for s, v, p in zip(start, moved, packed)])
     canonical = sort_desc(objective)
     return SolveResult(a, objective, canonical, delta > 0 or canonical[-1] >= 0)
 

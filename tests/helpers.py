@@ -219,7 +219,7 @@ def reference_sweep(
     delta: int,
     policy: TiePolicy,
     caps: Optional[IntVector],
-) -> tuple[list[int], Cells]:
+) -> tuple[IntVector, Cells]:
     """The plain per-row sweep, kept as the reference for the compiled one,
     ``majpop._speedups.sweep``: each row sorts the open columns to find its
     threshold (``_split_selection``) and picks among the tied ones with
@@ -245,7 +245,7 @@ def reference_sweep(
             values[j] += delta
             placed[j] += 1
             a[i * n + j] = 1
-    return values, Cells(a, (m, n))
+    return tuple(values), Cells(a, (m, n))
 
 
 def random_instance(rng: random.Random, variant: str, max_mn: int = 6, max_value: int = 5) -> Instance:

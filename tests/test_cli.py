@@ -309,7 +309,7 @@ _IMPORT_PROBE = """
 import json, sys
 watched = (
     "numpy", "majpop.oracle", "majpop.lattice", "dataclasses", "inspect", "csv",
-    "majpop.completion", "majpop._commands",
+    "majpop.completion", "majpop._commands", "ctypes", "array",
 )
 import majpop.cli
 after_import = [m for m in watched if m in sys.modules]
