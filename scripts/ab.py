@@ -9,8 +9,12 @@ with SEEDS a number or an inclusive range ``a-b``.  For every seed the two
 sides run one after the other on that seed, and the side that goes first
 alternates from pair to pair.  The parent is exported with ``git archive``
 into a temporary directory, so the repository's own metadata is never
-touched; the change is the working tree at the repository root.  Each side
-runs its own ``perfbench/run.py`` from its own root.
+touched; the change is the working tree at the repository root, copied
+once into the same temporary directory when the session starts (without
+``.git``, ``.perfbench`` and ``__pycache__``), so an edit made while the
+session runs is not measured part way through, nor does it make a C file's
+rebuild fall inside a timed run.  Each side runs its own
+``perfbench/run.py`` from its own root.
 
 The output file has the schema of the other ``BENCH_*.json`` files: title,
 command, machine, parent_commit, change, method, summary and runs.  Every
@@ -71,6 +75,14 @@ def export(rev, directory):
     if archive.wait() != 0:
         raise RuntimeError(f"git archive {commit} exited with {archive.returncode}")
     return commit
+
+
+def snapshot(directory):
+    """The working tree at ``ROOT`` copied to ``directory``, which must not
+    exist yet, without git metadata, benchmark output or bytecode caches
+    (and so without a compiled library)."""
+    shutil.copytree(ROOT, directory, symlinks=True,
+                    ignore=shutil.ignore_patterns(".git", ".perfbench", "__pycache__"))
 
 
 def machine():
@@ -183,7 +195,7 @@ def main(argv=None):
         "change": args.change,
         "method": (
             "scripts/ab.py: the parent exported with git archive into a temporary directory, the change "
-            "the working tree; parent and change run in pairs on the same seed, one after the other, and "
+            "a copy of the working tree made there when the session started; parent and change run in pairs on the same seed, one after the other, and "
             "the side that runs first alternates from pair to pair (even pairs: parent first); traced runs "
             "(--trace 1) are summarised apart; every run made is listed, failed ones included"
         ),
@@ -191,8 +203,10 @@ def main(argv=None):
         "runs": [],
     }
     with tempfile.TemporaryDirectory(prefix="majpop-ab-") as tmp:
-        doc["parent_commit"] = export(args.parent, tmp)
-        roots = {"parent": tmp, "change": ROOT}
+        roots = {side: os.path.join(tmp, side) for side in ("parent", "change")}
+        os.mkdir(roots["parent"])
+        doc["parent_commit"] = export(args.parent, roots["parent"])
+        snapshot(roots["change"])
         units = {}
         pair = 0
         for workload, seeds, trace in args.specs:

@@ -1,4 +1,5 @@
-"""Compiled inner loop for the peak-shaving and valley-filling solvers.
+"""Compiled inner loops: the row sweep of the peak-shaving and
+valley-filling solvers, and the tie search of ``solvers.enumerate_optima``.
 
 The row loop is inherently sequential, so the whole sweep is compiled as one
 C function (``_sweep.c``), with no per-row interpreter overhead.  It sorts
@@ -9,26 +10,38 @@ the order by merging only the blocks at the threshold and one unit either
 side of it.  The total is O(n log n + sum of r_i + t_i), with t_i the
 columns in the blocks row i touches.  Column caps, for ``general_min`` and
 ``general_max``, take a column out of the order once it reaches its cap,
-so each row selects among the columns still below their caps.  Each row
-selects as ``solvers._split_selection`` does, and tie handling, including
-the splitmix64 stream, is tested bit for bit, capped or not, against the
-plain per-row reference sweep the test suite keeps.
+so each row selects among the columns still below their caps.  Tie
+handling, including the splitmix64 stream, is tested bit for bit, capped
+or not, against the plain per-row reference sweep the test suite keeps.
 
-``sweep`` is the one caller of the C code, and the only module that knows
-its calling convention.  The sweep, ``majpop_solve_rounds`` in
-``_sweep.c``, is bound to Python by ``_sweepmodule.c``, built with it into
-one extension module whose one function, ``solve``, takes the profile, the
-row sums and any caps as lists or tuples of Python ints, the side, the
-step, the policy code and the seed.  In one C call it converts the vectors
-to int64, allocates the zeroed ``bytearray`` matrix, runs every row and
-builds the final profile as a tuple; ``sweep`` takes the tie policy by
-name and returns that tuple together with the matrix as
-``completion.Cells``, so no numpy, ctypes or ``array`` is involved.  The C
-code checks the row counts, the caps and the profile's distance from the
-int64 limits in one pass each, so no Python pass over a vector repeats it.
-What it refuses comes back as a status that ``sweep`` maps to its error:
-ValueError for a refused input, InfeasibleError for a row stranded below
-the caps, MemoryError when the sweep finds no scratch memory.
+The tie search is the second C function there.  Breadth first over the
+rows, it expands every distinct running profile once per row, selecting
+as the sweep does and branching over every choice among the columns at
+the threshold; each level keeps its profiles in the order first reached,
+in an open-addressing hash table, with the first path that reached each.
+It is tested against the test suite's plain depth-first reference for
+the same keys, key order, witnesses and errors.
+
+``sweep`` and ``search_ties`` are the only callers of the C code, and this
+is the only module that knows its calling convention.  The sweep,
+``majpop_solve_rounds``, and the search, ``majpop_search_ties``, are bound
+to Python by ``_sweepmodule.c``, built with ``_sweep.c`` into one extension
+module with two functions.  Its ``solve`` takes the profile, the row sums
+and any caps as lists or tuples of Python ints, the side, the step, the
+policy code and the seed.  In one C call it converts the vectors to int64,
+allocates the zeroed ``bytearray`` matrix, runs every row and builds the
+final profile as a tuple; ``sweep`` takes the tie policy by name and
+returns that tuple together with the matrix as ``completion.Cells``, so no
+numpy, ctypes or ``array`` is involved.  Its ``search`` takes the same
+vectors and a budget, searches with the interpreter lock released, and
+returns the final profiles as tuples and their witnesses as one
+``bytes``.  The C code checks the row counts, the caps and the profile's
+distance from the int64 limits in one pass each, so no Python pass over a
+vector repeats it.  What it refuses comes back as a status that ``sweep``
+and ``search_ties`` map to their errors: ValueError for a refused input,
+InfeasibleError for a row stranded below the caps, BudgetExceededError
+for a search past its budget, MemoryError when the C code finds no
+memory.
 
 The first import compiles both C files with the system ``cc`` and the
 Python headers (``sysconfig``'s include directories) into
@@ -45,8 +58,9 @@ fails to import is rebuilt once.
 
 When the build or the load fails, the import still succeeds:
 ``KERNEL_AVAILABLE`` is False, ``BUILD_ERROR`` holds the reason (the
-compiler's own error text, say), and every call to ``sweep`` raises
-``BuildError`` with that reason.  There is no other sweep to fall back on.
+compiler's own error text, say), and every call to ``sweep`` or
+``search_ties`` raises ``BuildError`` with that reason.  There is no other
+sweep or search to fall back on.
 """
 
 import os
@@ -56,7 +70,7 @@ import zlib
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 
 from ._cells import Cells
-from .errors import InfeasibleError
+from .errors import BudgetExceededError, InfeasibleError
 
 # Tie policy name -> the code ``_sweep.c`` takes; ``solvers.TIE_KINDS`` is its keys.
 POLICIES = {"lowest_index": 0, "highest_index": 1, "load_order": 2, "uniform_random": 3}
@@ -76,10 +90,11 @@ _INT64_MAX = (1 << 63) - 1
 # Also the splitmix64 word mask in ``solvers`` and the largest entry the CLI accepts.
 _MASK64 = (1 << 64) - 1
 
-# ``solve``'s statuses: a stranded row, the values ``_sweep.c`` refuses
-# before writing anything, the entries ``_sweepmodule.c`` cannot convert,
-# and no scratch memory.
+# The binding's statuses: a stranded row (``solve``), the budget passed
+# (``search``), the values ``_sweep.c`` refuses before writing anything,
+# the entries ``_sweepmodule.c`` cannot convert, and no scratch memory.
 _STRANDED = 1
+_BUDGET = 9
 _NO_MEMORY = -1
 _REFUSED = {
     2: "row counts must lie in [0, {n}]",
@@ -187,11 +202,11 @@ def _library_name() -> str:
 
 
 def _import(path: str):
-    """The ``solve`` function of the extension module built at ``path``."""
+    """The extension module built at ``path``."""
     loader = ExtensionFileLoader(_MODULE, path)
     module = loader.create_module(ModuleSpec(_MODULE, loader, origin=path))
     loader.exec_module(module)
-    return module.solve
+    return module
 
 
 def _load():
@@ -202,31 +217,35 @@ def _load():
         try:
             os.makedirs(directory, mode=0o700, exist_ok=True)
             _check_private(directory, stat.S_ISDIR)
-            solve = None
+            module = None
             if os.path.lexists(path):
                 _check_private(path, stat.S_ISREG)
                 try:
-                    solve = _import(path)
+                    module = _import(path)
                 except ImportError:
                     pass  # a library this interpreter cannot load: rebuild it once
-            if solve is None:
+            if module is None:
                 _build(path)
                 _check_private(path, stat.S_ISREG)
-                solve = _import(path)
+                module = _import(path)
         except (OSError, ImportError) as exc:
             unusable.append(f"{directory}: {exc}")
             continue
-        return solve
+        return module
     raise BuildError("no usable cache directory: " + "; ".join(unusable))
 
 
 BUILD_ERROR = None
 try:
-    _kernel = _load()
+    _module = _load()
 except Exception as exc:  # reported by ``sweep``, so what needs no sweep still works
-    _kernel = None
+    _module = None
     BUILD_ERROR = str(exc) or repr(exc)
+# The module's two functions; ``_kernel`` is None exactly when the build failed.
+_kernel = getattr(_module, "solve", None)
+_search = getattr(_module, "search", None)
 KERNEL_AVAILABLE = _kernel is not None
+del _module
 
 
 def fits(low: int, high: int, m: int) -> bool:
@@ -283,3 +302,35 @@ def sweep(start, row_counts, take_largest, delta, policy, seed, caps=None):
             raise MemoryError(f"no memory for the sweep's scratch buffers ({5 * n + 8} int64)")
         raise ValueError(_REFUSED[status].format(n=n, caps=len(caps or ())))
     return values, Cells(matrix, (len(row_counts), len(start)))
+
+
+def search_ties(start, row_counts, take_largest, delta, caps, budget):
+    """Resolve every row's ties in every way; returns the final profiles and
+    their witnesses.
+
+    start, row_counts, take_largest, delta and caps are as for ``sweep``.
+    Each row selects as the sweep does, among the columns still below their
+    caps, and the search branches over every choice among the columns at
+    the threshold; a branch that strands a row ends.  budget bounds the
+    distinct states, the start profile and each row's distinct profiles;
+    once they pass it, BudgetExceededError is raised.
+
+    Returns the final profiles, a tuple of tuples in the order first
+    reached, and ``bytes`` holding one m*n witness matrix per profile,
+    row-major, in the same order: the picks of the first path that reached
+    the profile.  Refusals raise as ``sweep``'s do, and where the build
+    failed, BuildError.
+    """
+    if _kernel is None:
+        raise BuildError(f"the compiled row sweep is unavailable: {BUILD_ERROR}")
+    if delta not in (1, -1):
+        raise ValueError(f"delta must be +1 or -1, not {delta!r}")
+    status, keys, cells = _search(start, row_counts, caps, take_largest, delta, budget)
+    if status:
+        if status == _BUDGET:
+            raise BudgetExceededError(f"tie enumeration passed {budget} distinct states")
+        n = len(start)
+        if status == _NO_MEMORY:
+            raise MemoryError("no memory for the tie search")
+        raise ValueError(_REFUSED[status].format(n=n, caps=len(caps or ())))
+    return keys, cells

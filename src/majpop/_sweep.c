@@ -1,4 +1,5 @@
-/* Compiled row sweep for the peak-shaving and valley-filling solvers.
+/* Compiled row sweep for the peak-shaving and valley-filling solvers, and
+ * the tie search that enumerates their optima.
  *
  * The columns are sorted once, better value first and then by index, and
  * the sweep keeps that order from row to row.  Row i reads its threshold at
@@ -13,18 +14,21 @@
  *
  * With column caps, the order holds the open columns alone: a column that
  * reaches its cap leaves it, so each row selects among its open columns, in
- * index order, as solvers._split_selection does over ``allowed``.  A row
- * that needs more columns than are open strands the sweep: the function
- * reports the row and its open count and returns 1.
+ * index order, as the reference's _split_selection does over ``allowed``.
+ * A row that needs more columns than are open strands the sweep: the
+ * function reports the row and its open count and returns 1.
  *
- * The one entry point is majpop_solve_rounds, which takes the sizes, the
- * side, the step and the policy code in one int64 frame and writes a
- * stranded row back into it.  Its one caller is _sweepmodule.c, the
- * CPython binding built with this file into the extension module that
- * _speedups loads; this file includes no Python header.  The binding
- * converts the Python vectors into the int64 buffers and allocates the
- * matrix; _speedups.sweep checks that delta is +1 or -1 and the policy
- * code is one below.  The row counts, caps and values are checked here,
+ * There are two entry points.  majpop_solve_rounds runs the sweep; it
+ * takes the sizes, the side, the step and the policy code in one int64
+ * frame and writes a stranded row back into it.  majpop_search_ties, at
+ * the end of this file, resolves every row's ties in every way, breadth
+ * first over the rows, for solvers.enumerate_optima; it takes a budget in
+ * the same frame.  Their one caller is _sweepmodule.c, the CPython binding
+ * built with this file into the extension module that _speedups loads;
+ * this file includes no Python header.  The binding converts the Python
+ * vectors into the int64 buffers and allocates the sweep's matrix;
+ * _speedups checks that delta is +1 or -1 and the policy code is one
+ * below.  The row counts, caps and values are checked here,
  * in one pass each before anything is written: 0 <= row_counts[i] <= n,
  * 0 <= caps[j], and no value can leave the int64 range over m rows.  The
  * Python callers make no such pass of their own; only when this code
@@ -43,6 +47,8 @@
 #define STATUS_BAD_ROW_COUNT 2
 #define STATUS_NEGATIVE_CAP 3
 #define STATUS_VALUE_RANGE 4
+/* majpop_search_ties: the distinct states passed the budget. */
+#define STATUS_BUDGET 9
 
 /* The slots of majpop_solve_rounds' frame: read on the way in, and the
  * last two written on the way out when a row is stranded. */
@@ -53,6 +59,11 @@
 #define FRAME_POLICY 4
 #define FRAME_STRANDED_ROW 5
 #define FRAME_STRANDED_OPEN 6
+/* majpop_search_ties reads slots 0-3 as above, the budget in 4, and
+ * writes its counts to 5 and 6. */
+#define FRAME_CAP 4
+#define FRAME_COUNT 5
+#define FRAME_DRAWS 6
 
 /* Inlined into each caller: the per-row helpers, and the sweep into its
  * two specialised copies. */
@@ -503,12 +514,32 @@ INLINE int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
     return status;
 }
 
+/* The checks both entry points make before they write anything: returns
+ * 0, or STATUS_BAD_ROW_COUNT when a row count lies outside [0, n],
+ * STATUS_NEGATIVE_CAP when a cap is negative (caps may be NULL), or
+ * STATUS_VALUE_RANGE when a value lies within m of an int64 limit, where m
+ * unit steps could take it out of range. */
+static int check_inputs(const int64_t *values, const int64_t *row_counts,
+                        const int64_t *caps, int64_t n, int64_t m)
+{
+    int64_t i;
+    /* Read as unsigned, a negative count exceeds every n. */
+    for (i = 0; i < m; i++)
+        if ((uint64_t)row_counts[i] > (uint64_t)n)
+            return STATUS_BAD_ROW_COUNT;
+    if (caps != NULL)
+        for (i = 0; i < n; i++)
+            if (caps[i] < 0)
+                return STATUS_NEGATIVE_CAP;
+    for (i = 0; i < n; i++)
+        if (values[i] < INT64_MIN + m || values[i] > INT64_MAX - m)
+            return STATUS_VALUE_RANGE;
+    return 0;
+}
+
 /* Run all rows in place; returns 0 on success, 1 when a row is stranded
  * below the caps, -1 when scratch memory cannot be allocated, and, with
- * nothing written, STATUS_BAD_ROW_COUNT when a row count lies outside
- * [0, n], STATUS_NEGATIVE_CAP when a cap is negative, and
- * STATUS_VALUE_RANGE when a value lies within m of an int64 limit, where m
- * unit steps could take it out of range.
+ * nothing written, a check_inputs status.
  *
  * values: int64[n] running profile, modified in place.
  * row_counts: int64[m] units to place per row.
@@ -526,23 +557,315 @@ INLINE int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
 int majpop_solve_rounds(int64_t *values, const int64_t *row_counts, uint8_t *matrix,
                         const int64_t *caps, int64_t *frame, uint64_t seed)
 {
-    int64_t n = frame[FRAME_N], m = frame[FRAME_M], delta = frame[FRAME_DELTA], i;
+    int64_t n = frame[FRAME_N], m = frame[FRAME_M], delta = frame[FRAME_DELTA];
     int take_largest = frame[FRAME_TAKE_LARGEST] != 0, policy = (int)frame[FRAME_POLICY];
     int64_t *stranded = frame + FRAME_STRANDED_ROW;
-    /* Read as unsigned, a negative count exceeds every n. */
-    for (i = 0; i < m; i++)
-        if ((uint64_t)row_counts[i] > (uint64_t)n)
-            return STATUS_BAD_ROW_COUNT;
-    if (caps != NULL)
-        for (i = 0; i < n; i++)
-            if (caps[i] < 0)
-                return STATUS_NEGATIVE_CAP;
-    for (i = 0; i < n; i++)
-        if (values[i] < INT64_MIN + m || values[i] > INT64_MAX - m)
-            return STATUS_VALUE_RANGE;
+    int status = check_inputs(values, row_counts, caps, n, m);
+    if (status != 0)
+        return status;
     if (caps == NULL)
         return run_rows(values, n, row_counts, m, matrix, take_largest, delta,
                         policy, seed, NULL, stranded, 0);
     return run_rows(values, n, row_counts, m, matrix, take_largest, delta,
                     policy, seed, caps, stranded, 1);
+}
+
+/* ---- Tie enumeration ----
+ *
+ * majpop_search_ties resolves every row's ties in every way, breadth first
+ * over the rows.  Each level holds the distinct running profiles (the
+ * keys) in the order they were first reached, with an open-addressing
+ * table over the level's keys; a state keeps the first path that reached
+ * it, as its parent's index in the level before and the row's picks.
+ * A key's hash is a sum of one term per column, so a child's hash follows
+ * from its parent's at the columns it moves. */
+
+/* One column's term in a key's hash. */
+static uint64_t cell_hash(int64_t j, int64_t value)
+{
+    uint64_t z = (uint64_t)value * UINT64_C(0x9E3779B97F4A7C15)
+                 + (uint64_t)j * UINT64_C(0xC2B2AE3D27D4EB4F);
+    z = (z ^ (z >> 30)) * UINT64_C(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)) * UINT64_C(0x94D049BB133111EB);
+    return z ^ (z >> 31);
+}
+
+/* p resized to count items of size bytes, or NULL, with p still valid,
+ * when the size overflows or the memory is not there. */
+static void *resized(void *p, int64_t count, size_t size)
+{
+    if (count <= 0)
+        count = 1;
+    if ((uint64_t)count > SIZE_MAX / size)
+        return NULL;
+    return realloc(p, (size_t)count * size);
+}
+
+/* An empty table of at least twice want slots, a power of two; -1 marks
+ * an empty slot.  Returns the new mask, or -1 when there is no memory. */
+static int64_t clear_table(int64_t **table, int64_t *room, int64_t want)
+{
+    int64_t size = 64;
+    while (size < 2 * want)
+        size *= 2;
+    if (size > *room) {
+        int64_t *grown = resized(*table, size, sizeof *grown);
+        if (grown == NULL)
+            return -1;
+        *table = grown;
+        *room = size;
+    }
+    memset(*table, 0xff, (size_t)size * sizeof **table);
+    return size - 1;
+}
+
+/* Resolve every row's ties in every way; returns 0, STATUS_BUDGET when the
+ * distinct states (the start profile and each level's profiles) pass the
+ * budget, -1 when memory runs out, or a check_inputs status, with nothing
+ * allocated.
+ *
+ * start: int64[n] starting profile.
+ * row_counts: int64[m] units to place per row.
+ * caps: int64[n] most units each column may take over the rows, or NULL.
+ * frame: int64[7], the FRAME_* slots.  In: n, m, take_largest, delta (+1
+ *     or -1) and, in FRAME_CAP, the budget.  Out: in FRAME_COUNT the final
+ *     profiles found, and in FRAME_DRAWS the children drawn, every one a
+ *     row's tie resolution, new or not.
+ * keys, cells: on status 0, set to malloc'd buffers the caller frees: the
+ *     final profiles, count * n, in the order first reached, and one
+ *     witness matrix per profile, count * m * n bytes, row-major.
+ *
+ * Each state selects as the sweep does, among its open columns (those
+ * below their caps): the need-th best value is the threshold, every open
+ * column better than it is taken, and the columns at it are the ties.  A
+ * state with fewer open columns than its row needs has no children.  Its
+ * children leave out each combination of the ties it does not need, in
+ * lexicographic order of the left-out columns (itertools.combinations
+ * order), which fixes the key order and each key's witness. */
+int majpop_search_ties(const int64_t *start, const int64_t *row_counts, const int64_t *caps,
+                       int64_t *frame, int64_t **keys, uint8_t **cells)
+{
+    int64_t n = frame[FRAME_N], m = frame[FRAME_M], delta = frame[FRAME_DELTA];
+    int64_t budget = frame[FRAME_CAP];
+    int take_largest = frame[FRAME_TAKE_LARGEST] != 0;
+    /* Two levels of keys and their hashes, the table over the next one,
+     * and for every state since the start, numbered in the order reached:
+     * its parent's number and its row's picks, as n bytes of 0 and 1.
+     * The current level's states are numbered from base on. */
+    int64_t *cur = NULL, *next = NULL, *table = NULL, *parent = NULL;
+    uint64_t *cur_hash = NULL, *next_hash = NULL;
+    uint8_t *picks = NULL, *out = NULL;
+    int64_t *work = NULL, *open_values, *forced, *ties, *taken, *combo;
+    uint64_t *moved_back;
+    int64_t count = 1, cur_room = 1, next_room = 0, table_room = 0, history_room = 1;
+    int64_t base = 0, states = 1, draws = 0;
+    int64_t i, j, u;
+    int status = check_inputs(start, row_counts, caps, n, m);
+
+    if (status != 0)
+        return status;
+    frame[FRAME_COUNT] = frame[FRAME_DRAWS] = 0;
+    if (states > budget)
+        return STATUS_BUDGET;
+    /* The open columns' values, forced, ties, taken and combo, and each
+     * tie's hash change. */
+    work = resized(NULL, 6 * n, sizeof *work);
+    cur = resized(NULL, n, sizeof *cur);
+    cur_hash = resized(NULL, 1, sizeof *cur_hash);
+    parent = resized(NULL, 1, sizeof *parent);
+    picks = resized(NULL, n, 1);
+    status = -1;
+    if (!work || !cur || !cur_hash || !parent || !picks)
+        goto done;
+    open_values = work;
+    forced = work + n;
+    ties = work + 2 * n;
+    taken = work + 3 * n;
+    combo = work + 4 * n;
+    moved_back = (uint64_t *)(work + 5 * n);
+    cur_hash[0] = 0;
+    for (j = 0; j < n; j++) {
+        cur[j] = start[j];
+        cur_hash[0] += cell_hash(j, start[j]);
+    }
+    parent[0] = -1;
+    memset(picks, 0, (size_t)n);
+
+    for (i = 0; i < m; i++) {
+        int64_t need = row_counts[i], next_count = 0, s, mask, room, *swap;
+        uint64_t *swap_hash;
+        mask = clear_table(&table, &table_room, count);
+        if (mask < 0)
+            goto done;
+        for (s = 0; s < count; s++) {
+            const int64_t *values = cur + s * n;
+            uint64_t hash = cur_hash[s];
+            int64_t n_open = 0, nf = 0, nt = 0, k = 0, q, x;
+            for (j = 0; j < n; j++)
+                if (caps == NULL || (values[j] - start[j]) * delta < caps[j])
+                    open_values[n_open++] = values[j];
+            if (need > n_open)
+                continue; /* this branch strands the row */
+            if (need > 0) {
+                int64_t thr = take_largest ? kth_smallest(open_values, n_open, n_open - need)
+                                           : kth_smallest(open_values, n_open, need - 1);
+                for (j = 0; j < n; j++) {
+                    int64_t v = values[j];
+                    if (caps != NULL && (v - start[j]) * delta >= caps[j])
+                        continue;
+                    if (v == thr)
+                        ties[nt++] = j;
+                    else if (take_largest ? v > thr : v < thr)
+                        forced[nf++] = j;
+                }
+                k = need - nf;
+            }
+            /* Take the forced columns and every tie, then give back, child
+             * by child, the q ties it leaves out. */
+            memcpy(taken, values, (size_t)n * sizeof *taken);
+            for (u = 0; u < nf + nt; u++) {
+                uint64_t moved;
+                j = u < nf ? forced[u] : ties[u - nf];
+                moved = cell_hash(j, taken[j] + delta) - cell_hash(j, taken[j]);
+                hash += moved;
+                taken[j] += delta;
+                if (u >= nf)
+                    moved_back[u - nf] = -moved;
+            }
+            q = nt - k;
+            for (x = 0; x < q; x++)
+                combo[x] = x;
+            for (;;) {
+                int64_t *child, slot, found = 0;
+                uint64_t child_hash = hash;
+                draws++;
+                if (next_count >= next_room) {
+                    int64_t *grown;
+                    uint64_t *grown_hash;
+                    room = 2 * next_room > 64 ? 2 * next_room : 64;
+                    grown = resized(next, room * n, sizeof *grown);
+                    if (grown == NULL)
+                        goto done;
+                    next = grown;
+                    grown_hash = resized(next_hash, room, sizeof *grown_hash);
+                    if (grown_hash == NULL)
+                        goto done;
+                    next_hash = grown_hash;
+                    next_room = room;
+                }
+                child = next + next_count * n;
+                memcpy(child, taken, (size_t)n * sizeof *child);
+                for (x = 0; x < q; x++) {
+                    child[ties[combo[x]]] -= delta;
+                    child_hash += moved_back[combo[x]];
+                }
+                for (slot = (int64_t)(child_hash & (uint64_t)mask); table[slot] >= 0;
+                     slot = (slot + 1) & mask) {
+                    int64_t seen = table[slot];
+                    if (next_hash[seen] == child_hash &&
+                        memcmp(next + seen * n, child, (size_t)n * sizeof *child) == 0) {
+                        found = 1;
+                        break;
+                    }
+                }
+                if (!found) {
+                    int64_t id = states;
+                    uint8_t *row;
+                    if (id >= history_room) {
+                        int64_t *grown;
+                        uint8_t *grown_picks;
+                        room = 2 * history_room;
+                        grown = resized(parent, room, sizeof *grown);
+                        if (grown == NULL)
+                            goto done;
+                        parent = grown;
+                        grown_picks = resized(picks, room * n, 1);
+                        if (grown_picks == NULL)
+                            goto done;
+                        picks = grown_picks;
+                        history_room = room;
+                    }
+                    table[slot] = next_count;
+                    next_hash[next_count] = child_hash;
+                    parent[id] = base + s;
+                    row = picks + id * n;
+                    memset(row, 0, (size_t)n);
+                    for (u = 0; u < nf; u++)
+                        row[forced[u]] = 1;
+                    for (u = 0; u < nt; u++)
+                        row[ties[u]] = 1;
+                    for (x = 0; x < q; x++)
+                        row[ties[combo[x]]] = 0;
+                    next_count++;
+                    if (++states > budget) {
+                        frame[FRAME_DRAWS] = draws;
+                        status = STATUS_BUDGET;
+                        goto done;
+                    }
+                    if (2 * next_count > mask + 1) {
+                        /* Rehash into a table twice the size. */
+                        mask = clear_table(&table, &table_room, next_count);
+                        if (mask < 0)
+                            goto done;
+                        for (u = 0; u < next_count; u++) {
+                            for (slot = (int64_t)(next_hash[u] & (uint64_t)mask); table[slot] >= 0;
+                                 slot = (slot + 1) & mask)
+                                ;
+                            table[slot] = u;
+                        }
+                    }
+                }
+                /* The next combination of q of the nt ties, if any. */
+                for (x = q - 1; x >= 0 && combo[x] == nt - q + x; x--)
+                    ;
+                if (x < 0)
+                    break;
+                combo[x]++;
+                for (x++; x < q; x++)
+                    combo[x] = combo[x - 1] + 1;
+            }
+        }
+        swap = cur;
+        cur = next;
+        next = swap;
+        swap_hash = cur_hash;
+        cur_hash = next_hash;
+        next_hash = swap_hash;
+        room = cur_room;
+        cur_room = next_room;
+        next_room = room;
+        base += count;
+        count = next_count;
+    }
+
+    /* Each final profile's witness: walk its path back, row by row. */
+    if (m > 0 && n > 0 && count > INT64_MAX / m / n)
+        goto done;
+    out = resized(NULL, count * m * n, 1);
+    if (out == NULL)
+        goto done;
+    for (u = 0; u < count; u++) {
+        int64_t id = base + u;
+        for (i = m - 1; i >= 0; i--) {
+            memcpy(out + (u * m + i) * n, picks + id * n, (size_t)n);
+            id = parent[id];
+        }
+    }
+    frame[FRAME_COUNT] = count;
+    frame[FRAME_DRAWS] = draws;
+    *keys = cur;
+    *cells = out;
+    cur = NULL;
+    status = 0;
+
+done:
+    free(cur);
+    free(next);
+    free(cur_hash);
+    free(next_hash);
+    free(table);
+    free(parent);
+    free(picks);
+    free(work);
+    return status;
 }

@@ -42,14 +42,17 @@ a name from it: ``from .completion import name`` in a function costs
 that is not a package.
 
 Resolving every row's ties in every way, row by row, enumerates the full
-set of optimal objective vectors; see :func:`enumerate_optima`.
+set of optimal objective vectors; see :func:`enumerate_optima`.  That
+search runs compiled too, as the extension's second function, through
+``_speedups.search_ties``: like every sweep it raises
+``_speedups.BuildError`` where the build failed.
 """
 
-from itertools import accumulate, combinations
-from typing import Optional, Sequence
+from itertools import accumulate
+from typing import Optional
 
 from . import _speedups
-from ._cells import Cells, Matrix
+from ._cells import Cells, Matrix, _frozen
 from ._speedups import _MASK64
 from .errors import BudgetExceededError, InfeasibleError
 from .majorization import IntVector, as_vector, sort_desc
@@ -237,28 +240,6 @@ def _check_rows(r: IntVector, n: int) -> None:
             ) from None
 
 
-def _split_selection(
-    values: Sequence[int], need: int, largest: bool, allowed: Sequence[int]
-) -> tuple[list[int], list[int], int]:
-    """Forced picks, tied candidates (index order), and how many ties to take."""
-    if need == 0:
-        return [], [], 0
-    if need > len(allowed):
-        raise InfeasibleError(
-            f"a row needs {need} columns but only {len(allowed)} remain below their caps"
-        )
-    thr = sorted([values[j] for j in allowed], reverse=largest)[need - 1]
-    forced = []
-    ties = []
-    for j in allowed:
-        v = values[j]
-        if v == thr:
-            ties.append(j)
-        elif (largest and v > thr) or (not largest and v < thr):
-            forced.append(j)
-    return forced, ties, need - len(forced)
-
-
 def _rank_compressed(start: IntVector, m: int) -> list[int]:
     """``start`` ranked from 0, each gap between sorted distinct values cut to at most m + 1."""
     distinct = sorted(set(start))
@@ -403,54 +384,31 @@ def enumerate_optima(inst: Instance, cap: int = 1_000_000) -> dict[IntVector, Ma
     Row by row over all tie resolutions: each row maps every distinct
     running profile to the picks of the first path that reached it, so
     permuted choice orders are explored once.  Returns one witness matrix
-    per distinct objective.  Raises once the number of distinct states
-    passes ``cap``.
+    per distinct objective, read-only ``uint8`` arrays, keyed in the order
+    the search first reached them.  Raises once the number of distinct
+    states passes ``cap``.
+
+    The search runs compiled (``_speedups.search_ties``), so without the
+    build it raises ``_speedups.BuildError``.  A profile within m of an
+    int64 limit is searched rank compressed and its keys moved back, as in
+    ``_sweep_result``.
     """
     start, largest, delta, caps = _instance_rounds(inst)
     r = inst.row_sums
-    n = inst.n
     if inst.variant == "min_remaining" and not feasible(inst):
         raise InfeasibleError(f"ceiling {inst.ceiling} cannot absorb row sums {r}")
-    over = f"tie enumeration passed {cap} distinct states"
-    states = 1  # the start profile
-    if states > cap:
-        raise BudgetExceededError(over)
-    level: dict[IntVector, tuple[tuple[int, ...], ...]] = {start: ()}
-    for need in r:
-        nxt: dict[IntVector, tuple[tuple[int, ...], ...]] = {}
-        for values, rows in level.items():
-            allowed = range(n)
-            if caps is not None:
-                # delta in {+1,-1} recovers per-column placements
-                allowed = [j for j in allowed if (values[j] - start[j]) * delta < caps[j]]
-            try:
-                forced, ties, k = _split_selection(values, need, largest, allowed)
-            except InfeasibleError:
-                continue  # this branch painted itself into a corner
-            taken = list(values)
-            for j in forced + ties:
-                taken[j] += delta
-            # Each child leaves one combination of the ties out.  Complements
-            # in lexicographic order are the picks in reverse lexicographic
-            # order; that order, pinned by the tests, decides the key order
-            # and which path's witness each profile keeps.
-            for out in combinations(ties, len(ties) - k):
-                child = taken.copy()
-                for j in out:
-                    child[j] -= delta
-                child = tuple(child)
-                if child not in nxt:
-                    states += 1
-                    if states > cap:
-                        raise BudgetExceededError(over)
-                    nxt[child] = rows + (tuple(forced + [j for j in ties if j not in out]),)
-        level = nxt
-    m = len(r)
-    results: dict[IntVector, Matrix] = {}
-    for values, rows in level.items():
-        a = bytearray(m * n)
-        for i, cols in enumerate(rows):
-            for j in cols:
-                a[i * n + j] = 1
-        results[values] = Cells(a, (m, n)).array()
-    return results
+    if cap < 1:  # the start profile alone passes it
+        raise BudgetExceededError(f"tie enumeration passed {cap} distinct states")
+    try:
+        keys, cells = _speedups.search_ties(start, r, largest, delta, caps, cap)
+    except ValueError:
+        m = len(r)
+        if _speedups.fits(min(start), max(start), m):
+            raise
+        packed = _rank_compressed(start, m)
+        moved, cells = _speedups.search_ties(packed, r, largest, delta, caps, cap)
+        keys = [tuple([s + v - p for s, v, p in zip(start, key, packed)]) for key in moved]
+    import numpy as np
+
+    witnesses = _frozen(np.frombuffer(cells, dtype=np.uint8).reshape(len(keys), len(r), inst.n))
+    return dict(zip(keys, witnesses))

@@ -2,7 +2,7 @@
 
 import random
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
@@ -12,7 +12,7 @@ from majpop._speedups import _MASK64
 from majpop.completion import Cells
 from majpop.errors import BudgetExceededError, InfeasibleError
 from majpop.majorization import IntVector
-from majpop.solvers import TiePolicy, _instance_rounds, _splitmix64, _split_selection, feasible
+from majpop.solvers import TiePolicy, _instance_rounds, _splitmix64, feasible
 
 
 def int_vectors(min_len=1, max_len=8, max_value=9):
@@ -122,6 +122,28 @@ class PartitionTable:
         if tuple(x) == tuple(y) or not majorized(x, y):
             return False
         return self.strictly_between_count(x, y) == 2
+
+
+def _split_selection(
+    values: Sequence[int], need: int, largest: bool, allowed: Sequence[int]
+) -> tuple[list[int], list[int], int]:
+    """Forced picks, tied candidates (index order), and how many ties to take."""
+    if need == 0:
+        return [], [], 0
+    if need > len(allowed):
+        raise InfeasibleError(
+            f"a row needs {need} columns but only {len(allowed)} remain below their caps"
+        )
+    thr = sorted([values[j] for j in allowed], reverse=largest)[need - 1]
+    forced = []
+    ties = []
+    for j in allowed:
+        v = values[j]
+        if v == thr:
+            ties.append(j)
+        elif (largest and v > thr) or (not largest and v < thr):
+            forced.append(j)
+    return forced, ties, need - len(forced)
 
 
 def reference_enumerate_optima(inst: Instance, cap: int = 1_000_000) -> dict:

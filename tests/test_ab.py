@@ -3,6 +3,7 @@
 import argparse
 import importlib.util
 import os
+import shutil
 
 import pytest
 
@@ -110,3 +111,32 @@ def test_traced_runs_are_summarised_apart():
     summary = ab.summarize(runs, BETTER, UNITS)
     assert set(summary) == {"desk", "desk traced"}
     assert summary["desk traced"]["op_median_ms"]["parent"]["median"] == 50
+
+
+def test_the_change_side_runs_the_tree_as_it_was_when_the_session_started(tmp_path, monkeypatch):
+    tree = tmp_path / "tree"
+    (tree / "src").mkdir(parents=True)
+    shutil.copy(os.path.join(ab.ROOT, "BENCHMARK.json"), tree)
+    source = tree / "src" / "_sweep.c"
+    source.write_text("before\n")
+    for skipped in (".git", ".perfbench", os.path.join("src", "__pycache__")):
+        (tree / skipped).mkdir()
+        (tree / skipped / "x").write_text("x")
+    seen = []
+
+    def run_once(root, side, workload, seed, trace, seconds, units):
+        if side == "change":
+            with open(os.path.join(root, "src", "_sweep.c")) as fh:
+                seen.append((root, fh.read(), sorted(os.listdir(root)), os.listdir(os.path.join(root, "src"))))
+            # An edit made while the session runs.
+            source.write_text("edited\n")
+        return {"side": side, "workload": workload, "seed": seed, "trace": trace, "returncode": 1, "error": "stub"}
+
+    monkeypatch.setattr(ab, "ROOT", str(tree))
+    monkeypatch.setattr(ab, "export", lambda rev, directory: "0" * 40)
+    monkeypatch.setattr(ab, "run_once", run_once)
+    out = tmp_path / "BENCH_x.json"
+    assert ab.main(["--parent", "HEAD", "--out", str(out), "--title", "t", "--seconds", "1", "desk:1-3"]) == 0
+    assert len(seen) == 3 and len({root for root, *_ in seen}) == 1 and seen[0][0] != str(tree)
+    assert [text for _, text, _, _ in seen] == ["before\n"] * 3
+    assert seen[0][2:] == (["BENCHMARK.json", "src"], ["_sweep.c"])

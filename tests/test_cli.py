@@ -184,6 +184,18 @@ def test_enumerate_over_budget_stops_early(tmp_path, capsys):
     assert err == "budget exceeded: tie enumeration passed 1000 distinct states\n"
 
 
+def test_enumerate_of_the_wide_instance_at_the_default_cap_prints_its_one_optimum(tmp_path, capsys):
+    # 705 434 distinct states in all, within the default 1 000 000: the first
+    # row's every tie resolution, and one profile after the second row.
+    path = write_instance(
+        tmp_path, "wide.json", {"variant": "min_combined", "row_sums": [11, 11], "base": [0] * 22}
+    )
+    code, out, err = run_cli(capsys, "enumerate", "--instance", path)
+    assert (code, err) == (0, "")
+    witness = [[0] * 11 + [1] * 11, [1] * 11 + [0] * 11]
+    assert json.loads(out) == {"count": 1, "optima": [{"matrix": witness, "objective": [1] * 22}]}
+
+
 def test_oracle_certify_command(tmp_path, capsys):
     path = write_instance(
         tmp_path,

@@ -1,7 +1,6 @@
 import copy
 import pickle
 import random
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -608,19 +607,21 @@ def test_enumerate_optima_budget():
 
 def test_enumerate_optima_cap_bounds_the_draws(monkeypatch):
     # 705 432 ways to fill the first row; the cap stops the search long before.
-    draws = 0
+    returned = []
+    search = _speedups._search
 
-    def counting(iterable, k):
-        nonlocal draws
-        for combo in combinations(iterable, k):
-            draws += 1
-            yield combo
+    def recording(*args):
+        returned.append(search(*args))
+        return returned[-1]
 
-    monkeypatch.setattr(solvers, "combinations", counting)
+    monkeypatch.setattr(_speedups, "_search", recording)
     inst = Instance("min_combined", (11, 11), base=(0,) * 22)
     with pytest.raises(BudgetExceededError) as info:
         enumerate_optima(inst, cap=1000)
     assert str(info.value) == "tie enumeration passed 1000 distinct states"
+    # The compiled search's budget stop, with the children it drew.
+    [(status, draws, _)] = returned
+    assert status == _speedups._BUDGET
     assert draws <= 1000
 
 
@@ -665,6 +666,29 @@ def test_enumerate_optima_matches_reference_order_and_witnesses():
             assert _enumeration_outcome(enumerate_optima, inst, cap) == want, (inst, cap)
             kinds.add(want[0] if isinstance(want, tuple) else "found")
     assert kinds == {"found", "BudgetExceededError", "InfeasibleError"}
+
+    B, top = 2**63, 2**64 - 1
+    edges = [
+        # Profiles past 2**63 and near 0, searched rank compressed; caps
+        # past 2**63, which never bind.
+        Instance("min_remaining", (2, 2), ceiling=(B + 5, 1, B + 5, 0, B + 5, 2)),
+        Instance("min_combined", (2, 1, 0), base=(top, 0, top, 1, 0)),
+        Instance("general_min", (1, 2), reference=(B, B, 3), ceiling=(top, 1, B)),
+        Instance("general_max", (2, 1, 1), base=(top - 3, 0, 0, top - 3), ceiling=(B, top, 1, 1)),
+        # Zero row sums.
+        Instance("min_combined", (0, 0, 2, 0), base=(1, 1, 1)),
+        Instance("general_min", (0, 0), reference=(3, 3), ceiling=(0, 0)),
+        # No rows.
+        Instance("min_remaining", (), ceiling=(4, 4)),
+        Instance("general_max", (), base=(B, 0), ceiling=(0, 0)),
+        insts[520],
+    ]
+    for inst in edges:
+        for cap in (1, 3, 50, 1_000_000, B, 2**64 + 7):
+            want = _enumeration_outcome(reference_enumerate_optima, inst, cap)
+            assert _enumeration_outcome(enumerate_optima, inst, cap) == want, (inst, cap)
+    assert min(len(enumerate_optima(inst)) for inst in edges[:2]) > 1
+    assert len(enumerate_optima(edges[-3])) == 1
 
 
 def test_general_min_reduces_to_peak_shave():

@@ -1,5 +1,6 @@
 """The compiled row sweep's loader, its binding and its argument checks."""
 
+import ctypes
 import json
 import os
 import shutil
@@ -65,9 +66,10 @@ def test_c_source_compiles_without_warnings():
 _SANITIZED_CALLS = """
 import sys
 import numpy as np
-from majpop import InfeasibleError, _speedups
+from majpop import BudgetExceededError, InfeasibleError, _speedups
 
-_speedups._kernel = _speedups._import(sys.argv[1])
+module = _speedups._import(sys.argv[1])
+_speedups._kernel, _speedups._search = module.solve, module.search
 refused = 0
 for start, rows, caps in (
     ([0, 1, 2, 3], [2, 5, 1], None),  # a row count above n
@@ -118,6 +120,43 @@ for trial in range(500):
                 pass
             calls += 1
 print(calls, "calls")
+
+# The tie search on the same kinds of input: refusals, budget stops at
+# every cap from 1 to 50, and searches capped and not, with stranded
+# branches among them.
+refused = 0
+for start, rows, caps in (
+    ([0, 1, 2, 3], [2, 5, 1], None),
+    ([0, 1, 2, 3], [2, 2, 1], [3, -1, 3, 3]),
+    ([0, 1, 2, 2**63 - 2], [2, 2, 1], None),
+    ([-(2**63) + 1, 1, 2, 3], [2, 2, 1], [3, 3, 3, 3]),
+    ([0, 2**63, 2, 3], [2, 2, 1], None),
+    ([0, 1, 2, 3], [2, 2, 1], [3, 3, 3]),
+):
+    try:
+        _speedups.search_ties(start, rows, True, -1, caps, 1000)
+    except ValueError:
+        refused += 1
+print(refused, "searches refused")
+
+stops = found = stranded = 0
+for trial in range(300):
+    n = int(rng.integers(1, 9))
+    m = int(rng.integers(0, 6))
+    start = [int(v) for v in rng.integers(0, 4, size=n)]
+    rows = [int(v) for v in rng.integers(0, n + 1, size=m)]
+    caps = None if trial % 2 else [int(v) for v in rng.integers(0, m + 1, size=n)]
+    for largest, delta in ((True, -1), (False, 1), (True, 1)):
+        for budget in (1 + trial % 50, 10**6):
+            try:
+                keys, cells = _speedups.search_ties(start, rows, largest, delta, caps, budget)
+            except BudgetExceededError:
+                stops += 1
+                continue
+            found += 1
+            stranded += not keys
+            assert len(cells) == len(keys) * m * n
+print(stops > 0, found > 0, stranded > 0, "searched")
 """
 
 
@@ -156,7 +195,9 @@ def test_sweep_is_clean_under_address_and_undefined_sanitizers(tmp_path):
         timeout=300,
     )
     assert run.returncode == 0, run.stderr[-4000:]
-    assert run.stdout.splitlines() == ["20 refused", "4 unconverted", "6000 calls"]
+    assert run.stdout.splitlines() == [
+        "20 refused", "4 unconverted", "6000 calls", "6 searches refused", "True True True searched"
+    ]
 
 
 def _majpop_process(tmp_path, pythonpath, env_extra, command, *options, main=("-m", "majpop.cli")):
@@ -245,7 +286,7 @@ def test_failed_build_keeps_what_needs_no_sweep(without_cc, tmp_path):
     assert run.stdout == normal.stdout
 
 
-def test_failed_build_fails_every_call_that_sweeps(monkeypatch):
+def test_failed_build_fails_every_call_that_sweeps(monkeypatch, without_cc):
     monkeypatch.setattr(_speedups, "_kernel", None)
     monkeypatch.setattr(_speedups, "BUILD_ERROR", "cannot run cc: not found")
     inst = majpop.Instance("min_remaining", (2, 1), ceiling=(3, 2, 1))
@@ -257,6 +298,7 @@ def test_failed_build_fails_every_call_that_sweeps(monkeypatch):
         lambda: majpop.min_combined_profile((3, 2, 1), (2, 1)),
         lambda: majpop.construct_matrix((2, 1), (1, 1, 1)),
         lambda: majpop.certify(inst),
+        lambda: majpop.enumerate_optima(inst),
     )
     for call in sweeping:
         with pytest.raises(_speedups.BuildError) as info:
@@ -264,8 +306,13 @@ def test_failed_build_fails_every_call_that_sweeps(monkeypatch):
         assert str(info.value) == "the compiled row sweep is unavailable: cannot run cc: not found"
     assert majpop.solvers.feasible(inst)
     assert majpop.conjugate((2, 1), 3) == (2, 1, 0)
-    assert list(majpop.enumerate_optima(inst)) == [(1, 1, 1)]
     assert majpop.meet((2, 1, 0), (1, 1, 1)) == (1, 1, 1)
+    run = without_cc("enumerate")
+    assert run.returncode == 3 and run.stdout == b""
+    err = run.stderr.decode()
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    assert err.startswith("internal error: BuildError(")
+    assert "the compiled row sweep is unavailable: cannot run cc" in err
 
 
 class _Loader:
@@ -318,7 +365,7 @@ def _plant(directory, dir_mode=0o700, file_mode=0o755):
 def test_loader_loads_a_private_library(tmp_path, monkeypatch):
     library = _plant(tmp_path / "cache")
     loader = _Loader(monkeypatch, tmp_path / "cache")
-    assert loader.load() is loader.module.solve
+    assert loader.load() is loader.module
     assert loader.loaded == [str(library)] and loader.built == []
 
 
@@ -371,8 +418,8 @@ def test_loader_rebuilds_a_library_it_cannot_load_once(tmp_path, monkeypatch):
 def test_loader_rebuilds_a_library_python_cannot_import(tmp_path, monkeypatch):
     library = _plant(tmp_path / "cache")
     monkeypatch.setattr(_speedups, "_cache_dirs", lambda: iter([str(tmp_path / "cache")]))
-    solve = _speedups._load()
-    assert solve(*[[3, 1], [1], None, True, -1, 0, 0]) == (0, (2, 1), bytearray(b"\x01\x00"))
+    module = _speedups._load()
+    assert module.solve(*[[3, 1], [1], None, True, -1, 0, 0]) == (0, (2, 1), bytearray(b"\x01\x00"))
     assert os.listdir(tmp_path / "cache") == [library.name]
 
 
@@ -518,3 +565,55 @@ def test_binding_keeps_no_memory_across_calls():
     finally:
         tracemalloc.stop()
     assert grown < 16 * 1024, grown
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [
+        (name, ctypes.c_size_t)
+        for name in ("arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")
+    ]
+
+
+def _malloc_in_use():
+    """Bytes glibc's malloc has handed out and not taken back, or None
+    without ``mallinfo2``.  The C search allocates with malloc, which
+    ``tracemalloc`` does not see."""
+    mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+    if mallinfo2 is None:
+        return None
+    mallinfo2.restype = _MallInfo2
+    info = mallinfo2()
+    return info.uordblks + info.hblkhd
+
+
+def test_search_keeps_no_memory_across_calls():
+    calls = (
+        ((3, 3, 3, 3), (2, 1, 2), None, 10**6),
+        ((0, 1, 1, 1, 0), (2, 2), (1, 2, 1, 2, 1), 10**6),
+        ((0, 0, 100), (1, 3), (2, 1, 1), 10**6),  # every branch stranded
+        ((4, 4, 4, 4, 4, 4), (3, 3), None, 5),  # the budget passed
+        ([0, B, 1], [1], None, 10),  # refused by the binding
+        ([0, 1, 2**63 - 1], [1, 1], None, 10),  # refused by the C search
+        ([0, 1, 2], [1, 1], [1, 1, 2.5], 10),  # TypeError
+    )
+
+    def run(rounds):
+        for _ in range(rounds):
+            for start, rows, caps, budget in calls:
+                try:
+                    _speedups.search_ties(start, rows, True, -1, caps, budget)
+                except (ValueError, TypeError, majpop.BudgetExceededError):
+                    pass
+
+    run(100)
+    tracemalloc.start()
+    try:
+        run(10)
+        before = tracemalloc.get_traced_memory()[0], _malloc_in_use()
+        run(20_000 // len(calls))
+        after = tracemalloc.get_traced_memory()[0], _malloc_in_use()
+    finally:
+        tracemalloc.stop()
+    assert after[0] - before[0] < 16 * 1024, after[0] - before[0]
+    if before[1] is not None:
+        assert after[1] - before[1] < 64 * 1024, after[1] - before[1]
