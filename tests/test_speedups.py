@@ -511,6 +511,9 @@ def test_binding_refusals_keep_their_text_and_order(case):
         with pytest.raises(ValueError) as info:
             _speedups.sweep(start, rows, True, -1, kind, 0, caps)
         assert str(info.value) == text
+    with pytest.raises(ValueError) as info:
+        _speedups.search_ties(start, rows, True, -1, caps, 1000)
+    assert str(info.value) == text
 
 
 def test_binding_raises_typeerror_for_an_entry_that_is_not_an_int():
