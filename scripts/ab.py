@@ -25,6 +25,12 @@ pairs, whether they are enough to cite (``resolved``: at least
 the number of pairs in which the change is better, and the ratio of the
 medians.  The file is rewritten after every pair, so an interrupted session
 keeps what it measured.
+
+A traced run leaves its spans and their summary in its side's
+``.perfbench/``, which goes with the temporary directory; they are moved
+to ``<out>.traces/pair<P>-<side>/`` beside the output file (``BENCH_x.traces``
+for ``BENCH_x.json``), and the run's entry names that directory, relative
+to the output file's, as ``traces``.
 """
 
 import argparse
@@ -131,6 +137,23 @@ def run_once(root, side, workload, seed, trace, seconds, units):
     return run
 
 
+def keep_traces(root, run, out):
+    """Move a traced run's ``trace-<workload>-seed<S>.spans.jsonl`` and
+    ``.summary.json`` out of ``root``'s ``.perfbench/`` into the run's
+    directory beside ``out``, so a later run of the same seed cannot leave
+    them standing for its own; returns that directory relative to
+    ``out``'s, or None when the run wrote neither."""
+    stem = os.path.join(root, ".perfbench", f"trace-{run['workload']}-seed{run['seed']}")
+    found = [stem + ext for ext in (".spans.jsonl", ".summary.json") if os.path.exists(stem + ext)]
+    if not found:
+        return None
+    kept = os.path.join(os.path.splitext(out)[0] + ".traces", f"pair{run['pair']}-{run['side']}")
+    os.makedirs(kept, exist_ok=True)
+    for path in found:
+        shutil.move(path, os.path.join(kept, os.path.basename(path)))
+    return os.path.relpath(kept, os.path.dirname(os.path.abspath(out)))
+
+
 def quartiles(values):
     if len(values) == 1:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
@@ -215,6 +238,8 @@ def main(argv=None):
                 for side in order:
                     run = run_once(roots[side], side, workload, seed, trace, args.seconds, units)
                     run["pair"] = pair
+                    if trace:
+                        run["traces"] = keep_traces(roots[side], run, args.out)
                     doc["runs"].append(run)
                     shown = run.get("metrics") or run["error"][-200:]
                     print(f"pair {pair} {workload} seed {seed}{' traced' if trace else ''} {side}: {shown}",

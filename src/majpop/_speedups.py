@@ -22,33 +22,46 @@ in an open-addressing hash table, with the first path that reached each.
 It is tested against the test suite's plain depth-first reference for
 the same keys, key order, witnesses and errors.
 
-``sweep`` and ``search_ties`` are the only callers of the C code, and this
-is the only module that knows its calling convention.  The sweep,
-``majpop_solve_rounds``, and the search, ``majpop_search_ties``, are bound
-to Python by ``_sweepmodule.c``, built with ``_sweep.c`` into one extension
-module with two functions.  Its ``solve`` takes the profile, the row sums
-and any caps as lists or tuples of Python ints, the side, the step, the
-policy code and the seed.  In one C call it converts the vectors to int64,
-allocates the zeroed ``bytearray`` matrix, runs every row and builds the
-final profile as a tuple; ``sweep`` takes the tie policy by name and
-returns that tuple together with the matrix as ``completion.Cells``, so no
-numpy, ctypes or ``array`` is involved.  Its ``search`` takes the same
-vectors and a budget, searches with the interpreter lock released, and
-returns the final profiles as tuples and their witnesses as one
-``bytes``.  The C code checks the row counts, the caps and the profile's
-distance from the int64 limits in one pass each, so no Python pass over a
-vector repeats it.  What it refuses comes back as a status that ``sweep``
-and ``search_ties`` map to their errors: ValueError for a refused input,
-InfeasibleError for a row stranded below the caps, BudgetExceededError
-for a search past its budget, MemoryError when the C code finds no
-memory.
+Both are compiled from one C source, ``_sweep.c``, which holds the
+sweep, the search and their CPython binding: one extension module whose
+two functions are ``sweep`` and ``search_ties`` here, so a solve calls
+into C with no Python frame between.  ``sweep(start, row_counts,
+take_largest, delta, policy, seed, caps=None)`` takes the profile, the row
+sums and any caps as lists or tuples of Python ints, ``take_largest`` to
+select the columns holding the largest values (else the smallest), the
+step delta (+1 or -1) each selected column moves by, a ``POLICIES`` name,
+and the seed (taken mod 2**64) of the splitmix64 stream for
+``uniform_random``.  Column j is taken in at most caps[j] rows, and each
+row selects among the columns still below their caps; caps of m or more
+never bind, so any size is accepted.  In one C call it converts the
+vectors to int64, allocates the zeroed ``bytearray`` matrix, runs every
+row, and returns the final profile as a tuple with the matrix as
+``completion.Cells``, so no numpy, ctypes or ``array`` is involved.
+``search_ties(start, row_counts, take_largest, delta, caps, budget)``
+takes the same vectors and a budget on the distinct states, the start
+profile and each row's distinct profiles; it searches with the
+interpreter lock released, and returns the final profiles as a tuple of
+tuples in the order first reached, and their witnesses, one m*n matrix
+per profile, row-major, as one ``bytes``: the picks of the first path
+that reached each profile.
 
-The first import compiles both C files with the system ``cc`` and the
+The C code checks the row counts, the caps and the profile's distance
+from the int64 limits in one pass each, so no Python pass over a vector
+repeats it, and raises every error itself.  ValueError names the first
+cause, in the order delta, the policy name, the profile, the row counts,
+the caps' length and the caps; an entry that is not an int raises
+TypeError.  A capped sweep's row that needs more columns than remain
+below their caps raises InfeasibleError, naming its need and its open
+column count.  A search past its budget raises BudgetExceededError,
+whose ``draws`` counts the children drawn before the stop.  MemoryError
+means the C code found no memory.
+
+The first import compiles ``_sweep.c`` with the system ``cc`` and the
 Python headers (``sysconfig``'s include directories) into
 ``majpop/__pycache__/``, or into a private per-user directory under the
 system temporary directory when that one is not writable, and loads the
 result with ``importlib.machinery.ExtensionFileLoader``.  The library's
-file name carries a checksum of the sources, the compile command and the
+file name carries a checksum of the source, the compile command and the
 platform, and ends in the interpreter's extension suffix, which names its
 ABI, so an edited source or another Python is rebuilt and later imports
 only load it.  A build removes the libraries earlier sources left beside
@@ -58,9 +71,9 @@ fails to import is rebuilt once.
 
 When the build or the load fails, the import still succeeds:
 ``KERNEL_AVAILABLE`` is False, ``BUILD_ERROR`` holds the reason (the
-compiler's own error text, say), and every call to ``sweep`` or
-``search_ties`` raises ``BuildError`` with that reason.  There is no other
-sweep or search to fall back on.
+compiler's own error text, say), and ``sweep`` and ``search_ties`` are
+both ``_unavailable``, which raises ``BuildError`` with that reason.
+There is no other sweep or search to fall back on.
 """
 
 import os
@@ -69,19 +82,20 @@ import sys
 import zlib
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 
-from ._cells import Cells
-from .errors import BudgetExceededError, InfeasibleError
-
-# Tie policy name -> the code ``_sweep.c`` takes; ``solvers.TIE_KINDS`` is its keys.
-POLICIES = {"lowest_index": 0, "highest_index": 1, "load_order": 2, "uniform_random": 3}
+# The tie policies, numbered for ``_sweep.c`` by their place here; also
+# ``solvers.TIE_KINDS``.
+POLICIES = ("lowest_index", "highest_index", "load_order", "uniform_random")
 
 _DIRECTORY = os.path.dirname(os.path.abspath(__file__))
-# The sweep, and the binding that converts its inputs and builds its outputs.
-_SOURCES = tuple(os.path.join(_DIRECTORY, name) for name in ("_sweep.c", "_sweepmodule.c"))
+# The sweep, the tie search and their binding.
+_SOURCES = (os.path.join(_DIRECTORY, "_sweep.c"),)
 # No flag that changes arithmetic: the output must match the reference sweep.
-# ``_build`` adds the Python include directories.
-_COMPILE = ("cc", "-O2", "-shared", "-fPIC")
-# The module's name; ``_sweepmodule.c`` defines ``PyInit__sweep`` to match.
+# Functions start on a cache line, so the speed of the hot loops does not
+# hang on where an edit elsewhere in the file moves them (a ``load_order``
+# sweep has read 10-20% apart between two such layouts).  ``_build`` adds
+# the Python include directories.
+_COMPILE = ("cc", "-O2", "-falign-functions=64", "-shared", "-fPIC")
+# The module's name; ``_sweep.c`` defines ``PyInit__sweep`` to match.
 _MODULE = "majpop._sweep"
 _PREFIX = "_sweep-"
 
@@ -89,23 +103,6 @@ _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 # Also the splitmix64 word mask in ``solvers`` and the largest entry the CLI accepts.
 _MASK64 = (1 << 64) - 1
-
-# The binding's statuses: a stranded row (``solve``), the budget passed
-# (``search``), the values ``_sweep.c`` refuses before writing anything,
-# the entries ``_sweepmodule.c`` cannot convert, and no scratch memory.
-_STRANDED = 1
-_BUDGET = 9
-_NO_MEMORY = -1
-_REFUSED = {
-    2: "row counts must lie in [0, {n}]",
-    3: "caps must be nonnegative",
-    4: "values too close to the int64 limits for this many rows",
-    5: "values must lie within the int64 range",
-    6: "row counts must lie within the int64 range",
-    7: "caps must have {n} entries, not {caps}",
-    8: "caps must lie within the int64 range",
-}
-
 
 class BuildError(RuntimeError):
     """The compiled row sweep could not be built or loaded."""
@@ -235,17 +232,21 @@ def _load():
     raise BuildError("no usable cache directory: " + "; ".join(unusable))
 
 
+def _unavailable(*args):
+    """``sweep`` and ``search_ties`` where the build failed."""
+    raise BuildError(f"the compiled row sweep is unavailable: {BUILD_ERROR}")
+
+
 BUILD_ERROR = None
 try:
     _module = _load()
-except Exception as exc:  # reported by ``sweep``, so what needs no sweep still works
-    _module = None
+except Exception as exc:  # raised by every call, so what needs no sweep still works
     BUILD_ERROR = str(exc) or repr(exc)
-# The module's two functions; ``_kernel`` is None exactly when the build failed.
-_kernel = getattr(_module, "solve", None)
-_search = getattr(_module, "search", None)
-KERNEL_AVAILABLE = _kernel is not None
-del _module
+    sweep = search_ties = _unavailable
+else:
+    sweep, search_ties = _module.sweep, _module.search_ties
+    del _module
+KERNEL_AVAILABLE = BUILD_ERROR is None
 
 
 def fits(low: int, high: int, m: int) -> bool:
@@ -255,82 +256,3 @@ def fits(low: int, high: int, m: int) -> bool:
     for which this is false; callers rank compress them first.
     """
     return _INT64_MIN + m <= low and high <= _INT64_MAX - m
-
-
-def sweep(start, row_counts, take_largest, delta, policy, seed, caps=None):
-    """Run every row compiled; returns the final profile (a tuple) and the matrix.
-
-    start: the starting profile, n Python ints within ``fits`` for m rows.
-    row_counts: the m units to place per row, each in [0, n].
-    take_largest: select columns holding the largest values (else smallest).
-    delta: +1 or -1 applied to each selected column.
-    policy: a ``POLICIES`` name; seed (taken mod 2**64) feeds the splitmix64
-    stream for ``uniform_random``.
-    caps: None, or n nonnegative ints; column j is taken in at most caps[j]
-    rows, and each row selects among the columns still below their caps.
-    Caps of m or more never bind, so any size is accepted.  A row that
-    needs more columns than remain below their caps raises InfeasibleError
-    naming its need and its open column count.
-
-    start, row_counts and caps are lists or tuples.  The profile comes back
-    as a tuple of ints and the matrix as ``completion.Cells`` over the m*n
-    bytes the C code wrote, both built by the C call.  Delta and the policy
-    are checked here; the C code converts each vector to int64 and checks
-    the row counts, the caps' length and signs and the start profile's
-    distance from the int64 limits before it writes anything, so no vector
-    is walked in Python.  What it refuses raises ValueError here, naming
-    the first cause in that order; an entry that is not an int raises
-    TypeError.  Where the build failed, every call raises BuildError naming
-    ``BUILD_ERROR``.
-    """
-    if _kernel is None:
-        raise BuildError(f"the compiled row sweep is unavailable: {BUILD_ERROR}")
-    if delta not in (1, -1):
-        raise ValueError(f"delta must be +1 or -1, not {delta!r}")
-    code = POLICIES.get(policy)
-    if code is None:
-        raise ValueError(f"unknown tie policy {policy!r}")
-    status, values, matrix = _kernel(start, row_counts, caps, take_largest, delta, code, seed)
-    if status:
-        if status == _STRANDED:
-            # The other two slots hold the stranded row's need and open count.
-            raise InfeasibleError(
-                f"a row needs {values} columns but only {matrix} remain below their caps"
-            )
-        n = len(start)
-        if status == _NO_MEMORY:
-            raise MemoryError(f"no memory for the sweep's scratch buffers ({5 * n + 8} int64)")
-        raise ValueError(_REFUSED[status].format(n=n, caps=len(caps or ())))
-    return values, Cells(matrix, (len(row_counts), len(start)))
-
-
-def search_ties(start, row_counts, take_largest, delta, caps, budget):
-    """Resolve every row's ties in every way; returns the final profiles and
-    their witnesses.
-
-    start, row_counts, take_largest, delta and caps are as for ``sweep``.
-    Each row selects as the sweep does, among the columns still below their
-    caps, and the search branches over every choice among the columns at
-    the threshold; a branch that strands a row ends.  budget bounds the
-    distinct states, the start profile and each row's distinct profiles;
-    once they pass it, BudgetExceededError is raised.
-
-    Returns the final profiles, a tuple of tuples in the order first
-    reached, and ``bytes`` holding one m*n witness matrix per profile,
-    row-major, in the same order: the picks of the first path that reached
-    the profile.  Refusals raise as ``sweep``'s do, and where the build
-    failed, BuildError.
-    """
-    if _kernel is None:
-        raise BuildError(f"the compiled row sweep is unavailable: {BUILD_ERROR}")
-    if delta not in (1, -1):
-        raise ValueError(f"delta must be +1 or -1, not {delta!r}")
-    status, keys, cells = _search(start, row_counts, caps, take_largest, delta, budget)
-    if status:
-        if status == _BUDGET:
-            raise BudgetExceededError(f"tie enumeration passed {budget} distinct states")
-        n = len(start)
-        if status == _NO_MEMORY:
-            raise MemoryError("no memory for the tie search")
-        raise ValueError(_REFUSED[status].format(n=n, caps=len(caps or ())))
-    return keys, cells

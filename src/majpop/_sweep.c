@@ -1,5 +1,8 @@
-/* Compiled row sweep for the peak-shaving and valley-filling solvers, and
- * the tie search that enumerates their optima.
+/* The compiled row sweep of the peak-shaving and valley-filling solvers,
+ * the tie search that enumerates their optima, and their CPython binding:
+ * the extension module majpop._sweep, which _speedups builds from this
+ * file alone, and whose two functions are _speedups.sweep and
+ * _speedups.search_ties.
  *
  * The columns are sorted once, better value first and then by index, and
  * the sweep keeps that order from row to row.  Row i reads its threshold at
@@ -15,55 +18,32 @@
  * With column caps, the order holds the open columns alone: a column that
  * reaches its cap leaves it, so each row selects among its open columns, in
  * index order, as the reference's _split_selection does over ``allowed``.
- * A row that needs more columns than are open strands the sweep: the
- * function reports the row and its open count and returns 1.
+ * A row that needs more columns than are open strands the sweep.
  *
- * There are two entry points.  majpop_solve_rounds runs the sweep; it
- * takes the sizes, the side, the step and the policy code in one int64
- * frame and writes a stranded row back into it.  majpop_search_ties, at
- * the end of this file, resolves every row's ties in every way, breadth
- * first over the rows, for solvers.enumerate_optima; it takes a budget in
- * the same frame.  Their one caller is _sweepmodule.c, the CPython binding
- * built with this file into the extension module that _speedups loads;
- * this file includes no Python header.  The binding converts the Python
- * vectors into the int64 buffers and allocates the sweep's matrix;
- * _speedups checks that delta is +1 or -1 and the policy code is one
- * below.  The row counts, caps and values are checked here,
- * in one pass each before anything is written: 0 <= row_counts[i] <= n,
- * 0 <= caps[j], and no value can leave the int64 range over m rows.  The
- * Python callers make no such pass of their own; only when this code
- * refuses an input do they rerun their checks, to name the cause.
+ * run_rows is the sweep and search_rows, after it, the tie search; both
+ * take plain C arguments.  The binding, at the end of this file, converts
+ * the Python vectors into int64 buffers and checks them in one pass each
+ * before anything is written: 0 <= row_counts[i] <= n, 0 <= caps[j], and
+ * no value can leave the int64 range over m rows.  It runs the sweep or
+ * the search with the interpreter lock released, and raises every error
+ * itself, with the text the Python callers show.  They make no pass of
+ * their own; only when this code refuses an input do they rerun their
+ * checks, to name the cause.
  */
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+
+#include <limits.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
+/* The tie policies, numbered as their names stand in _speedups.POLICIES. */
 #define POLICY_LOWEST 0
 #define POLICY_HIGHEST 1
 #define POLICY_LOAD_ORDER 2
 #define POLICY_RANDOM 3
-
-#define STATUS_BAD_ROW_COUNT 2
-#define STATUS_NEGATIVE_CAP 3
-#define STATUS_VALUE_RANGE 4
-/* majpop_search_ties: the distinct states passed the budget. */
-#define STATUS_BUDGET 9
-
-/* The slots of majpop_solve_rounds' frame: read on the way in, and the
- * last two written on the way out when a row is stranded. */
-#define FRAME_N 0
-#define FRAME_M 1
-#define FRAME_TAKE_LARGEST 2
-#define FRAME_DELTA 3
-#define FRAME_POLICY 4
-#define FRAME_STRANDED_ROW 5
-#define FRAME_STRANDED_OPEN 6
-/* majpop_search_ties reads slots 0-3 as above, the budget in 4, and
- * writes its counts to 5 and 6. */
-#define FRAME_CAP 4
-#define FRAME_COUNT 5
-#define FRAME_DRAWS 6
 
 /* Inlined into each caller: the per-row helpers, and the sweep into its
  * two specialised copies. */
@@ -337,9 +317,23 @@ INLINE void pick(int64_t *order, int64_t s, int64_t t, int64_t k, int policy,
     }
 }
 
-/* The sweep itself.  capped is a constant at both calls in
- * majpop_solve_rounds, so each call compiles to its own loop and the
- * uncapped one carries no cap test.
+/* Run all rows on inputs check_inputs passed; returns 0, 1 when a row is
+ * stranded below the caps, or -1 when there is no scratch memory.
+ *
+ * values: int64[n] running profile, modified in place.
+ * row_counts: int64[m] units to place per row.
+ * matrix: uint8[m, n] output, zero-initialized by the caller.
+ * take_largest: select the columns holding the largest values, else the
+ *     smallest; delta (+1 or -1) is applied to each selected column.
+ * policy: a POLICY_* code; seed feeds the splitmix64 stream for
+ *     POLICY_RANDOM.
+ * caps: int64[n] most units each column may take over the sweep, or NULL.
+ * stranded: on return 1, the stranded row's need and how many columns
+ *     were still open in it.  Rows before it are written to values and
+ *     matrix; it and the rows after it are not.
+ * capped: whether caps is given, a constant at both calls in the binding,
+ *     so each call compiles to its own loop and the uncapped one carries
+ *     no cap test.
  *
  * order[lo..n) holds the open columns, larger key first, equal keys by
  * index, and level[u] is the current key of column order[u] (key_of its
@@ -390,7 +384,7 @@ INLINE int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
         if (need == 0)
             continue;
         if (need > n - lo) {
-            stranded[0] = i;
+            stranded[0] = need;
             stranded[1] = n - lo;
             status = 1;
             break;
@@ -514,65 +508,9 @@ INLINE int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
     return status;
 }
 
-/* The checks both entry points make before they write anything: returns
- * 0, or STATUS_BAD_ROW_COUNT when a row count lies outside [0, n],
- * STATUS_NEGATIVE_CAP when a cap is negative (caps may be NULL), or
- * STATUS_VALUE_RANGE when a value lies within m of an int64 limit, where m
- * unit steps could take it out of range. */
-static int check_inputs(const int64_t *values, const int64_t *row_counts,
-                        const int64_t *caps, int64_t n, int64_t m)
-{
-    int64_t i;
-    /* Read as unsigned, a negative count exceeds every n. */
-    for (i = 0; i < m; i++)
-        if ((uint64_t)row_counts[i] > (uint64_t)n)
-            return STATUS_BAD_ROW_COUNT;
-    if (caps != NULL)
-        for (i = 0; i < n; i++)
-            if (caps[i] < 0)
-                return STATUS_NEGATIVE_CAP;
-    for (i = 0; i < n; i++)
-        if (values[i] < INT64_MIN + m || values[i] > INT64_MAX - m)
-            return STATUS_VALUE_RANGE;
-    return 0;
-}
-
-/* Run all rows in place; returns 0 on success, 1 when a row is stranded
- * below the caps, -1 when scratch memory cannot be allocated, and, with
- * nothing written, a check_inputs status.
- *
- * values: int64[n] running profile, modified in place.
- * row_counts: int64[m] units to place per row.
- * matrix: uint8[m, n] output, zero-initialized by the caller.
- * caps: int64[n] most units each column may take over the sweep, or NULL
- *     for no caps.
- * frame: int64[7], the FRAME_* slots.  In: n, m, take_largest (select
- *     columns holding the largest values, else the smallest), delta (+1 or
- *     -1, applied to each selected column) and the POLICY_* code.  Out, on
- *     status 1: the stranded row's index and how many columns were still
- *     open in it.  Rows before it are written to values and matrix; it and
- *     the rows after it are not.
- * seed: feeds the splitmix64 stream for POLICY_RANDOM.
- */
-int majpop_solve_rounds(int64_t *values, const int64_t *row_counts, uint8_t *matrix,
-                        const int64_t *caps, int64_t *frame, uint64_t seed)
-{
-    int64_t n = frame[FRAME_N], m = frame[FRAME_M], delta = frame[FRAME_DELTA];
-    int take_largest = frame[FRAME_TAKE_LARGEST] != 0, policy = (int)frame[FRAME_POLICY];
-    int64_t *stranded = frame + FRAME_STRANDED_ROW;
-    int status = check_inputs(values, row_counts, caps, n, m);
-    if (status != 0)
-        return status;
-    if (caps == NULL)
-        return run_rows(values, n, row_counts, m, matrix, take_largest, delta,
-                        policy, seed, NULL, stranded, 0);
-    return run_rows(values, n, row_counts, m, matrix, take_largest, delta,
-                    policy, seed, caps, stranded, 1);
-}
-
 /* ---- Tie enumeration ----
  *
- * majpop_search_ties resolves every row's ties in every way, breadth first
+ * search_rows resolves every row's ties in every way, breadth first
  * over the rows.  Each level holds the distinct running profiles (the
  * keys) in the order they were first reached, with an open-addressing
  * table over the level's keys; a state keeps the first path that reached
@@ -619,21 +557,20 @@ static int64_t clear_table(int64_t **table, int64_t *room, int64_t want)
     return size - 1;
 }
 
-/* Resolve every row's ties in every way; returns 0, STATUS_BUDGET when the
- * distinct states (the start profile and each level's profiles) pass the
- * budget, -1 when memory runs out, or a check_inputs status, with nothing
- * allocated.
+/* Resolve every row's ties in every way, on inputs check_inputs passed;
+ * returns 0, 1 when the distinct states (the start profile and each
+ * level's profiles) pass the budget, or -1 when memory runs out.
  *
  * start: int64[n] starting profile.
  * row_counts: int64[m] units to place per row.
  * caps: int64[n] most units each column may take over the rows, or NULL.
- * frame: int64[7], the FRAME_* slots.  In: n, m, take_largest, delta (+1
- *     or -1) and, in FRAME_CAP, the budget.  Out: in FRAME_COUNT the final
- *     profiles found, and in FRAME_DRAWS the children drawn, every one a
- *     row's tie resolution, new or not.
- * keys, cells: on status 0, set to malloc'd buffers the caller frees: the
- *     final profiles, count * n, in the order first reached, and one
- *     witness matrix per profile, count * m * n bytes, row-major.
+ * take_largest and delta: as for run_rows.
+ * draws: on return 1, the children drawn, every one a row's tie
+ *     resolution, new or not.
+ * count, keys, cells: on return 0, the number of final profiles, and
+ *     malloc'd buffers the caller frees: the profiles, count * n, in the
+ *     order first reached, and one witness matrix per profile,
+ *     count * m * n bytes, row-major.
  *
  * Each state selects as the sweep does, among its open columns (those
  * below their caps): the need-th best value is the threshold, every open
@@ -642,12 +579,10 @@ static int64_t clear_table(int64_t **table, int64_t *room, int64_t want)
  * children leave out each combination of the ties it does not need, in
  * lexicographic order of the left-out columns (itertools.combinations
  * order), which fixes the key order and each key's witness. */
-int majpop_search_ties(const int64_t *start, const int64_t *row_counts, const int64_t *caps,
-                       int64_t *frame, int64_t **keys, uint8_t **cells)
+static int search_rows(const int64_t *start, int64_t n, const int64_t *row_counts, int64_t m,
+                       const int64_t *caps, int take_largest, int64_t delta, int64_t budget,
+                       int64_t *draws_out, int64_t *count_out, int64_t **keys, uint8_t **cells)
 {
-    int64_t n = frame[FRAME_N], m = frame[FRAME_M], delta = frame[FRAME_DELTA];
-    int64_t budget = frame[FRAME_CAP];
-    int take_largest = frame[FRAME_TAKE_LARGEST] != 0;
     /* Two levels of keys and their hashes, the table over the next one,
      * and for every state since the start, numbered in the order reached:
      * its parent's number and its row's picks, as n bytes of 0 and 1.
@@ -660,13 +595,11 @@ int majpop_search_ties(const int64_t *start, const int64_t *row_counts, const in
     int64_t count = 1, cur_room = 1, next_room = 0, table_room = 0, history_room = 1;
     int64_t base = 0, states = 1, draws = 0;
     int64_t i, j, u;
-    int status = check_inputs(start, row_counts, caps, n, m);
+    int status;
 
-    if (status != 0)
-        return status;
-    frame[FRAME_COUNT] = frame[FRAME_DRAWS] = 0;
+    *draws_out = 0;
     if (states > budget)
-        return STATUS_BUDGET;
+        return 1;
     /* The open columns' values, forced, ties, taken and combo, and each
      * tie's hash change. */
     work = resized(NULL, 6 * n, sizeof *work);
@@ -798,8 +731,8 @@ int majpop_search_ties(const int64_t *start, const int64_t *row_counts, const in
                         row[ties[combo[x]]] = 0;
                     next_count++;
                     if (++states > budget) {
-                        frame[FRAME_DRAWS] = draws;
-                        status = STATUS_BUDGET;
+                        *draws_out = draws;
+                        status = 1;
                         goto done;
                     }
                     if (2 * next_count > mask + 1) {
@@ -851,8 +784,7 @@ int majpop_search_ties(const int64_t *start, const int64_t *row_counts, const in
             id = parent[id];
         }
     }
-    frame[FRAME_COUNT] = count;
-    frame[FRAME_DRAWS] = draws;
+    *count_out = count;
     *keys = cur;
     *cells = out;
     cur = NULL;
@@ -868,4 +800,399 @@ done:
     free(picks);
     free(work);
     return status;
+}
+
+/* ---- The CPython binding ----
+ *
+ * sweep(values, row_counts, take_largest, delta, policy, seed[, caps])
+ * and search_ties(values, row_counts, take_largest, delta, caps, budget)
+ * take the profile, the row counts and the caps (or None) as lists or
+ * tuples of ints.  Each checks delta (and sweep the policy name), converts
+ * the vectors to int64, checks them with check_inputs, and runs run_rows
+ * or search_rows with the interpreter lock released.
+ *
+ * The entries are converted in order (the profile, the row counts, the
+ * caps' length, the caps) and the first refusal raises, so the error
+ * names the first cause.  A cap above the int64 range never binds, and
+ * becomes m; a budget above it becomes the largest int64, and one below
+ * it 0.  An entry that is not an int raises TypeError.  The seed is taken
+ * mod 2**64. */
+
+/* From majpop.errors, majpop._cells and majpop._speedups, set at import. */
+static PyObject *infeasible_error, *budget_error, *cells_type, *policy_names;
+
+/* Convert the first n entries of the list or tuple seq into out.  Returns
+ * 0, or -1 with an exception set: ValueError(refusal) for an entry outside
+ * the int64 range.  With clamp >= 0, an entry above the range becomes
+ * clamp instead.  An entry that is not an exact int runs its own
+ * __index__, which may change a list, so each entry is looked up afresh
+ * and held while it converts. */
+static int convert(PyObject *seq, int64_t *out, Py_ssize_t n, int64_t clamp, const char *refusal)
+{
+    Py_ssize_t i;
+    for (i = 0; i < n; i++) {
+        PyObject *item;
+        long long v;
+        int overflow;
+        if (i >= PySequence_Fast_GET_SIZE(seq)) {
+            PyErr_SetString(PyExc_RuntimeError, "sequence changed size during conversion");
+            return -1;
+        }
+        item = PySequence_Fast_GET_ITEM(seq, i);
+        Py_INCREF(item);
+        v = PyLong_AsLongLongAndOverflow(item, &overflow);
+        Py_DECREF(item);
+        if (overflow > 0 && clamp >= 0) {
+            v = clamp;
+        } else if (overflow) {
+            PyErr_SetString(PyExc_ValueError, refusal);
+            return -1;
+        } else if (v == -1 && PyErr_Occurred()) {
+            return -1;
+        }
+        out[i] = v;
+    }
+    return 0;
+}
+
+/* The checks made before anything is written, in one pass each, with
+ * ValueError for the first refused: a row count outside [0, n], a negative
+ * cap (caps may be NULL), or a value within m of an int64 limit, where m
+ * unit steps could take it out of range.  Returns 0 or -1. */
+static int check_inputs(const int64_t *values, const int64_t *row_counts,
+                        const int64_t *caps, int64_t n, int64_t m)
+{
+    int64_t i;
+    /* Read as unsigned, a negative count exceeds every n. */
+    for (i = 0; i < m; i++)
+        if ((uint64_t)row_counts[i] > (uint64_t)n) {
+            PyErr_Format(PyExc_ValueError, "row counts must lie in [0, %lld]", (long long)n);
+            return -1;
+        }
+    if (caps != NULL)
+        for (i = 0; i < n; i++)
+            if (caps[i] < 0) {
+                PyErr_SetString(PyExc_ValueError, "caps must be nonnegative");
+                return -1;
+            }
+    for (i = 0; i < n; i++)
+        if (values[i] < INT64_MIN + m || values[i] > INT64_MAX - m) {
+            PyErr_SetString(PyExc_ValueError,
+                            "values too close to the int64 limits for this many rows");
+            return -1;
+        }
+    return 0;
+}
+
+/* The profile, row counts and caps of one call, as sequences and as int64
+ * buffers: values[n], rows[m], and caps[n] or NULL. */
+struct inputs {
+    PyObject *values_seq, *rows_seq, *caps_seq;
+    int64_t *buffer, *values, *rows, *caps;
+    Py_ssize_t n, m;
+};
+
+/* Convert and check the profile, the row counts and the caps (or None)
+ * into in.  Returns 0, or -1 with an exception set; release(in) either
+ * way. */
+static int load(PyObject *values, PyObject *rows, PyObject *caps, struct inputs *in)
+{
+    in->values_seq = PySequence_Fast(values, "the profile must be a sequence");
+    if (in->values_seq == NULL)
+        return -1;
+    in->rows_seq = PySequence_Fast(rows, "the row counts must be a sequence");
+    if (in->rows_seq == NULL)
+        return -1;
+    if (caps != Py_None) {
+        in->caps_seq = PySequence_Fast(caps, "the caps must be a sequence");
+        if (in->caps_seq == NULL)
+            return -1;
+    }
+    in->n = PySequence_Fast_GET_SIZE(in->values_seq);
+    in->m = PySequence_Fast_GET_SIZE(in->rows_seq);
+    in->buffer = PyMem_New(int64_t, (size_t)in->n * (in->caps_seq == NULL ? 1 : 2) + (size_t)in->m);
+    if (in->buffer == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    in->values = in->buffer;
+    in->rows = in->buffer + in->n;
+
+    if (convert(in->values_seq, in->values, in->n, -1, "values must lie within the int64 range") < 0 ||
+        convert(in->rows_seq, in->rows, in->m, -1, "row counts must lie within the int64 range") < 0)
+        return -1;
+    if (in->caps_seq != NULL) {
+        in->caps = in->rows + in->m;
+        if (PySequence_Fast_GET_SIZE(in->caps_seq) != in->n) {
+            PyErr_Format(PyExc_ValueError, "caps must have %zd entries, not %zd", in->n,
+                         PySequence_Fast_GET_SIZE(in->caps_seq));
+            return -1;
+        }
+        if (convert(in->caps_seq, in->caps, in->n, in->m, "caps must lie within the int64 range") < 0)
+            return -1;
+    }
+    return check_inputs(in->values, in->rows, in->caps, in->n, in->m);
+}
+
+static void release(struct inputs *in)
+{
+    Py_XDECREF(in->values_seq);
+    Py_XDECREF(in->rows_seq);
+    Py_XDECREF(in->caps_seq);
+    PyMem_Free(in->buffer);
+}
+
+/* delta as +1 or -1, or 0 with an exception set. */
+static int64_t step_of(PyObject *delta)
+{
+    if (PyIndex_Check(delta)) {
+        int overflow;
+        long long d = PyLong_AsLongLongAndOverflow(delta, &overflow);
+        if (d == -1 && PyErr_Occurred())
+            return 0;
+        if (!overflow && (d == 1 || d == -1))
+            return d;
+    }
+    PyErr_Format(PyExc_ValueError, "delta must be +1 or -1, not %R", delta);
+    return 0;
+}
+
+/* The POLICY_* code of a policy name, its index in policy_names, or -1
+ * with an exception set. */
+static int policy_code(PyObject *policy)
+{
+    Py_ssize_t code;
+    for (code = 0; code < PyTuple_GET_SIZE(policy_names); code++) {
+        int same = PyObject_RichCompareBool(PyTuple_GET_ITEM(policy_names, code), policy, Py_EQ);
+        if (same != 0)
+            return same < 0 ? -1 : (int)code;
+    }
+    PyErr_Format(PyExc_ValueError, "unknown tie policy %R", policy);
+    return -1;
+}
+
+static PyObject *sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    struct inputs in = {0};
+    PyObject *matrix = NULL, *profile = NULL, *cells = NULL, *result = NULL;
+    int64_t stranded[2], delta;
+    uint8_t *bytes;
+    Py_ssize_t n, m, j;
+    uint64_t seed;
+    int take_largest, policy, status;
+
+    (void)module;
+    if (nargs != 6 && nargs != 7) {
+        PyErr_Format(PyExc_TypeError, "sweep takes 6 or 7 arguments, not %zd", nargs);
+        return NULL;
+    }
+    delta = step_of(args[3]);
+    if (delta == 0)
+        return NULL;
+    policy = policy_code(args[4]);
+    if (policy < 0)
+        return NULL;
+    take_largest = PyObject_IsTrue(args[2]);
+    if (take_largest < 0)
+        return NULL;
+    seed = PyLong_AsUnsignedLongLongMask(args[5]);
+    if (seed == (uint64_t)-1 && PyErr_Occurred())
+        return NULL;
+    if (load(args[0], args[1], nargs == 7 ? args[6] : Py_None, &in) < 0)
+        goto done;
+    n = in.n;
+    m = in.m;
+
+    if (n > 0 && m > PY_SSIZE_T_MAX / n) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    matrix = PyByteArray_FromStringAndSize(NULL, m * n);
+    if (matrix == NULL)
+        goto done;
+    bytes = (uint8_t *)PyByteArray_AS_STRING(matrix);
+    memset(bytes, 0, (size_t)(m * n));
+    Py_BEGIN_ALLOW_THREADS
+    if (in.caps == NULL)
+        status = run_rows(in.values, n, in.rows, m, bytes, take_largest, delta, policy, seed,
+                          NULL, stranded, 0);
+    else
+        status = run_rows(in.values, n, in.rows, m, bytes, take_largest, delta, policy, seed,
+                          in.caps, stranded, 1);
+    Py_END_ALLOW_THREADS
+    if (status > 0) {
+        PyErr_Format(infeasible_error, "a row needs %lld columns but only %lld remain below their caps",
+                     (long long)stranded[0], (long long)stranded[1]);
+        goto done;
+    }
+    if (status < 0) {
+        PyErr_Format(PyExc_MemoryError, "no memory for the sweep's scratch buffers (%lld int64)",
+                     (long long)(5 * n + 8));
+        goto done;
+    }
+
+    profile = PyTuple_New(n);
+    if (profile == NULL)
+        goto done;
+    for (j = 0; j < n; j++) {
+        PyObject *v = PyLong_FromLongLong(in.values[j]);
+        if (v == NULL)
+            goto done;
+        PyTuple_SET_ITEM(profile, j, v);
+    }
+    cells = PyObject_CallFunction(cells_type, "O(nn)", matrix, m, n);
+    if (cells != NULL)
+        result = PyTuple_Pack(2, profile, cells);
+
+done:
+    Py_XDECREF(cells);
+    Py_XDECREF(profile);
+    Py_XDECREF(matrix);
+    release(&in);
+    return result;
+}
+
+/* keys[count * n] as a tuple of count tuples of n ints. */
+static PyObject *key_tuples(const int64_t *keys, int64_t count, Py_ssize_t n)
+{
+    PyObject *all = PyTuple_New((Py_ssize_t)count);
+    Py_ssize_t s, j;
+    if (all == NULL)
+        return NULL;
+    for (s = 0; s < count; s++) {
+        PyObject *key = PyTuple_New(n);
+        if (key == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(all, s, key);
+        for (j = 0; j < n; j++) {
+            PyObject *v = PyLong_FromLongLong(keys[s * n + j]);
+            if (v == NULL)
+                goto fail;
+            PyTuple_SET_ITEM(key, j, v);
+        }
+    }
+    return all;
+fail:
+    Py_DECREF(all);
+    return NULL;
+}
+
+/* Raise BudgetExceededError for a search past budget, the caller's int,
+ * with the children it drew as the error's draws. */
+static void over_budget(PyObject *budget, int64_t draws)
+{
+    PyObject *text, *error, *drawn;
+    text = PyUnicode_FromFormat("tie enumeration passed %S distinct states", budget);
+    if (text == NULL)
+        return;
+    error = PyObject_CallOneArg(budget_error, text);
+    Py_DECREF(text);
+    if (error == NULL)
+        return;
+    drawn = PyLong_FromLongLong(draws);
+    if (drawn != NULL && PyObject_SetAttrString(error, "draws", drawn) == 0)
+        PyErr_SetObject(budget_error, error);
+    Py_XDECREF(drawn);
+    Py_DECREF(error);
+}
+
+static PyObject *search_ties(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    struct inputs in = {0};
+    PyObject *keys = NULL, *cells = NULL, *result = NULL;
+    int64_t *found = NULL, delta, draws, count = 0;
+    uint8_t *witnesses = NULL;
+    long long budget;
+    int take_largest, status, overflow;
+
+    (void)module;
+    if (nargs != 6) {
+        PyErr_Format(PyExc_TypeError, "search_ties takes 6 arguments, not %zd", nargs);
+        return NULL;
+    }
+    delta = step_of(args[3]);
+    if (delta == 0)
+        return NULL;
+    take_largest = PyObject_IsTrue(args[2]);
+    if (take_largest < 0)
+        return NULL;
+    budget = PyLong_AsLongLongAndOverflow(args[5], &overflow);
+    if (budget == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow)
+        budget = overflow > 0 ? LLONG_MAX : 0;
+    if (load(args[0], args[1], args[4], &in) < 0)
+        goto done;
+    Py_BEGIN_ALLOW_THREADS
+    status = search_rows(in.values, in.n, in.rows, in.m, in.caps, take_largest, delta, budget,
+                         &draws, &count, &found, &witnesses);
+    Py_END_ALLOW_THREADS
+    if (status > 0) {
+        over_budget(args[5], draws);
+        goto done;
+    }
+    if (status < 0) {
+        PyErr_SetString(PyExc_MemoryError, "no memory for the tie search");
+        goto done;
+    }
+    keys = key_tuples(found, count, in.n);
+    if (keys == NULL)
+        goto done;
+    cells = PyBytes_FromStringAndSize((const char *)witnesses, (Py_ssize_t)(count * in.m * in.n));
+    if (cells != NULL)
+        result = PyTuple_Pack(2, keys, cells);
+
+done:
+    Py_XDECREF(keys);
+    Py_XDECREF(cells);
+    free(found);
+    free(witnesses);
+    release(&in);
+    return result;
+}
+
+static PyMethodDef methods[] = {
+    {"sweep", (PyCFunction)(void (*)(void))sweep, METH_FASTCALL,
+     "sweep(start, row_counts, take_largest, delta, policy, seed, caps=None)\n"
+     "--\n\n"
+     "Run every row; returns the final profile, a tuple, and the matrix, as\n"
+     "completion.Cells."},
+    {"search_ties", (PyCFunction)(void (*)(void))search_ties, METH_FASTCALL,
+     "search_ties(start, row_counts, take_largest, delta, caps, budget)\n"
+     "--\n\n"
+     "Resolve every row's ties in every way; returns the final profiles, a\n"
+     "tuple of tuples in the order first reached, and their witness\n"
+     "matrices, row-major, as one bytes."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef sweep_module = {
+    PyModuleDef_HEAD_INIT, "majpop._sweep", "The compiled row sweep and tie search.", -1, methods,
+    NULL, NULL, NULL, NULL,
+};
+
+/* *out = module.name, a new reference.  Returns 0, or -1 with an
+ * exception set. */
+static int imported(const char *module, const char *name, PyObject **out)
+{
+    PyObject *from = PyImport_ImportModule(module);
+    if (from == NULL)
+        return -1;
+    *out = PyObject_GetAttrString(from, name);
+    Py_DECREF(from);
+    return *out == NULL ? -1 : 0;
+}
+
+PyMODINIT_FUNC PyInit__sweep(void)
+{
+    if (imported("majpop.errors", "InfeasibleError", &infeasible_error) < 0 ||
+        imported("majpop.errors", "BudgetExceededError", &budget_error) < 0 ||
+        imported("majpop._cells", "Cells", &cells_type) < 0 ||
+        imported("majpop._speedups", "POLICIES", &policy_names) < 0)
+        return NULL;
+    if (!PyTuple_Check(policy_names) || PyTuple_GET_SIZE(policy_names) != 4) {
+        PyErr_SetString(PyExc_TypeError, "_speedups.POLICIES must be a tuple of 4 names");
+        return NULL;
+    }
+    return PyModule_Create(&sweep_module);
 }

@@ -15,7 +15,10 @@ class InfeasibleError(Exception):
 
 
 class BudgetExceededError(Exception):
-    """An enumeration grew past its configured cap or scale budget."""
+    """An enumeration grew past its configured cap or scale budget.
+
+    Raised by the compiled tie search, it carries ``draws``: the children
+    the search drew before it stopped."""
 
 
 class InternalInvariantError(RuntimeError):

@@ -18,23 +18,22 @@ policy reaches an optimum; the policies below pick *which* optimum:
     so traces reproduce exactly across platforms.
 
 Every sweep, capped or not and whatever its size, runs through the compiled
-C sweep (built from ``_sweep.c`` and its CPython binding on first import):
-``_sweep_result`` hands the profile, the row sums, the policy's name and
-seed and any column caps to ``_speedups.sweep``, which alone knows the C
-calling convention.  One C call converts them, sweeps, and returns the
-final profile as the tuple that becomes the objective.  The C code's first
-pass checks the row sums and the profile's distance from the int64
-limits, so the solvers make no pass of their own; only when it
-refuses an input do they rerun their checks, in their old order: a row
-above n raises the error that names it, and a profile near the int64
-limits is rank compressed and swept again.  The C sweep sorts the
-columns once and carries that order from row to row, so each row sorts
-only its threshold block: O(n log n + sum of r_i + t_i), with t_i the
-columns in the blocks row i touches.  There is no other sweep: where the
-build failed, every call that sweeps raises ``_speedups.BuildError``.
-The C code writes the matrix into a ``bytearray``, handed back as
-``Cells``, so a solve imports no numpy: ``SolveResult.matrix`` builds the
-numpy array on first access.  Nor does a solve import
+C sweep (built from ``_sweep.c`` on first import): ``_sweep_result`` hands
+the profile, the row sums, the policy's name and seed and any column caps
+to ``_speedups.sweep``, the extension's own function.  One C call converts
+them, sweeps, and returns the final profile as the tuple that becomes the
+objective.  The C code's first pass checks the row sums and the profile's
+distance from the int64 limits, so the solvers make no pass of their own;
+only when it refuses an input does ``_retried`` rerun their checks, in
+their old order: a row above n raises the error that names it, and a
+profile near the int64 limits is rank compressed and swept again.  The C
+sweep sorts the columns once and carries that order from row to row, so
+each row sorts only its threshold block: O(n log n + sum of r_i + t_i),
+with t_i the columns in the blocks row i touches.  There is no other
+sweep: where the build failed, every call that sweeps raises
+``_speedups.BuildError``.  The C code writes the matrix into a
+``bytearray``, handed back as ``Cells``, so a solve imports no numpy:
+``SolveResult.matrix`` builds the numpy array on first access.  Nor does a solve import
 :mod:`majpop.completion`: only ``feasible`` and ``min_remaining_profile``
 need it, and they import it when they run.  They import the module, not
 a name from it: ``from .completion import name`` in a function costs
@@ -43,7 +42,7 @@ that is not a package.
 
 Resolving every row's ties in every way, row by row, enumerates the full
 set of optimal objective vectors; see :func:`enumerate_optima`.  That
-search runs compiled too, as the extension's second function, through
+search runs compiled too, as the extension's second function,
 ``_speedups.search_ties``: like every sweep it raises
 ``_speedups.BuildError`` where the build failed.
 """
@@ -69,7 +68,7 @@ _SWEEPS = {
 
 VARIANTS = tuple(_SWEEPS)
 
-TIE_KINDS = tuple(_speedups.POLICIES)
+TIE_KINDS = _speedups.POLICIES
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -248,6 +247,30 @@ def _rank_compressed(start: IntVector, m: int) -> list[int]:
     return [ranks[s] for s in start]
 
 
+def _retried(refusal: ValueError, call, start: IntVector, r: IntVector, *args) -> tuple:
+    """``call(start, r, *args)`` again, after the compiled sweep or tie
+    search refused its inputs with ``refusal``; returns the call's result
+    and the shift that moves the profiles it returns back, one offset per
+    column.
+
+    Nothing is checked before the first call, whose first pass checks the
+    row sums and the profile.  Only when it refuses them do the checks run
+    here, in their old order: a row above n raises the InfeasibleError that
+    names it, and a profile within m of an int64 limit is passed rank
+    compressed, since values m + 1 or more apart compare alike through m
+    rows.  Any other refusal is raised again."""
+    _check_rows(r, len(start))
+    m = len(r)
+    if _speedups.fits(min(start), max(start), m):
+        raise refusal
+    packed = _rank_compressed(start, m)
+    return call(packed, r, *args), [s - p for s, p in zip(start, packed)]
+
+
+def _shifted(profile: IntVector, shift: list[int]) -> IntVector:
+    return tuple([v + d for v, d in zip(profile, shift)])
+
+
 def _sweep_result(
     start: IntVector,
     r: IntVector,
@@ -256,25 +279,15 @@ def _sweep_result(
     policy: TiePolicy,
     caps: Optional[IntVector] = None,
 ) -> SolveResult:
-    """Sweep the rows; a negative entry certifies infeasibility.
-
-    Nothing is checked before the compiled sweep, whose first pass checks
-    the row sums and the profile.  Only when it refuses them do the checks
-    run here, in their old order: a row above n raises the InfeasibleError
-    that names it, and a profile within m of an int64 limit is swept rank
-    compressed and moved back after, since values m + 1 or more apart
-    compare alike through m rows.  Without the compiled sweep it raises
-    ``_speedups.BuildError``."""
+    """Sweep the rows; a negative entry certifies infeasibility.  Without
+    the compiled sweep it raises ``_speedups.BuildError``."""
     try:
         objective, a = _speedups.sweep(start, r, largest, delta, policy.kind, policy.seed, caps)
-    except ValueError:
-        _check_rows(r, len(start))
-        m = len(r)
-        if _speedups.fits(min(start), max(start), m):
-            raise
-        packed = _rank_compressed(start, m)
-        moved, a = _speedups.sweep(packed, r, largest, delta, policy.kind, policy.seed, caps)
-        objective = tuple([s + v - p for s, v, p in zip(start, moved, packed)])
+    except ValueError as refusal:
+        (objective, a), shift = _retried(
+            refusal, _speedups.sweep, start, r, largest, delta, policy.kind, policy.seed, caps
+        )
+        objective = _shifted(objective, shift)
     canonical = sort_desc(objective)
     return SolveResult(a, objective, canonical, delta > 0 or canonical[-1] >= 0)
 
@@ -341,10 +354,9 @@ def solve(inst: Instance, policy: TiePolicy = LOWEST_INDEX) -> SolveResult:
     value, and a sweep can stop on an instance that a different row order
     would complete.  The uncapped variants carry none of these caveats.
     """
-    start, cap, largest, delta = _SWEEPS[inst.variant]
-    caps = None if cap is None else getattr(inst, cap)
+    start, largest, delta, caps = _rounds(inst)
     try:
-        return _sweep_result(getattr(inst, start), inst.row_sums, largest, delta, policy, caps)
+        return _sweep_result(start, inst.row_sums, largest, delta, policy, caps)
     except InfeasibleError as exc:
         # A row above n is named as such; only a capped sweep can strand a
         # row that fits.
@@ -352,11 +364,16 @@ def solve(inst: Instance, policy: TiePolicy = LOWEST_INDEX) -> SolveResult:
         raise InfeasibleError(f"variant {inst.variant}: {exc}") from None
 
 
-def _instance_rounds(inst: Instance) -> tuple[IntVector, bool, int, Optional[IntVector]]:
-    """Start profile, side, step and caps of the instance's sweep; checks the rows."""
-    _check_rows(inst.row_sums, inst.n)
+def _rounds(inst: Instance) -> tuple[IntVector, bool, int, Optional[IntVector]]:
+    """Start profile, side, step and caps of the instance's sweep."""
     start, cap, largest, delta = _SWEEPS[inst.variant]
     return getattr(inst, start), largest, delta, None if cap is None else getattr(inst, cap)
+
+
+def _instance_rounds(inst: Instance) -> tuple[IntVector, bool, int, Optional[IntVector]]:
+    """``_rounds``, once the rows are checked."""
+    _check_rows(inst.row_sums, inst.n)
+    return _rounds(inst)
 
 
 def feasible(inst: Instance) -> bool:
@@ -390,8 +407,9 @@ def enumerate_optima(inst: Instance, cap: int = 1_000_000) -> dict[IntVector, Ma
 
     The search runs compiled (``_speedups.search_ties``), so without the
     build it raises ``_speedups.BuildError``.  A profile within m of an
-    int64 limit is searched rank compressed and its keys moved back, as in
-    ``_sweep_result``.
+    int64 limit is searched rank compressed and its keys moved back, as
+    every sweep is (``_retried``).  A search stopped by ``cap`` raises
+    ``BudgetExceededError`` with ``draws``, the children it drew.
     """
     start, largest, delta, caps = _instance_rounds(inst)
     r = inst.row_sums
@@ -401,13 +419,9 @@ def enumerate_optima(inst: Instance, cap: int = 1_000_000) -> dict[IntVector, Ma
         raise BudgetExceededError(f"tie enumeration passed {cap} distinct states")
     try:
         keys, cells = _speedups.search_ties(start, r, largest, delta, caps, cap)
-    except ValueError:
-        m = len(r)
-        if _speedups.fits(min(start), max(start), m):
-            raise
-        packed = _rank_compressed(start, m)
-        moved, cells = _speedups.search_ties(packed, r, largest, delta, caps, cap)
-        keys = [tuple([s + v - p for s, v, p in zip(start, key, packed)]) for key in moved]
+    except ValueError as refusal:
+        (keys, cells), shift = _retried(refusal, _speedups.search_ties, start, r, largest, delta, caps, cap)
+        keys = [_shifted(key, shift) for key in keys]
     import numpy as np
 
     witnesses = _frozen(np.frombuffer(cells, dtype=np.uint8).reshape(len(keys), len(r), inst.n))

@@ -2,6 +2,7 @@
 
 import argparse
 import importlib.util
+import json
 import os
 import shutil
 
@@ -140,3 +141,34 @@ def test_the_change_side_runs_the_tree_as_it_was_when_the_session_started(tmp_pa
     assert len(seen) == 3 and len({root for root, *_ in seen}) == 1 and seen[0][0] != str(tree)
     assert [text for _, text, _, _ in seen] == ["before\n"] * 3
     assert seen[0][2:] == (["BENCHMARK.json", "src"], ["_sweep.c"])
+
+
+def test_traced_runs_keep_their_spans_beside_the_output(tmp_path, monkeypatch):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    shutil.copy(os.path.join(ab.ROOT, "BENCHMARK.json"), tree)
+
+    def run_once(root, side, workload, seed, trace, seconds, units):
+        if trace:
+            stem = os.path.join(root, ".perfbench", f"trace-{workload}-seed{seed}")
+            os.makedirs(os.path.dirname(stem), exist_ok=True)
+            for ext in (".spans.jsonl", ".summary.json"):
+                with open(stem + ext, "w") as fh:
+                    fh.write(f"{side} {seed}{ext}\n")
+        return {"side": side, "workload": workload, "seed": seed, "trace": trace, "returncode": 1, "error": "stub"}
+
+    monkeypatch.setattr(ab, "ROOT", str(tree))
+    monkeypatch.setattr(ab, "export", lambda rev, directory: "0" * 40)
+    monkeypatch.setattr(ab, "run_once", run_once)
+    out = tmp_path / "BENCH_x.json"
+    argv = ["--parent", "HEAD", "--out", str(out), "--title", "t", "--seconds", "1", "desk:1", "desk:4-5:trace"]
+    assert ab.main(argv) == 0
+    runs = json.loads(out.read_text())["runs"]
+    assert "traces" not in runs[0] and "traces" not in runs[1]
+    for run in runs[2:]:
+        kept = tmp_path / run["traces"]
+        assert run["traces"] == os.path.join("BENCH_x.traces", f"pair{run['pair']}-{run['side']}")
+        stem = f"trace-desk-seed{run['seed']}"
+        assert sorted(os.listdir(kept)) == [stem + ".spans.jsonl", stem + ".summary.json"]
+        assert (kept / (stem + ".summary.json")).read_text() == f"{run['side']} {run['seed']}.summary.json\n"
+    assert len({run["traces"] for run in runs[2:]}) == 4

@@ -53,11 +53,9 @@ def test_wrapper_accepts_its_own_example():
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
 def test_c_source_compiles_without_warnings():
     cmd = ["cc", "-fsyntax-only", "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror"]
-    sweep, binding = _speedups._SOURCES
-    # The sweep needs no Python headers; the binding is checked against them.
-    for args in ([sweep], [*_speedups._include_flags(), binding]):
-        proc = subprocess.run([*cmd, *args], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+    cmd += [*_speedups._include_flags(), *_speedups._SOURCES]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # Drives the extension module built at argv[1] through ``sweep``: inputs the
@@ -69,7 +67,7 @@ import numpy as np
 from majpop import BudgetExceededError, InfeasibleError, _speedups
 
 module = _speedups._import(sys.argv[1])
-_speedups._kernel, _speedups._search = module.solve, module.search
+_speedups.sweep, _speedups.search_ties = module.sweep, module.search_ties
 refused = 0
 for start, rows, caps in (
     ([0, 1, 2, 3], [2, 5, 1], None),  # a row count above n
@@ -263,7 +261,7 @@ def test_missing_python_headers_fail_the_build_with_the_compilers_text(tmp_path,
     with pytest.raises(_speedups.BuildError) as info:
         _speedups._build(str(cache / _speedups._library_name()))
     text = str(info.value)
-    assert text.startswith("cc failed on _sweep.c _sweepmodule.c with status ")
+    assert text.startswith("cc failed on _sweep.c with status ")
     assert "Python.h" in text.split("\n", 2)[2]  # the compiler's own message
     # A failed build leaves no temporary file and removes nothing.
     assert os.listdir(cache) == [planted.name]
@@ -275,7 +273,7 @@ def test_missing_python_headers_fail_the_build_with_the_compilers_text(tmp_path,
     err = run.stderr.decode()
     assert err.endswith("\n") and err.count("\n") == 1, err
     assert err.startswith("internal error: BuildError(")
-    assert "the compiled row sweep is unavailable: cc failed on _sweep.c _sweepmodule.c" in err
+    assert "the compiled row sweep is unavailable: cc failed on _sweep.c with status" in err
     assert "Python.h" in err
 
 
@@ -287,7 +285,8 @@ def test_failed_build_keeps_what_needs_no_sweep(without_cc, tmp_path):
 
 
 def test_failed_build_fails_every_call_that_sweeps(monkeypatch, without_cc):
-    monkeypatch.setattr(_speedups, "_kernel", None)
+    monkeypatch.setattr(_speedups, "sweep", _speedups._unavailable)
+    monkeypatch.setattr(_speedups, "search_ties", _speedups._unavailable)
     monkeypatch.setattr(_speedups, "BUILD_ERROR", "cannot run cc: not found")
     inst = majpop.Instance("min_remaining", (2, 1), ceiling=(3, 2, 1))
     sweeping = (
@@ -322,7 +321,7 @@ class _Loader:
 
     def __init__(self, monkeypatch, directory, load_errors=0):
         self.built, self.loaded = [], []
-        self.module = types.SimpleNamespace(solve=lambda *args: None)
+        self.module = types.SimpleNamespace(sweep=lambda *args: None)
         loader = self
 
         def build(path):
@@ -419,7 +418,8 @@ def test_loader_rebuilds_a_library_python_cannot_import(tmp_path, monkeypatch):
     library = _plant(tmp_path / "cache")
     monkeypatch.setattr(_speedups, "_cache_dirs", lambda: iter([str(tmp_path / "cache")]))
     module = _speedups._load()
-    assert module.solve(*[[3, 1], [1], None, True, -1, 0, 0]) == (0, (2, 1), bytearray(b"\x01\x00"))
+    values, cells = module.sweep([3, 1], [1], True, -1, "lowest_index", 0)
+    assert (values, cells.shape, cells.data) == ((2, 1), (1, 2), bytearray(b"\x01\x00"))
     assert os.listdir(tmp_path / "cache") == [library.name]
 
 
@@ -440,6 +440,14 @@ def test_a_build_removes_the_libraries_older_sources_left(tmp_path):
     _speedups._build(str(cache / name))
     assert sorted(os.listdir(cache)) == sorted([name, target.name, *kept])
     assert target.exists()
+
+
+def test_package_data_ships_the_sources_the_build_compiles():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml")
+    with open(pyproject, "rb") as fh:
+        shipped = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["majpop"]
+    assert shipped == [os.path.basename(source) for source in _speedups._SOURCES]
 
 
 B = 2**63
