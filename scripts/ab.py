@@ -26,6 +26,16 @@ the number of pairs in which the change is better, and the ratio of the
 medians.  The file is rewritten after every pair, so an interrupted session
 keeps what it measured.
 
+Each untraced ``cli-large`` run is followed, in its side's place in the
+pair order, by ``BARE_STARTS`` timed starts of a bare interpreter
+(``sys.executable -c pass``, spawned and reaped as ``perfbench/spawn.py``
+times a ``majpop solve`` process); the run records their median as
+``bare_interpreter_ms``.  That part of an operation is interpreter
+start-up, which the library cannot change, so the summary shows it
+beside the total: ``bare_interpreter_ms`` and ``library_ms``
+(``op_median_ms`` less the run's baseline) get entries of their own,
+with quartiles, wins and ratio like every metric.
+
 A traced run leaves its spans and their summary in its side's
 ``.perfbench/``, which goes with the temporary directory; they are moved
 to ``<out>.traces/pair<P>-<side>/`` beside the output file (``BENCH_x.traces``
@@ -42,12 +52,16 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Fewest pairs a summary entry rests on before its figures may be cited: three
 # traced pairs have moved per-layer figures by 8-47% on unchanged code.
 RESOLVED_PAIRS = 10
+
+# Bare-interpreter starts timed after each untraced cli-large run.
+BARE_STARTS = 20
 
 
 def parse_spec(text):
@@ -137,6 +151,19 @@ def run_once(root, side, workload, seed, trace, seconds, units):
     return run
 
 
+def bare_interpreter_ms(starts=BARE_STARTS):
+    """Median wall time, in ms, of ``starts`` runs of ``sys.executable -c
+    pass``, each timed from spawn until it is reaped."""
+    argv = [sys.executable, "-c", "pass"]
+    times = []
+    for _ in range(starts):
+        t0 = time.perf_counter_ns()
+        pid = os.posix_spawn(argv[0], argv, os.environ)
+        os.waitpid(pid, 0)
+        times.append((time.perf_counter_ns() - t0) / 1e6)
+    return round(statistics.median(times), 3)
+
+
 def keep_traces(root, run, out):
     """Move a traced run's ``trace-<workload>-seed<S>.spans.jsonl`` and
     ``.summary.json`` out of ``root``'s ``.perfbench/`` into the run's
@@ -161,6 +188,22 @@ def quartiles(values):
     return {"median": round(med, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
 
+def compared(values, unit, lower):
+    """One metric's entry from its values per side, pair by pair: the
+    quartiles on each side, the pairs in which the change is better, and
+    the ratio of the medians."""
+    sides = ("parent", "change")
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
+    med = {s: statistics.median(values[s]) for s in sides}
+    return {
+        "unit": unit,
+        "better": "lower" if lower else "higher",
+        **{s: quartiles(values[s]) for s in sides},
+        "change_better_in_pairs": wins,
+        "change_over_parent": round(med["change"] / med["parent"], 3) if med["parent"] else None,
+    }
+
+
 def summarize(runs, better, units):
     groups = {}
     for run in runs:
@@ -183,16 +226,16 @@ def summarize(runs, better, units):
             if not both:
                 continue
             values = {s: [p[s]["metrics"][name] for p in both] for s in sides}
-            lower = better.get(name, "lower") == "lower"
-            wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
-            med = {s: statistics.median(values[s]) for s in sides}
-            entry[name] = {
-                "unit": units[name],
-                "better": "lower" if lower else "higher",
-                **{s: quartiles(values[s]) for s in sides},
-                "change_better_in_pairs": wins,
-                "change_over_parent": round(med["change"] / med["parent"], 3) if med["parent"] else None,
-            }
+            entry[name] = compared(values, units[name], better.get(name, "lower") == "lower")
+        based = [
+            p for p in done
+            if all("bare_interpreter_ms" in p[s] and "op_median_ms" in p[s]["metrics"] for s in sides)
+        ]
+        if based:
+            bare = {s: [p[s]["bare_interpreter_ms"] for p in based] for s in sides}
+            library = {s: [p[s]["metrics"]["op_median_ms"] - p[s]["bare_interpreter_ms"] for p in based] for s in sides}
+            entry["bare_interpreter_ms"] = compared(bare, "ms", True)
+            entry["library_ms"] = compared(library, "ms", True)
         summary[key] = entry
     return summary
 
@@ -220,7 +263,9 @@ def main(argv=None):
             "scripts/ab.py: the parent exported with git archive into a temporary directory, the change "
             "a copy of the working tree made there when the session started; parent and change run in pairs on the same seed, one after the other, and "
             "the side that runs first alternates from pair to pair (even pairs: parent first); traced runs "
-            "(--trace 1) are summarised apart; every run made is listed, failed ones included"
+            "(--trace 1) are summarised apart; every untraced cli-large run is followed by "
+            f"{BARE_STARTS} timed starts of a bare interpreter (sys.executable -c pass), whose median "
+            "it records as bare_interpreter_ms; every run made is listed, failed ones included"
         ),
         "summary": {},
         "runs": [],
@@ -238,6 +283,8 @@ def main(argv=None):
                 for side in order:
                     run = run_once(roots[side], side, workload, seed, trace, args.seconds, units)
                     run["pair"] = pair
+                    if workload == "cli-large" and not trace and "metrics" in run:
+                        run["bare_interpreter_ms"] = bare_interpreter_ms()
                     if trace:
                         run["traces"] = keep_traces(roots[side], run, args.out)
                     doc["runs"].append(run)

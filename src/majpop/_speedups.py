@@ -34,9 +34,13 @@ and the seed (taken mod 2**64) of the splitmix64 stream for
 ``uniform_random``.  Column j is taken in at most caps[j] rows, and each
 row selects among the columns still below their caps; caps of m or more
 never bind, so any size is accepted.  In one C call it converts the
-vectors to int64, allocates the zeroed ``bytearray`` matrix, runs every
-row, and returns the final profile as a tuple with the matrix as
-``completion.Cells``, so no numpy, ctypes or ``array`` is involved.
+vectors to int64, allocates the zeroed matrix as a ``bytes``, runs every
+row, and returns the finished ``SolveResult`` (``majpop._cells``, which
+``solvers`` re-exports): the final profile as the objective, its
+nonincreasing form, read off the column order the sweep carries,
+``feasible`` (``delta > 0`` or no entry below 0), and the matrix as
+``Cells``.  The record and its ``Cells`` are allocated and filled in C,
+with no Python code run, and no numpy, ctypes or ``array`` is involved.
 ``search_ties(start, row_counts, take_largest, delta, caps, budget)``
 takes the same vectors and a budget on the distinct states, the start
 profile and each row's distinct profiles; it searches with the

@@ -20,6 +20,11 @@
  * index order, as the reference's _split_selection does over ``allowed``.
  * A row that needs more columns than are open strands the sweep.
  *
+ * The order also gives the final profile sorted: the open columns stand in
+ * it by final value, and a capped sweep's closed columns, which left it,
+ * are sorted apart and merged in (rank_columns), in O(n + c log c) for c
+ * closed columns.
+ *
  * run_rows is the sweep and search_rows, after it, the tie search; both
  * take plain C arguments.  The binding, at the end of this file, converts
  * the Python vectors into int64 buffers and checks them in one pass each
@@ -28,11 +33,16 @@
  * the search with the interpreter lock released, and raises every error
  * itself, with the text the Python callers show.  They make no pass of
  * their own; only when this code refuses an input do they rerun their
- * checks, to name the cause.
+ * checks, to name the cause.  A sweep returns the finished
+ * majpop._cells.SolveResult, its Cells and both objective tuples built
+ * here (finished), so no Python code runs between the solver's call and
+ * its result.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+/* PyMemberDef, whose offsets locate the slots of Cells. */
+#include <structmember.h>
 
 #include <limits.h>
 #include <stdint.h>
@@ -317,6 +327,32 @@ INLINE void pick(int64_t *order, int64_t s, int64_t t, int64_t k, int policy,
     }
 }
 
+/* The columns by final value, largest first, into ranked[0..n), once the
+ * sweep has run: the open columns, order[lo..n) with their keys in
+ * level[lo..n), already stand in key order; the closed ones, those at
+ * their caps (caps may be NULL only when lo is 0), are sorted by key into
+ * order[0..lo) and merged in.  A larger key is a larger value when the
+ * sweep takes the largest values, else a smaller one, so that order is
+ * written from the back.  key and tmp are scratch of n slots. */
+static void rank_columns(int64_t *ranked, const int64_t *values, int64_t n, int64_t *order,
+                         int64_t *level, int64_t lo, const int64_t *placed, const int64_t *caps,
+                         int take_largest, int64_t *key, int64_t *tmp)
+{
+    int64_t j, u, x = 0, y = lo, c = 0;
+    for (j = 0; j < n && c < lo; j++)
+        if (placed[j] >= caps[j]) {
+            order[c++] = j;
+            key[j] = key_of(values[j], take_largest);
+        }
+    sort_by_key(order, lo, tmp, key);
+    for (u = 0; u < lo; u++)
+        level[u] = key[order[u]];
+    for (u = 0; u < n; u++) {
+        j = y == n || (x < lo && level[x] >= level[y]) ? order[x++] : order[y++];
+        ranked[take_largest ? u : n - 1 - u] = j;
+    }
+}
+
 /* Run all rows on inputs check_inputs passed; returns 0, 1 when a row is
  * stranded below the caps, or -1 when there is no scratch memory.
  *
@@ -346,14 +382,14 @@ INLINE void pick(int64_t *order, int64_t s, int64_t t, int64_t k, int policy,
 INLINE int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
                     int64_t m, uint8_t *matrix, int take_largest,
                     int64_t delta, int policy, uint64_t seed,
-                    const int64_t *caps, int64_t *stranded, const int capped)
+                    const int64_t *caps, int64_t *stranded, int64_t *ranked, const int capped)
 {
     int64_t *work, *placed, *order, *level, *a, *b;
     int64_t step = take_largest ? delta : -delta, lo, i, j, u;
     uint64_t state = seed;
     int status = 0;
 
-    if (n <= 0 || m <= 0)
+    if (n <= 0)
         return 0;
     work = calloc((size_t)n * 5 + 8, sizeof *work);
     if (work == NULL)
@@ -504,6 +540,8 @@ INLINE int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
     }
     for (u = lo; u < n; u++)
         values[order[u]] = key_of(level[u], take_largest);
+    if (status == 0)
+        rank_columns(ranked, values, n, order, level, lo, placed, caps, take_largest, b, a);
     free(work);
     return status;
 }
@@ -809,7 +847,9 @@ done:
  * take the profile, the row counts and the caps (or None) as lists or
  * tuples of ints.  Each checks delta (and sweep the policy name), converts
  * the vectors to int64, checks them with check_inputs, and runs run_rows
- * or search_rows with the interpreter lock released.
+ * or search_rows with the interpreter lock released.  sweep returns a
+ * SolveResult, built by finished; search_ties, the final profiles and
+ * their witnesses.
  *
  * The entries are converted in order (the profile, the row counts, the
  * caps' length, the caps) and the first refusal raises, so the error
@@ -818,8 +858,13 @@ done:
  * it 0.  An entry that is not an int raises TypeError.  The seed is taken
  * mod 2**64. */
 
-/* From majpop.errors, majpop._cells and majpop._speedups, set at import. */
-static PyObject *infeasible_error, *budget_error, *cells_type, *policy_names;
+/* From majpop.errors, majpop._cells and majpop._speedups, set at import:
+ * the two errors, the Cells and SolveResult classes, and the policy names.
+ * Also set there: the offsets of Cells' three slots, and SolveResult's
+ * field names in its __init__'s order, interned. */
+static PyObject *infeasible_error, *budget_error, *cells_type, *result_type, *policy_names;
+static Py_ssize_t data_slot, shape_slot, array_slot;
+static PyObject *field_names[4];
 
 /* Convert the first n entries of the list or tuple seq into out.  Returns
  * 0, or -1 with an exception set: ValueError(refusal) for an entry outside
@@ -885,17 +930,18 @@ static int check_inputs(const int64_t *values, const int64_t *row_counts,
 }
 
 /* The profile, row counts and caps of one call, as sequences and as int64
- * buffers: values[n], rows[m], and caps[n] or NULL. */
+ * buffers: values[n], rows[m], and caps[n] or NULL; and, for a sweep,
+ * ranked[n], its columns by final value. */
 struct inputs {
     PyObject *values_seq, *rows_seq, *caps_seq;
-    int64_t *buffer, *values, *rows, *caps;
+    int64_t *buffer, *values, *rows, *caps, *ranked;
     Py_ssize_t n, m;
 };
 
 /* Convert and check the profile, the row counts and the caps (or None)
- * into in.  Returns 0, or -1 with an exception set; release(in) either
- * way. */
-static int load(PyObject *values, PyObject *rows, PyObject *caps, struct inputs *in)
+ * into in, with room for ranked when with_ranked is set.  Returns 0, or
+ * -1 with an exception set; release(in) either way. */
+static int load(PyObject *values, PyObject *rows, PyObject *caps, int with_ranked, struct inputs *in)
 {
     in->values_seq = PySequence_Fast(values, "the profile must be a sequence");
     if (in->values_seq == NULL)
@@ -910,13 +956,15 @@ static int load(PyObject *values, PyObject *rows, PyObject *caps, struct inputs 
     }
     in->n = PySequence_Fast_GET_SIZE(in->values_seq);
     in->m = PySequence_Fast_GET_SIZE(in->rows_seq);
-    in->buffer = PyMem_New(int64_t, (size_t)in->n * (in->caps_seq == NULL ? 1 : 2) + (size_t)in->m);
+    in->buffer = PyMem_New(int64_t, (size_t)in->n * (1 + (in->caps_seq != NULL) + (with_ranked != 0)) +
+                                        (size_t)in->m);
     if (in->buffer == NULL) {
         PyErr_NoMemory();
         return -1;
     }
     in->values = in->buffer;
     in->rows = in->buffer + in->n;
+    in->ranked = in->rows + in->m + (in->caps_seq == NULL ? 0 : in->n);
 
     if (convert(in->values_seq, in->values, in->n, -1, "values must lie within the int64 range") < 0 ||
         convert(in->rows_seq, in->rows, in->m, -1, "row counts must lie within the int64 range") < 0)
@@ -971,13 +1019,87 @@ static int policy_code(PyObject *policy)
     return -1;
 }
 
+/* values[0..n) as a tuple of ints, or NULL with an exception set. */
+static PyObject *int_tuple(const int64_t *values, Py_ssize_t n)
+{
+    PyObject *tuple = PyTuple_New(n);
+    Py_ssize_t j;
+    if (tuple == NULL)
+        return NULL;
+    for (j = 0; j < n; j++) {
+        PyObject *v = PyLong_FromLongLong(values[j]);
+        if (v == NULL) {
+            Py_DECREF(tuple);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(tuple, j, v);
+    }
+    return tuple;
+}
+
+/* The SolveResult of a finished sweep, built as SolveResult.__init__
+ * would build it, but with no Python code run: the matrix, m rows of n
+ * cells in a bytes, as Cells, allocated with its three slots set here;
+ * the final profile values[0..n) as the objective; the same ints in the
+ * order ranked[0..n) as the canonical objective; and feasible, delta > 0
+ * or no value below 0.  The record's __dict__ gets the fields in
+ * __init__'s order.  NULL with an exception set when memory runs out. */
+static PyObject *finished(PyObject *matrix, Py_ssize_t m, Py_ssize_t n, const int64_t *values,
+                          const int64_t *ranked, int64_t delta)
+{
+    PyTypeObject *cells_class = (PyTypeObject *)cells_type, *result_class = (PyTypeObject *)result_type;
+    PyObject *fields[4] = {NULL, NULL, NULL, NULL}, *shape, *result = NULL, *dict = NULL;
+    Py_ssize_t j;
+    int u;
+
+    fields[1] = int_tuple(values, n);
+    if (fields[1] == NULL)
+        goto done;
+    fields[2] = PyTuple_New(n);
+    if (fields[2] == NULL)
+        goto done;
+    for (j = 0; j < n; j++)
+        PyTuple_SET_ITEM(fields[2], j, Py_NewRef(PyTuple_GET_ITEM(fields[1], ranked[j])));
+    fields[3] = PyBool_FromLong(delta > 0 || n == 0 || values[ranked[n - 1]] >= 0);
+
+    shape = Py_BuildValue("(nn)", m, n);
+    if (shape == NULL)
+        goto done;
+    fields[0] = cells_class->tp_alloc(cells_class, 0);
+    if (fields[0] == NULL) {
+        Py_DECREF(shape);
+        goto done;
+    }
+    *(PyObject **)((char *)fields[0] + data_slot) = Py_NewRef(matrix);
+    *(PyObject **)((char *)fields[0] + shape_slot) = shape;
+    *(PyObject **)((char *)fields[0] + array_slot) = Py_NewRef(Py_None);
+
+    result = result_class->tp_alloc(result_class, 0);
+    if (result == NULL)
+        goto done;
+    dict = PyObject_GenericGetDict(result, NULL);
+    if (dict == NULL)
+        goto fail;
+    for (u = 0; u < 4; u++)
+        if (PyDict_SetItem(dict, field_names[u], fields[u]) < 0)
+            goto fail;
+    goto done;
+fail:
+    Py_CLEAR(result);
+done:
+    Py_XDECREF(dict);
+    for (u = 0; u < 4; u++)
+        Py_XDECREF(fields[u]);
+    return result;
+}
+
 static PyObject *sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     struct inputs in = {0};
-    PyObject *matrix = NULL, *profile = NULL, *cells = NULL, *result = NULL;
+    PyObject *matrix = NULL, *result = NULL;
     int64_t stranded[2], delta;
     uint8_t *bytes;
-    Py_ssize_t n, m, j;
+    Py_ssize_t n, m;
     uint64_t seed;
     int take_largest, policy, status;
 
@@ -998,7 +1120,7 @@ static PyObject *sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs
     seed = PyLong_AsUnsignedLongLongMask(args[5]);
     if (seed == (uint64_t)-1 && PyErr_Occurred())
         return NULL;
-    if (load(args[0], args[1], nargs == 7 ? args[6] : Py_None, &in) < 0)
+    if (load(args[0], args[1], nargs == 7 ? args[6] : Py_None, 1, &in) < 0)
         goto done;
     n = in.n;
     m = in.m;
@@ -1007,18 +1129,20 @@ static PyObject *sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs
         PyErr_NoMemory();
         goto done;
     }
-    matrix = PyByteArray_FromStringAndSize(NULL, m * n);
+    /* A bytes filled before anything else sees it: a failed allocation
+     * leaves no object behind to deallocate. */
+    matrix = PyBytes_FromStringAndSize(NULL, m * n);
     if (matrix == NULL)
         goto done;
-    bytes = (uint8_t *)PyByteArray_AS_STRING(matrix);
+    bytes = (uint8_t *)PyBytes_AS_STRING(matrix);
     memset(bytes, 0, (size_t)(m * n));
     Py_BEGIN_ALLOW_THREADS
     if (in.caps == NULL)
         status = run_rows(in.values, n, in.rows, m, bytes, take_largest, delta, policy, seed,
-                          NULL, stranded, 0);
+                          NULL, stranded, in.ranked, 0);
     else
         status = run_rows(in.values, n, in.rows, m, bytes, take_largest, delta, policy, seed,
-                          in.caps, stranded, 1);
+                          in.caps, stranded, in.ranked, 1);
     Py_END_ALLOW_THREADS
     if (status > 0) {
         PyErr_Format(infeasible_error, "a row needs %lld columns but only %lld remain below their caps",
@@ -1030,23 +1154,9 @@ static PyObject *sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs
                      (long long)(5 * n + 8));
         goto done;
     }
-
-    profile = PyTuple_New(n);
-    if (profile == NULL)
-        goto done;
-    for (j = 0; j < n; j++) {
-        PyObject *v = PyLong_FromLongLong(in.values[j]);
-        if (v == NULL)
-            goto done;
-        PyTuple_SET_ITEM(profile, j, v);
-    }
-    cells = PyObject_CallFunction(cells_type, "O(nn)", matrix, m, n);
-    if (cells != NULL)
-        result = PyTuple_Pack(2, profile, cells);
+    result = finished(matrix, m, n, in.values, in.ranked, delta);
 
 done:
-    Py_XDECREF(cells);
-    Py_XDECREF(profile);
     Py_XDECREF(matrix);
     release(&in);
     return result;
@@ -1056,25 +1166,18 @@ done:
 static PyObject *key_tuples(const int64_t *keys, int64_t count, Py_ssize_t n)
 {
     PyObject *all = PyTuple_New((Py_ssize_t)count);
-    Py_ssize_t s, j;
+    Py_ssize_t s;
     if (all == NULL)
         return NULL;
     for (s = 0; s < count; s++) {
-        PyObject *key = PyTuple_New(n);
-        if (key == NULL)
-            goto fail;
-        PyTuple_SET_ITEM(all, s, key);
-        for (j = 0; j < n; j++) {
-            PyObject *v = PyLong_FromLongLong(keys[s * n + j]);
-            if (v == NULL)
-                goto fail;
-            PyTuple_SET_ITEM(key, j, v);
+        PyObject *key = int_tuple(keys + s * n, n);
+        if (key == NULL) {
+            Py_DECREF(all);
+            return NULL;
         }
+        PyTuple_SET_ITEM(all, s, key);
     }
     return all;
-fail:
-    Py_DECREF(all);
-    return NULL;
 }
 
 /* Raise BudgetExceededError for a search past budget, the caller's int,
@@ -1121,7 +1224,7 @@ static PyObject *search_ties(PyObject *module, PyObject *const *args, Py_ssize_t
         return NULL;
     if (overflow)
         budget = overflow > 0 ? LLONG_MAX : 0;
-    if (load(args[0], args[1], args[4], &in) < 0)
+    if (load(args[0], args[1], args[4], 0, &in) < 0)
         goto done;
     Py_BEGIN_ALLOW_THREADS
     status = search_rows(in.values, in.n, in.rows, in.m, in.caps, take_largest, delta, budget,
@@ -1155,8 +1258,9 @@ static PyMethodDef methods[] = {
     {"sweep", (PyCFunction)(void (*)(void))sweep, METH_FASTCALL,
      "sweep(start, row_counts, take_largest, delta, policy, seed, caps=None)\n"
      "--\n\n"
-     "Run every row; returns the final profile, a tuple, and the matrix, as\n"
-     "completion.Cells."},
+     "Run every row; returns the finished majpop.solvers.SolveResult: the\n"
+     "final profile as the objective, its nonincreasing form, feasible, and\n"
+     "the matrix as majpop._cells.Cells."},
     {"search_ties", (PyCFunction)(void (*)(void))search_ties, METH_FASTCALL,
      "search_ties(start, row_counts, take_largest, delta, caps, budget)\n"
      "--\n\n"
@@ -1183,16 +1287,50 @@ static int imported(const char *module, const char *name, PyObject **out)
     return *out == NULL ? -1 : 0;
 }
 
+/* The offset of the slot name in instances of cells_type, read from the
+ * class's own member descriptor, or -1 with an exception set. */
+static Py_ssize_t slot_offset(const char *name)
+{
+    PyObject *descr = PyObject_GetAttrString(cells_type, name);
+    Py_ssize_t offset = -1;
+    if (descr == NULL)
+        return -1;
+    if (Py_IS_TYPE(descr, &PyMemberDescr_Type) &&
+        PyDescr_TYPE(descr) == (PyTypeObject *)cells_type)
+        offset = ((PyMemberDescrObject *)descr)->d_member->offset;
+    else
+        PyErr_Format(PyExc_TypeError, "_cells.Cells.%s must be a slot of its own", name);
+    Py_DECREF(descr);
+    return offset;
+}
+
 PyMODINIT_FUNC PyInit__sweep(void)
 {
+    static const char *names[4] = {"matrix", "objective", "canonical_objective", "feasible"};
+    int u;
     if (imported("majpop.errors", "InfeasibleError", &infeasible_error) < 0 ||
         imported("majpop.errors", "BudgetExceededError", &budget_error) < 0 ||
         imported("majpop._cells", "Cells", &cells_type) < 0 ||
+        imported("majpop._cells", "SolveResult", &result_type) < 0 ||
         imported("majpop._speedups", "POLICIES", &policy_names) < 0)
         return NULL;
     if (!PyTuple_Check(policy_names) || PyTuple_GET_SIZE(policy_names) != 4) {
         PyErr_SetString(PyExc_TypeError, "_speedups.POLICIES must be a tuple of 4 names");
         return NULL;
+    }
+    if (!PyType_Check(cells_type) || !PyType_Check(result_type) ||
+        ((PyTypeObject *)result_type)->tp_dictoffset == 0) {
+        PyErr_SetString(PyExc_TypeError, "_cells.Cells and _cells.SolveResult must be classes, "
+                                         "and SolveResult's instances must have a __dict__");
+        return NULL;
+    }
+    if ((data_slot = slot_offset("data")) < 0 || (shape_slot = slot_offset("shape")) < 0 ||
+        (array_slot = slot_offset("_array")) < 0)
+        return NULL;
+    for (u = 0; u < 4; u++) {
+        field_names[u] = PyUnicode_InternFromString(names[u]);
+        if (field_names[u] == NULL)
+            return NULL;
     }
     return PyModule_Create(&sweep_module);
 }

@@ -18,21 +18,24 @@ policy reaches an optimum; the policies below pick *which* optimum:
     so traces reproduce exactly across platforms.
 
 Every sweep, capped or not and whatever its size, runs through the compiled
-C sweep (built from ``_sweep.c`` on first import): ``_sweep_result`` hands
-the profile, the row sums, the policy's name and seed and any column caps
-to ``_speedups.sweep``, the extension's own function.  One C call converts
-them, sweeps, and returns the final profile as the tuple that becomes the
-objective.  The C code's first pass checks the row sums and the profile's
-distance from the int64 limits, so the solvers make no pass of their own;
-only when it refuses an input does ``_retried`` rerun their checks, in
-their old order: a row above n raises the error that names it, and a
-profile near the int64 limits is rank compressed and swept again.  The C
+C sweep (built from ``_sweep.c`` on first import): the solvers hand the
+profile, the row sums, the policy's name and seed and any column caps to
+``_speedups.sweep``, the extension's own function, with no Python frame
+between.  One C call converts them, sweeps, and returns the finished
+``SolveResult``: the objective, its nonincreasing form (read off the
+column order the sweep carries), ``feasible`` and the matrix as ``Cells``,
+all built in C.  The C code's first pass checks the row sums and the
+profile's distance from the int64 limits, so the solvers make no pass of
+their own; only when it refuses an input does ``_retried_sweep`` rerun
+their checks, in their old order: a row above n raises the error that
+names it, and a profile near the int64 limits is rank compressed, swept
+again, and its record rebuilt from the objective moved back.  The C
 sweep sorts the columns once and carries that order from row to row, so
 each row sorts only its threshold block: O(n log n + sum of r_i + t_i),
 with t_i the columns in the blocks row i touches.  There is no other
 sweep: where the build failed, every call that sweeps raises
-``_speedups.BuildError``.  The C code writes the matrix into a
-``bytearray``, handed back as ``Cells``, so a solve imports no numpy:
+``_speedups.BuildError``.  The C code writes the matrix into a ``bytes``,
+handed back as ``Cells``, so a solve imports no numpy:
 ``SolveResult.matrix`` builds the numpy array on first access.  Nor does a solve import
 :mod:`majpop.completion`: only ``feasible`` and ``min_remaining_profile``
 need it, and they import it when they run.  They import the module, not
@@ -51,7 +54,7 @@ from itertools import accumulate
 from typing import Optional
 
 from . import _speedups
-from ._cells import Cells, Matrix, _frozen
+from ._cells import Matrix, SolveResult, _frozen, _Record
 from ._speedups import _MASK64
 from .errors import BudgetExceededError, InfeasibleError
 from .majorization import IntVector, as_vector, sort_desc
@@ -79,32 +82,6 @@ def _splitmix64(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     z ^= z >> 31
     return state, z
-
-
-class _Record:
-    """A frozen record with the behaviour of a frozen dataclass.
-
-    ``__init__`` writes the fields straight into the instance ``__dict__``;
-    any later assignment or deletion raises ``AttributeError``, and the repr
-    lists ``_fields`` in order.  Written out rather than made with
-    ``dataclasses``, whose import (with ``inspect``, ``ast`` and ``dis``)
-    and class generation were the largest part of ``import majpop.cli``,
-    which every ``majpop solve`` process pays.  So ``dataclasses.fields``,
-    ``replace``, ``asdict`` and ``is_dataclass`` do not apply to these
-    records; positional ``match`` does, through ``__match_args__``.
-    """
-
-    _fields: tuple[str, ...] = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
 
 
 class _Value(_Record):
@@ -186,46 +163,6 @@ class Instance(_Value):
         d["n"] = n
 
 
-class SolveResult(_Record):
-    """Solver output: witness matrix, objective in input order, sorted form.
-
-    ``matrix`` is the read-only numpy ``uint8`` array.  The solvers store the
-    sweep's ``Cells`` and the array is built on first access, so a result
-    whose matrix is only written out never loads numpy.  Results compare
-    and hash by identity.
-    """
-
-    _fields = __match_args__ = ("matrix", "objective", "canonical_objective", "feasible")
-
-    def __init__(self, matrix: Matrix, objective: IntVector, canonical_objective: IntVector, feasible: bool):
-        d = self.__dict__
-        d["matrix"] = matrix
-        d["objective"] = objective
-        d["canonical_objective"] = canonical_objective
-        d["feasible"] = feasible
-
-    @property
-    def matrix(self) -> Matrix:
-        # A property is read before the ``__dict__`` entry of its name, which
-        # keeps what the record was given (array-like either way, as
-        # ``vars(result)`` shows it); ``Cells`` read as their array.
-        value = self.__dict__["matrix"]
-        return value.array() if isinstance(value, Cells) else value
-
-    def to_json(self) -> dict:
-        """The CLI payload.  ``"matrix"`` is the stored 0/1 value itself, not
-        nested lists: for a solver's result, ``Cells``, which has ``.shape``
-        and ``.tolist()`` and needs no numpy (``numpy.asarray`` on it gives
-        the array).  ``majpop.cli._emit`` writes it as JSON text straight
-        from its bytes."""
-        return {
-            "feasible": self.feasible,
-            "objective": list(self.objective),
-            "canonical_objective": list(self.canonical_objective),
-            "matrix": self.__dict__["matrix"],
-        }
-
-
 def _check_rows(r: IntVector, n: int) -> None:
     # max() clears the rows at C speed; only a bad one takes the loop that names it.
     if not r or max(r) <= n:
@@ -271,7 +208,8 @@ def _shifted(profile: IntVector, shift: list[int]) -> IntVector:
     return tuple([v + d for v, d in zip(profile, shift)])
 
 
-def _sweep_result(
+def _retried_sweep(
+    refusal: ValueError,
     start: IntVector,
     r: IntVector,
     largest: bool,
@@ -279,17 +217,14 @@ def _sweep_result(
     policy: TiePolicy,
     caps: Optional[IntVector] = None,
 ) -> SolveResult:
-    """Sweep the rows; a negative entry certifies infeasibility.  Without
-    the compiled sweep it raises ``_speedups.BuildError``."""
-    try:
-        objective, a = _speedups.sweep(start, r, largest, delta, policy.kind, policy.seed, caps)
-    except ValueError as refusal:
-        (objective, a), shift = _retried(
-            refusal, _speedups.sweep, start, r, largest, delta, policy.kind, policy.seed, caps
-        )
-        objective = _shifted(objective, shift)
+    """The result of a sweep the compiled code refused with ``refusal``:
+    ``_retried``'s checks, then the rank-compressed sweep, whose objective
+    is moved back and whose record is rebuilt from it here.  Every other
+    sweep's result comes from ``_speedups.sweep`` finished."""
+    result, shift = _retried(refusal, _speedups.sweep, start, r, largest, delta, policy.kind, policy.seed, caps)
+    objective = _shifted(result.objective, shift)
     canonical = sort_desc(objective)
-    return SolveResult(a, objective, canonical, delta > 0 or canonical[-1] >= 0)
+    return SolveResult(vars(result)["matrix"], objective, canonical, delta > 0 or canonical[-1] >= 0)
 
 
 def peak_shave(ceiling, row_sums, policy: TiePolicy = LOWEST_INDEX) -> SolveResult:
@@ -297,13 +232,17 @@ def peak_shave(ceiling, row_sums, policy: TiePolicy = LOWEST_INDEX) -> SolveResu
 
     Always runs to completion; a negative entry in the final objective is
     the certificate that no valid completion exists, reported through
-    ``feasible`` rather than an exception.
+    ``feasible`` rather than an exception.  Without the compiled sweep it
+    raises ``_speedups.BuildError``, as every sweeping function here does.
     """
     c = as_vector(ceiling, "ceiling", nonnegative=True)
     r = as_vector(row_sums, "row_sums", nonnegative=True)
     if not c:
         raise ValueError("ceiling must have at least one entry")
-    return _sweep_result(c, r, largest=True, delta=-1, policy=policy)
+    try:
+        return _speedups.sweep(c, r, True, -1, policy.kind, policy.seed)
+    except ValueError as refusal:
+        return _retried_sweep(refusal, c, r, True, -1, policy)
 
 
 def valley_fill(base, row_sums, policy: TiePolicy = LOWEST_INDEX) -> SolveResult:
@@ -312,7 +251,10 @@ def valley_fill(base, row_sums, policy: TiePolicy = LOWEST_INDEX) -> SolveResult
     r = as_vector(row_sums, "row_sums", nonnegative=True)
     if not b:
         raise ValueError("base must have at least one entry")
-    return _sweep_result(b, r, largest=False, delta=+1, policy=policy)
+    try:
+        return _speedups.sweep(b, r, False, +1, policy.kind, policy.seed)
+    except ValueError as refusal:
+        return _retried_sweep(refusal, b, r, False, +1, policy)
 
 
 def min_remaining_profile(ceiling, row_sums) -> IntVector:
@@ -325,7 +267,10 @@ def min_remaining_profile(ceiling, row_sums) -> IntVector:
         raise InfeasibleError(f"ceiling {c} cannot absorb row sums {r}")
     if not c:
         return ()
-    return _sweep_result(c, r, True, -1, LOWEST_INDEX).canonical_objective
+    try:
+        return _speedups.sweep(c, r, True, -1, "lowest_index", 0).canonical_objective
+    except ValueError as refusal:
+        return _retried_sweep(refusal, c, r, True, -1, LOWEST_INDEX).canonical_objective
 
 
 def min_combined_profile(base, row_sums) -> IntVector:
@@ -335,7 +280,10 @@ def min_combined_profile(base, row_sums) -> IntVector:
     if not b:
         _check_rows(r, 0)
         return ()
-    return _sweep_result(b, r, False, +1, LOWEST_INDEX).canonical_objective
+    try:
+        return _speedups.sweep(b, r, False, +1, "lowest_index", 0).canonical_objective
+    except ValueError as refusal:
+        return _retried_sweep(refusal, b, r, False, +1, LOWEST_INDEX).canonical_objective
 
 
 def solve(inst: Instance, policy: TiePolicy = LOWEST_INDEX) -> SolveResult:
@@ -354,26 +302,30 @@ def solve(inst: Instance, policy: TiePolicy = LOWEST_INDEX) -> SolveResult:
     value, and a sweep can stop on an instance that a different row order
     would complete.  The uncapped variants carry none of these caveats.
     """
-    start, largest, delta, caps = _rounds(inst)
+    # ``_instance_rounds`` without its row check, which the C code makes:
+    # the sweep is the only call on the way.
+    field, cap, largest, delta = _SWEEPS[inst.variant]
+    d = inst.__dict__
+    start, r = d[field], d["row_sums"]
+    caps = None if cap is None else d[cap]
     try:
-        return _sweep_result(start, inst.row_sums, largest, delta, policy, caps)
+        try:
+            return _speedups.sweep(start, r, largest, delta, policy.kind, policy.seed, caps)
+        except ValueError as refusal:
+            return _retried_sweep(refusal, start, r, largest, delta, policy, caps)
     except InfeasibleError as exc:
         # A row above n is named as such; only a capped sweep can strand a
         # row that fits.
-        _check_rows(inst.row_sums, inst.n)
+        _check_rows(r, inst.n)
         raise InfeasibleError(f"variant {inst.variant}: {exc}") from None
 
 
-def _rounds(inst: Instance) -> tuple[IntVector, bool, int, Optional[IntVector]]:
-    """Start profile, side, step and caps of the instance's sweep."""
+def _instance_rounds(inst: Instance) -> tuple[IntVector, bool, int, Optional[IntVector]]:
+    """Start profile, side, step and caps of the instance's sweep, once the
+    rows are checked."""
+    _check_rows(inst.row_sums, inst.n)
     start, cap, largest, delta = _SWEEPS[inst.variant]
     return getattr(inst, start), largest, delta, None if cap is None else getattr(inst, cap)
-
-
-def _instance_rounds(inst: Instance) -> tuple[IntVector, bool, int, Optional[IntVector]]:
-    """``_rounds``, once the rows are checked."""
-    _check_rows(inst.row_sums, inst.n)
-    return _rounds(inst)
 
 
 def feasible(inst: Instance) -> bool:

@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 import numpy as np
 from hypothesis import strategies as st
 
-from majpop import Instance, feasible_min_remaining, majorized, partitions, sort_desc
+from majpop import Instance, _speedups, feasible_min_remaining, majorized, partitions, sort_desc
 from majpop._speedups import _MASK64
 from majpop.completion import Cells
 from majpop.errors import BudgetExceededError, InfeasibleError
@@ -268,6 +268,14 @@ def reference_sweep(
             placed[j] += 1
             a[i * n + j] = 1
     return tuple(values), Cells(a, (m, n))
+
+
+def swept(*args, sweep=None) -> tuple[IntVector, Cells]:
+    """``sweep(*args)``, by default ``majpop._speedups.sweep``, as the pair
+    :func:`reference_sweep` returns: the final profile and the matrix's
+    ``Cells``, read off the ``SolveResult`` the compiled sweep returns."""
+    result = (sweep or _speedups.sweep)(*args)
+    return result.objective, vars(result)["matrix"]
 
 
 def random_instance(rng: random.Random, variant: str, max_mn: int = 6, max_value: int = 5) -> Instance:

@@ -172,3 +172,59 @@ def test_traced_runs_keep_their_spans_beside_the_output(tmp_path, monkeypatch):
         assert sorted(os.listdir(kept)) == [stem + ".spans.jsonl", stem + ".summary.json"]
         assert (kept / (stem + ".summary.json")).read_text() == f"{run['side']} {run['seed']}.summary.json\n"
     assert len({run["traces"] for run in runs[2:]}) == 4
+
+
+def test_cli_large_runs_record_a_bare_interpreter_baseline_in_pair_order(tmp_path, monkeypatch):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    shutil.copy(os.path.join(ab.ROOT, "BENCHMARK.json"), tree)
+    order = []
+
+    def run_once(root, side, workload, seed, trace, seconds, units):
+        order.append(("run", side, workload, seed))
+        units["op_median_ms"] = "ms"
+        total = {"parent": 100.0, "change": 96.0}[side] + seed
+        return {"side": side, "workload": workload, "seed": seed, "trace": trace, "returncode": 0,
+                "correct": True, "attempted": 3, "failed": 0, "metrics": {"op_median_ms": total}}
+
+    def bare_interpreter_ms():
+        order.append(("bare",))
+        return 70.0 + len(order) % 4  # 72, 70, 72, 70 in call order
+
+    monkeypatch.setattr(ab, "ROOT", str(tree))
+    monkeypatch.setattr(ab, "export", lambda rev, directory: "0" * 40)
+    monkeypatch.setattr(ab, "run_once", run_once)
+    monkeypatch.setattr(ab, "bare_interpreter_ms", bare_interpreter_ms)
+    out = tmp_path / "BENCH_x.json"
+    argv = ["--parent", "HEAD", "--out", str(out), "--title", "t", "--seconds", "1",
+            "cli-large:1-2", "desk:1", "cli-large:3:trace"]
+    assert ab.main(argv) == 0
+    # Each untraced cli-large run is followed by its baseline, in the
+    # alternating pair order; desk and traced runs take none.
+    assert order == [
+        ("run", "parent", "cli-large", 1), ("bare",), ("run", "change", "cli-large", 1), ("bare",),
+        ("run", "change", "cli-large", 2), ("bare",), ("run", "parent", "cli-large", 2), ("bare",),
+        ("run", "parent", "desk", 1), ("run", "change", "desk", 1),
+        ("run", "change", "cli-large", 3), ("run", "parent", "cli-large", 3),
+    ]
+    doc = json.loads(out.read_text())
+    baselines = [(run["workload"], run["side"], run.get("bare_interpreter_ms")) for run in doc["runs"]]
+    assert baselines[:4] == [
+        ("cli-large", "parent", 72.0), ("cli-large", "change", 70.0),
+        ("cli-large", "change", 72.0), ("cli-large", "parent", 70.0),
+    ]
+    assert all(bare is None for _, _, bare in baselines[4:])
+    entry = doc["summary"]["cli-large"]
+    assert entry["bare_interpreter_ms"]["parent"]["median"] == 71.0
+    assert entry["bare_interpreter_ms"]["change"]["median"] == 71.0
+    # op_median_ms less each run's own baseline: parent 29 and 32, change 27 and 26.
+    library = entry["library_ms"]
+    assert library["parent"]["median"] == 30.5 and library["change"]["median"] == 26.5
+    assert library["change_better_in_pairs"] == 2 and library["better"] == "lower"
+    assert "bare_interpreter_ms" not in doc["summary"]["desk"]
+    assert "library_ms" not in doc["summary"]["cli-large traced"]
+
+
+def test_the_bare_interpreter_baseline_times_real_starts():
+    ms = ab.bare_interpreter_ms(starts=3)
+    assert isinstance(ms, float) and 0 < ms < 10_000

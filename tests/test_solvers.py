@@ -1,4 +1,5 @@
 import copy
+import os
 import pickle
 import random
 
@@ -27,12 +28,12 @@ from majpop import (
     sort_desc,
     valley_fill,
 )
-from majpop import _speedups, solvers
+from majpop import _speedups, cli, solvers
 from majpop.completion import Cells
 from majpop.oracle import enumerate_attainable, maximal_elements, minimal_elements
 from majpop.solvers import TIE_KINDS
 
-from helpers import random_feasible_instance, random_instance, reference_enumerate_optima, reference_sweep
+from helpers import random_feasible_instance, random_instance, reference_enumerate_optima, reference_sweep, swept
 
 PEAK_C = (7, 6, 5, 4, 4)
 PEAK_R = (4, 4, 3, 1, 1)
@@ -260,7 +261,7 @@ def test_kernel_matches_interpreter():
             policy = TiePolicy(kind, seed)
             for largest, delta in ((True, -1), (False, 1)):
                 vals_py, a_py = reference_sweep(start, r, largest, delta, policy, None)
-                vals_nb, a_nb = _speedups.sweep(start, r, largest, delta, kind, seed)
+                vals_nb, a_nb = swept(start, r, largest, delta, kind, seed)
                 assert vals_py == vals_nb
                 assert np.array_equal(a_py, a_nb)
 
@@ -296,7 +297,7 @@ def test_capped_kernel_matches_interpreter():
             for largest, delta in sides:
                 policy = TiePolicy(kind, seed)
                 py = _outcome(reference_sweep, start, r, largest, delta, policy, caps)
-                kernel = _outcome(_speedups.sweep, start, r, largest, delta, kind, seed, caps)
+                kernel = _outcome(swept, start, r, largest, delta, kind, seed, caps)
                 assert py == kernel, (start, r, caps, kind, largest, delta)
                 stranded += isinstance(py, str)
                 completed += not isinstance(py, str)
@@ -332,7 +333,7 @@ def test_carried_order_matches_interpreter(profile):
                 for largest, delta in sides:
                     args = (start, r, largest, delta)
                     py = _outcome(reference_sweep, *args, TiePolicy(kind, seed), caps)
-                    kernel = _outcome(_speedups.sweep, *args, kind, seed, caps)
+                    kernel = _outcome(swept, *args, kind, seed, caps)
                     assert py == kernel, (profile, n, m, caps is not None, kind, largest, delta)
                     if isinstance(py, str):
                         outcomes["stranded"] += 1
@@ -367,7 +368,7 @@ def test_sweeps_write_the_same_cells(capped):
                     py = reference_sweep(start, r, largest, delta, TiePolicy(kind, seed), caps)[1]
                 except InfeasibleError:
                     continue
-                compiled = _speedups.sweep(start, r, largest, delta, kind, seed, caps)[1]
+                compiled = swept(start, r, largest, delta, kind, seed, caps)[1]
                 assert compiled.data == py.data and compiled.shape == py.shape == (m, n)
                 rows = compiled.tolist()
                 a = compiled.array()
@@ -418,8 +419,12 @@ def test_int64_edge_solves_run_compiled():
     ]
 
 
-def _sweep_result_cells(*args):
-    result = solvers._sweep_result(*args)
+def _sweep_result_cells(start, r, largest, delta, policy, caps):
+    # The solvers' route: the compiled sweep, then the retry where it refuses.
+    try:
+        result = _speedups.sweep(start, r, largest, delta, policy.kind, policy.seed, caps)
+    except ValueError as refusal:
+        result = solvers._retried_sweep(refusal, start, r, largest, delta, policy, caps)
     return result.objective, vars(result)["matrix"]
 
 
@@ -884,6 +889,78 @@ def test_records_compare_hash_and_stay_frozen():
         del res.matrix
     assert pickle.loads(pickle.dumps(inst)) == inst and copy.deepcopy(policy) == policy
     assert copy.copy(res).objective == res.objective
+
+
+def _python_record(start, r, largest, delta, policy, caps=None):
+    """The record the solvers built in Python before the C code built it:
+    ``Cells.__init__`` and ``SolveResult.__init__`` on the reference
+    sweep's output."""
+    values, cells = reference_sweep(start, r, largest, delta, policy, caps)
+    canonical = sort_desc(values)
+    return solvers.SolveResult(
+        Cells(bytes(cells.data), cells.shape), values, canonical, delta > 0 or canonical[-1] >= 0
+    )
+
+
+def _shown(result):
+    """Everything a record shows, read in an order that leaves the array of
+    its ``Cells`` unbuilt until their slots are read."""
+    fields = vars(result)
+    cells = fields["matrix"]
+    slots = (type(cells.data), cells.data, type(cells.shape), cells.shape, cells._array is None)
+    copied = pickle.loads(pickle.dumps(result))
+    return (
+        list(fields),
+        [type(v) for v in fields.values()],
+        {type(v) for v in result.objective + result.canonical_objective},
+        slots,
+        cells.tolist(),
+        (result.objective, result.canonical_objective, result.feasible),
+        repr(result),
+        (list(vars(copied)), vars(copied)["matrix"].data, vars(copied)["matrix"].shape, repr(copied)),
+        result == result and result != copied and hash(result) == object.__hash__(result),
+    )
+
+
+def test_c_built_records_match_the_records_python_builds():
+    rng = random.Random(21)
+    verdicts = []
+    for variant in solvers.VARIANTS:
+        for _ in range(10):
+            inst = random_instance(rng, variant)
+            field, cap, largest, delta = solvers._SWEEPS[variant]
+            start, r, caps = getattr(inst, field), inst.row_sums, cap and getattr(inst, cap)
+            for kind in TIE_KINDS:
+                policy = TiePolicy(kind, rng.getrandbits(64))
+                try:
+                    expected = _python_record(start, r, largest, delta, policy, caps)
+                except InfeasibleError:
+                    continue
+                assert _shown(solve(inst, policy)) == _shown(expected), (inst, policy)
+                verdicts.append(expected.feasible)
+                if caps is None:
+                    shaved = peak_shave(start, r, policy)
+                    assert _shown(shaved) == _shown(_python_record(start, r, True, -1, policy))
+                    filled = valley_fill(start, r, policy)
+                    assert _shown(filled) == _shown(_python_record(start, r, False, 1, policy))
+            if variant == "min_remaining" and feasible_min_remaining(start, r):
+                profile = min_remaining_profile(start, r)
+                assert profile == _python_record(start, r, True, -1, LOWEST_INDEX).canonical_objective
+                assert type(profile) is tuple and {type(v) for v in profile} == {int}
+            if variant == "min_combined":
+                profile = min_combined_profile(start, r)
+                assert profile == _python_record(start, r, False, 1, LOWEST_INDEX).canonical_objective
+                assert type(profile) is tuple and {type(v) for v in profile} == {int}
+    assert len(verdicts) > 100 and True in verdicts and False in verdicts
+    # The rank-compression retry rebuilds the record in Python from the
+    # objective moved back; its ``Cells`` come from the C code.
+    instances = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "instances")
+    edge = cli.load_instance(os.path.join(instances, "int64_edge_demo.json"))
+    for policy in ALL_POLICIES:
+        expected = _shown(_python_record(edge.ceiling, edge.row_sums, True, -1, policy))
+        assert _shown(solve(edge, policy)) == expected
+        assert _shown(peak_shave(edge.ceiling, edge.row_sums, policy)) == expected
+    assert min_remaining_profile(edge.ceiling, edge.row_sums) == expected[5][1]
 
 
 def _positional_fields(record):

@@ -3,6 +3,7 @@
 import ctypes
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import majpop
-from helpers import reference_sweep
+from helpers import reference_sweep, swept
 from majpop import InfeasibleError, TiePolicy, _speedups
 
 
@@ -43,7 +44,7 @@ def test_wrapper_rejects_what_the_c_code_cannot_take(case):
 
 
 def test_wrapper_accepts_its_own_example():
-    values, matrix = _speedups.sweep(*_args())
+    values, matrix = swept(*_args())
     # Shave (0, 1, 2, 3) by two units per row; the lowest index wins ties.
     assert values == (0, 0, 0, 0)
     assert np.asarray(matrix).dtype == np.uint8
@@ -60,7 +61,7 @@ def test_c_source_compiles_without_warnings():
 
 # Drives the extension module built at argv[1] through ``sweep``: inputs the
 # C code refuses before it writes anything, inputs the binding cannot
-# convert, and sweeps capped and not.
+# convert, and sweeps capped and not, each record they return read back.
 _SANITIZED_CALLS = """
 import sys
 import numpy as np
@@ -113,9 +114,16 @@ for trial in range(500):
     for policy in _speedups.POLICIES:
         for largest, delta in ((True, -1), (False, 1), (True, 1)):
             try:
-                _speedups.sweep(start, rows, largest, delta, policy, trial, caps)
+                result = _speedups.sweep(start, rows, largest, delta, policy, trial, caps)
             except InfeasibleError:
                 pass
+            else:
+                # The record the C code assembled, read field by field.
+                cells = vars(result)["matrix"]
+                assert list(vars(result)) == ["matrix", "objective", "canonical_objective", "feasible"]
+                assert result.canonical_objective == tuple(sorted(result.objective, reverse=True))
+                assert result.feasible is (delta > 0 or min(result.objective) >= 0)
+                assert (cells.shape, len(cells.data), cells._array) == ((m, n), m * n, None)
             calls += 1
 print(calls, "calls")
 
@@ -235,6 +243,23 @@ def test_failed_build_fails_a_solve_with_one_error(without_cc):
     assert err.endswith("\n") and err.count("\n") == 1, err
     assert err.startswith("internal error: BuildError(")
     assert "the compiled row sweep is unavailable: cannot run cc" in err
+
+
+def _in_three_gigabytes():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+def test_a_matrix_past_memory_fails_a_solve_with_one_error(tmp_path):
+    # 10**10 cells do not fit in an address space of 3 GB, set in the child
+    # only.  Each run, one at a time, must exit 3 with the MemoryError as
+    # the one line on stderr, whatever the allocator did on its way out.
+    instance = tmp_path / "huge.json"
+    instance.write_text(json.dumps({"variant": "min_remaining", "row_sums": [1] * 10**5, "ceiling": [1] * 10**5}))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(majpop.__file__)))
+    cmd = [sys.executable, "-m", "majpop.cli", "solve", "--instance", str(instance)]
+    for _ in range(20):
+        run = subprocess.run(cmd, capture_output=True, env=env, preexec_fn=_in_three_gigabytes, timeout=120)
+        assert (run.returncode, run.stdout, run.stderr) == (3, b"", b"internal error: MemoryError()\n")
 
 
 # ``majpop``, with the Python include directories pointed at argv[1].
@@ -418,7 +443,7 @@ def test_loader_rebuilds_a_library_python_cannot_import(tmp_path, monkeypatch):
     library = _plant(tmp_path / "cache")
     monkeypatch.setattr(_speedups, "_cache_dirs", lambda: iter([str(tmp_path / "cache")]))
     module = _speedups._load()
-    values, cells = module.sweep([3, 1], [1], True, -1, "lowest_index", 0)
+    values, cells = swept([3, 1], [1], True, -1, "lowest_index", 0, sweep=module.sweep)
     assert (values, cells.shape, cells.data) == ((2, 1), (1, 2), bytearray(b"\x01\x00"))
     assert os.listdir(tmp_path / "cache") == [library.name]
 
@@ -481,9 +506,9 @@ def test_binding_converts_what_sweep_accepts(case):
     for kind in _speedups.POLICIES:
         for largest, delta in ((True, -1), (False, 1), (True, 1)):
             expected = _outcome(reference_sweep, start, rows, largest, delta, TiePolicy(kind, -5), caps)
-            assert _outcome(_speedups.sweep, start, rows, largest, delta, kind, -5, caps) == expected
+            assert _outcome(swept, start, rows, largest, delta, kind, -5, caps) == expected
     if not isinstance(expected, str):
-        values, _ = _speedups.sweep(start, rows, True, 1, "lowest_index", 0, caps)
+        values, _ = swept(start, rows, True, 1, "lowest_index", 0, caps)
         assert type(values) is tuple and all(type(v) is int for v in values)
 
 
@@ -558,6 +583,16 @@ def test_binding_keeps_no_memory_across_calls():
         ([0, 1, 2], [1, 1], [1, 1, 2.5]),  # TypeError
     )
 
+    # Solves whose records the C code builds, capped and not, one it
+    # strands, and one it refuses, whose record is rebuilt in Python.
+    instances = (
+        majpop.Instance("min_remaining", [4] * 12, ceiling=range(9)),
+        majpop.Instance("general_max", (1, 2, 3), base=(5, 4, 3, 2), ceiling=(3, 1, 3, 3)),
+        majpop.Instance("general_min", (1, 3), reference=(0, 0, 100), ceiling=(2, 1, 1)),
+        majpop.Instance("min_combined", (2, 1), base=(2**64 - 1, 0, 2**63)),
+    )
+    policy = TiePolicy("uniform_random", 3)
+
     def run(rounds):
         for _ in range(rounds):
             for start, rows, caps in calls:
@@ -566,12 +601,28 @@ def test_binding_keeps_no_memory_across_calls():
                 except (ValueError, TypeError, InfeasibleError):
                     pass
 
+    def solves(rounds):
+        for _ in range(rounds):
+            for inst in instances:
+                try:
+                    majpop.solve(inst, policy)
+                except InfeasibleError:
+                    pass
+
     run(100)
+    solves(100)
+    # Each record holds its class, and each Cells its own: a reference
+    # tp_alloc took and nothing gave back would show here.
+    held = sys.getrefcount(majpop.SolveResult), sys.getrefcount(majpop.completion.Cells)
+    solves(10_000 // len(instances))
+    assert (sys.getrefcount(majpop.SolveResult), sys.getrefcount(majpop.completion.Cells)) == held
     tracemalloc.start()
     try:
         run(10)
+        solves(10)
         before = tracemalloc.get_traced_memory()[0]
         run(50_000 // len(calls))
+        solves(50_000 // len(instances))
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
