@@ -313,6 +313,11 @@ GOLDEN_RUNS["enumerate-peak_shave_demo.json"] = [
     "enumerate", "--instance", str(INSTANCES / "peak_shave_demo.json")
 ]
 GOLDEN_RUNS["construct.json"] = ["construct", "--row-sums", "3,2,2,1,0", "--col-sums", "3,2,2,1"]
+GOLDEN_RUNS.update(
+    (f"certify-{path.stem}.json", ["oracle", "certify", "--instance", str(path)])
+    for path in sorted(INSTANCES.glob("*.json"))
+)
+GOLDEN_RUNS["certify-non_lattice_gap.json"] += ["--absent", "6,6,6,4,4,4,2"]
 
 
 # Run as ``python -c``: imports the CLI, runs ``main`` on argv, and reports
@@ -389,7 +394,7 @@ def test_public_names_keep_their_order():
 
 
 def test_golden_files_match_runs():
-    assert len(GOLDEN_RUNS) == 22
+    assert len(GOLDEN_RUNS) == 27
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(GOLDEN_RUNS)
 
 
