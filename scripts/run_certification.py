@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Certify the bundled demo instances plus a seeded random sweep.
 
-Prints one line per check per instance; exits nonzero on any failure.
+The sweep cycles through all four variants.  Its instances are drawn by
+``tests/helpers.random_instance`` (feasible or not, caps binding or slack,
+up to 7 columns) within the oracle's default total of 14.  Prints one line
+per check per instance; exits nonzero on any failure.
 
     python scripts/run_certification.py --sweep 50 --seed 7
 """
@@ -11,12 +14,16 @@ import random
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from majpop import Instance, certify
 from majpop.cli import load_instance
+from majpop.oracle import DEFAULT_MAX_COLS, DEFAULT_MAX_TOTAL
 
-from helpers import random_feasible_instance
+from helpers import random_instance
+
+VARIANTS = ("min_remaining", "min_combined", "general_min", "general_max")
 
 GAP_ABSENT = {
     "non_lattice_gap.json": (6, 6, 6, 4, 4, 4, 2),
@@ -38,7 +45,7 @@ def main() -> int:
     args = ap.parse_args()
 
     ok = True
-    instance_dir = Path(__file__).resolve().parents[1] / "instances"
+    instance_dir = ROOT / "instances"
     for path in sorted(instance_dir.glob("*.json")):
         inst = load_instance(str(path))
         ok &= run_one(path.name, inst, absent=GAP_ABSENT.get(path.name))
@@ -46,8 +53,9 @@ def main() -> int:
     rng = random.Random(args.seed)
     failures = 0
     for k in range(args.sweep):
-        variant = "min_remaining" if k % 2 == 0 else "min_combined"
-        inst = random_feasible_instance(rng, variant)
+        inst = random_instance(rng, VARIANTS[k % 4], max_mn=DEFAULT_MAX_COLS)
+        while sum(inst.row_sums) > DEFAULT_MAX_TOTAL:
+            inst = random_instance(rng, VARIANTS[k % 4], max_mn=DEFAULT_MAX_COLS)
         report = certify(inst)
         if not report.passed:
             failures += 1

@@ -139,13 +139,9 @@ def _conjugate(v: Sequence[int], dim: int) -> IntVector:
     """
     counts = [0] * (dim + 1)
     for e in v:
-        if e > 0:
-            counts[e] += 1
-    out = []
-    running = 0
-    # Sweep thresholds downward so each entry accumulates #{i : x_i >= j}.
-    for j in range(dim, 0, -1):
-        running += counts[j]
-        out.append(running)
+        counts[e] += 1
+    # Running sums over thresholds dim, dim - 1, ..., 1 give #{i : x_i >= j};
+    # the zeros in counts[0] are never read.
+    out = list(accumulate(counts[:0:-1]))
     out.reverse()
     return tuple(out)

@@ -12,10 +12,17 @@ realizable as column sums exactly when it is majorized by the conjugate row
 sums, so the search space stays polynomial in the totals while the matrix
 witnesses are materialized only on demand.
 
+The enumeration works on whole arrays: every vector in the box the caps
+allow is generated column by column in numpy, each is tested by the prefix
+sums of its sorted form, and the objective vectors are the profile plus or
+minus those rows, in int64 or, where an entry could pass int64, as Python
+ints in object arrays.  Every tuple that leaves this module holds Python
+ints.  Nothing here comes from the solvers.
+
 The public helpers here validate what they are given, like the rest of the
 package.  Inside :func:`certify` the enumerated vectors are valid by
-construction, so its hot loops call the unchecked lattice cores and decide
-each majorization test once per sorted form.
+construction, so its claims read only the distinct sorted forms, and its
+closure check calls the unchecked lattice cores.
 """
 
 from dataclasses import dataclass
@@ -82,55 +89,50 @@ class CertificationReport:
         }
 
 
-def _column_vectors(
-    n: int, total: int, upper: Sequence[int], threshold: IntVector
-) -> tuple[list[IntVector], set[IntVector]]:
-    """All x >= 0 with the given total, x <= upper, and x majorized by threshold,
-    together with the set of their sorted forms.
+def _sorted_rows(a: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` in nonincreasing order."""
+    return np.sort(a, axis=1)[:, ::-1]
 
-    ``n`` is at least 1.  Majorization reads only the sorted form, so the
-    leaf test is decided once per sorted form and looked up for its
-    rearrangements; the forms that passed are exactly the sorted forms of
-    the returned vectors.
+
+def _rows_equal(a: np.ndarray, v: Sequence[int]) -> np.ndarray:
+    """Which rows of ``a`` equal ``v``; ``v`` is read in ``a``'s dtype, so an
+    object array compares exact Python ints."""
+    return (a == np.array(v, dtype=a.dtype)).all(axis=1)
+
+
+def _column_array(n: int, total: int, upper: Sequence[int], threshold: IntVector) -> np.ndarray:
+    """Every x >= 0 with the given total, x <= upper and x majorized by
+    threshold, one per row of an int64 array.
+
+    ``n`` is at least 1.  The box is expanded column by column: each partial
+    row takes every value its column admits that leaves a remainder the
+    later columns can hold, and the last column takes the remainder.  Then
+    every row is tested by the prefix sums of its sorted form; the totals are
+    equal by construction.
     """
-    out: list[IntVector] = []
-    suffix_capacity = [0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        suffix_capacity[j] = suffix_capacity[j + 1] + upper[j]
-    below: dict[IntVector, bool] = {}
-    last = n - 1
-    # Depth first on an explicit stack, larger entries first; a child whose
-    # remainder the later columns cannot hold is never pushed.
-    stack = [(0, total, ())] if total <= suffix_capacity[0] else []
-    while stack:
-        j, remaining, partial = stack.pop()
-        if j == last:  # the last entry is whatever the total leaves
-            x = partial + (remaining,)
-            key = sort_desc(x)
-            ok = below.get(key)
-            if ok is None:
-                ok = below[key] = majorized(key, threshold)
-            if ok:
-                out.append(x)
-            continue
-        # Pushed smallest first, so the largest value is popped first.
-        for v in range(max(remaining - suffix_capacity[j + 1], 0), min(upper[j], remaining) + 1):
-            stack.append((j + 1, remaining - v, partial + (v,)))
-    return out, {key for key, ok in below.items() if ok}
+    suffix = [*accumulate(upper[::-1], initial=0)][::-1]  # suffix[j] = sum(upper[j:])
+    if total > suffix[0]:
+        return np.zeros((0, n), dtype=np.int64)
+    xs = np.zeros((1, n), dtype=np.int64)
+    rem = np.array([total], dtype=np.int64)
+    for j in range(n - 1):
+        if not rem.any():  # the later columns stay 0
+            break
+        lo = np.maximum(rem - suffix[j + 1], 0)
+        hi = np.minimum(rem, upper[j])
+        values = np.arange(int(hi.max()) + 1)
+        rows, v = np.nonzero((values >= lo[:, None]) & (values <= hi[:, None]))
+        xs = xs[rows]
+        xs[:, j] = v
+        rem = rem[rows] - v
+    xs[:, n - 1] = rem
+    return xs[(np.cumsum(_sorted_rows(xs), axis=1) <= np.cumsum(threshold)).all(axis=1)]
 
 
-def enumerate_attainable(
-    inst: Instance,
-    max_cols: int = DEFAULT_MAX_COLS,
-    max_total: int = DEFAULT_MAX_TOTAL,
-) -> AttainableSet:
-    """Exhaustively enumerate the feasible and attainable sets of an instance."""
-    return _attainable(inst, max_cols, max_total)[0]
-
-
-def _attainable(inst: Instance, max_cols: int, max_total: int) -> tuple[AttainableSet, set[IntVector]]:
-    """:func:`enumerate_attainable` plus the sorted forms of the feasible
-    column-sum vectors."""
+def _attainable_arrays(inst: Instance, max_cols: int, max_total: int) -> tuple[np.ndarray, np.ndarray]:
+    """The feasible column-sum vectors of ``inst`` and the objective vectors
+    they induce, row for row: int64 arrays, or object arrays of Python ints
+    when an objective entry could pass int64."""
     r = inst.row_sums
     n = inst.n
     total = sum(r)
@@ -139,22 +141,36 @@ def _attainable(inst: Instance, max_cols: int, max_total: int) -> tuple[Attainab
             f"instance with n={n}, total={total} exceeds the enumeration budget "
             f"(max_cols={max_cols}, max_total={max_total})"
         )
-    if any(v > n for v in r):
-        return AttainableSet(inst.variant, frozenset(), frozenset()), set()
-    t = conjugate(r, n)
-    peak = t[0] if t else 0
-    if inst.variant == "min_combined":
-        upper = [peak] * n
-    else:
-        upper = [min(cj, peak) for cj in inst.ceiling]
-    xs, forms = _column_vectors(n, total, upper, t)
     if inst.variant == "min_remaining":
-        vectors = frozenset(tuple(a - b for a, b in zip(inst.ceiling, x)) for x in xs)
+        profile, sign = inst.ceiling, -1
     elif inst.variant == "general_min":
-        vectors = frozenset(tuple(a - b for a, b in zip(inst.reference, x)) for x in xs)
+        profile, sign = inst.reference, -1
     else:
-        vectors = frozenset(tuple(a + b for a, b in zip(inst.base, x)) for x in xs)
-    return AttainableSet(inst.variant, frozenset(xs), vectors), forms
+        profile, sign = inst.base, 1
+    if any(v > n for v in r):
+        xs = np.zeros((0, n), dtype=np.int64)
+    else:
+        t = conjugate(r, n)
+        if inst.variant == "min_combined":
+            upper = [t[0]] * n
+        else:
+            upper = [min(cj, t[0]) for cj in inst.ceiling]
+        xs = _column_array(n, total, upper, t)
+    # Against an object profile the int64 rows are added as Python ints.
+    dtype = np.int64 if max(profile) + total < 2**63 else object
+    return xs, np.array(profile, dtype=dtype) + sign * xs
+
+
+def enumerate_attainable(
+    inst: Instance,
+    max_cols: int = DEFAULT_MAX_COLS,
+    max_total: int = DEFAULT_MAX_TOTAL,
+) -> AttainableSet:
+    """Exhaustively enumerate the feasible and attainable sets of an instance."""
+    xs, vectors = _attainable_arrays(inst, max_cols, max_total)
+    return AttainableSet(
+        inst.variant, frozenset(map(tuple, xs.tolist())), frozenset(map(tuple, vectors.tolist()))
+    )
 
 
 def _extremal_elements(vectors: Iterable[Sequence[int]], name: str, lowest: bool) -> set[IntVector]:
@@ -346,8 +362,12 @@ def certify(
     such a pair cannot fail.
     """
     exact_scope = inst.variant in ("min_remaining", "min_combined")
-    aset, closed = _attainable(inst, max_cols, max_total)
-    nonempty = bool(closed)
+    if absent_canonical is not None and len(absent_canonical) != inst.n:
+        raise LengthMismatchError(
+            f"absent vector has {len(absent_canonical)} entries but the instance has {inst.n} columns"
+        )
+    xs, vectors = _attainable_arrays(inst, max_cols, max_total)
+    nonempty = len(xs) > 0
     records: list[CheckRecord] = []
 
     def record(claim: str, ok: bool, witness: str = "") -> None:
@@ -360,9 +380,11 @@ def certify(
     except InfeasibleError as exc:
         solve_error = str(exc)
 
-    # Each attainable vector is sorted once; every claim below reads its form here.
-    form = {v: sort_desc(v) for v in aset.vectors}
-    canonical = set(form.values())
+    # The claims below read the distinct sorted forms, as tuples of Python
+    # ints, and match whole rows of the arrays otherwise.
+    closed = set(map(tuple, _sorted_rows(xs).tolist()))
+    sorted_vectors = _sorted_rows(vectors)
+    canonical = set(map(tuple, sorted_vectors.tolist()))
     canonicals = sorted(canonical)
     star: Optional[IntVector] = None
     if inst.variant == "general_max":
@@ -379,7 +401,7 @@ def certify(
 
     if not exact_scope:
         if nonempty and result is not None:
-            ok = result.objective in aset.vectors
+            ok = bool(_rows_equal(vectors, result.objective).any())
             record("solver_output_attainable", ok, "" if ok else f"{result.objective} not attainable")
         else:
             # A stopped sweep is the documented outcome when caps strand a
@@ -400,7 +422,7 @@ def certify(
 
     if exact_scope:
         if star is not None:
-            want = {v for v, key in form.items() if key == star}
+            want = set(map(tuple, vectors[_rows_equal(sorted_vectors, star)].tolist()))
             got = set(enumerate_optima(inst, cap=branch_cap))
             ok = got == want
             record(

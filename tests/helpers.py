@@ -7,7 +7,9 @@ from typing import Optional, Sequence
 import numpy as np
 from hypothesis import strategies as st
 
-from majpop import Instance, _speedups, feasible_min_remaining, majorized, partitions, sort_desc
+from majpop import (
+    Instance, _speedups, conjugate, feasible_min_remaining, majorized, partitions, sort_desc,
+)
 from majpop._speedups import _MASK64
 from majpop.completion import Cells
 from majpop.errors import BudgetExceededError, InfeasibleError
@@ -292,6 +294,65 @@ def random_instance(rng: random.Random, variant: str, max_mn: int = 6, max_value
     if variant == "general_min":
         return Instance(variant, r, reference=profile, ceiling=caps)
     return Instance(variant, r, base=profile, ceiling=caps)
+
+
+def reference_column_vectors(
+    n: int, total: int, upper: Sequence[int], threshold: IntVector
+) -> list[IntVector]:
+    """The depth-first enumeration of feasible column-sum vectors, kept as
+    the reference for :func:`majpop.enumerate_attainable`: every x >= 0 with
+    the given total, x <= upper and x majorized by threshold.
+
+    ``n`` is at least 1.  Majorization reads only the sorted form, so the
+    leaf test is decided once per sorted form and looked up for its
+    rearrangements."""
+    out: list[IntVector] = []
+    suffix_capacity = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        suffix_capacity[j] = suffix_capacity[j + 1] + upper[j]
+    below: dict[IntVector, bool] = {}
+    last = n - 1
+    # Depth first on an explicit stack, larger entries first; a child whose
+    # remainder the later columns cannot hold is never pushed.
+    stack = [(0, total, ())] if total <= suffix_capacity[0] else []
+    while stack:
+        j, remaining, partial = stack.pop()
+        if j == last:  # the last entry is whatever the total leaves
+            x = partial + (remaining,)
+            key = sort_desc(x)
+            ok = below.get(key)
+            if ok is None:
+                ok = below[key] = majorized(key, threshold)
+            if ok:
+                out.append(x)
+            continue
+        # Pushed smallest first, so the largest value is popped first.
+        for v in range(max(remaining - suffix_capacity[j + 1], 0), min(upper[j], remaining) + 1):
+            stack.append((j + 1, remaining - v, partial + (v,)))
+    return out
+
+
+def reference_attainable(inst: Instance) -> tuple[set[IntVector], set[IntVector]]:
+    """The feasible column-sum vectors of ``inst`` and the objective vectors
+    they induce, from :func:`reference_column_vectors` with the bounds
+    :func:`majpop.enumerate_attainable` derives (no budget check)."""
+    r = inst.row_sums
+    n = inst.n
+    if any(v > n for v in r):
+        return set(), set()
+    t = conjugate(r, n)
+    if inst.variant == "min_combined":
+        upper = [t[0]] * n
+    else:
+        upper = [min(cj, t[0]) for cj in inst.ceiling]
+    xs = reference_column_vectors(n, sum(r), upper, t)
+    if inst.variant == "min_remaining":
+        vectors = {tuple(a - b for a, b in zip(inst.ceiling, x)) for x in xs}
+    elif inst.variant == "general_min":
+        vectors = {tuple(a - b for a, b in zip(inst.reference, x)) for x in xs}
+    else:
+        vectors = {tuple(a + b for a, b in zip(inst.base, x)) for x in xs}
+    return set(xs), vectors
 
 
 def reference_lattice_closure(column_sets, cores) -> tuple[bool, str]:

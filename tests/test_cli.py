@@ -211,6 +211,13 @@ def test_oracle_certify_command(tmp_path, capsys):
     assert any(rec["claim"] == "claimed_absent_vector" for rec in payload["checks"])
 
 
+def test_oracle_certify_refuses_an_absent_vector_of_the_wrong_length(capsys):
+    path = str(INSTANCES / "peak_shave_demo.json")
+    code, out, err = run_cli(capsys, "oracle", "certify", "--instance", path, "--absent", "1,2")
+    assert (code, out) == (2, "")
+    assert err == "invalid input: absent vector has 2 entries but the instance has 5 columns\n"
+
+
 def test_huge_ceiling_is_feasible_and_certified(tmp_path, capsys):
     path = write_instance(
         tmp_path, "huge.json", {"variant": "min_remaining", "row_sums": [1, 1], "ceiling": [10**18, 3]}

@@ -2,6 +2,7 @@ import collections
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from majpop import (
@@ -16,10 +17,12 @@ from majpop import (
     sort_desc,
 )
 from majpop import conjugate, lattice, oracle
-from majpop.oracle import DEFAULT_MAX_TOTAL, all_matrices, matrix_exists
+from majpop.oracle import DEFAULT_MAX_COLS, DEFAULT_MAX_TOTAL, all_matrices, matrix_exists
 from majpop import col_sums, enumerate_matrices, matrix_rows, row_sums
 
-from helpers import random_feasible_instance, random_instance, reference_lattice_closure
+from helpers import (
+    random_feasible_instance, random_instance, reference_attainable, reference_lattice_closure,
+)
 
 GAP_MIN = Instance("min_remaining", (4, 2), ceiling=(8, 6, 6, 6, 4, 4, 4))
 GAP_MAX = Instance("min_combined", (4, 2), base=(4, 4, 4, 2, 2, 2, 0))
@@ -137,6 +140,86 @@ def test_extremal_elements_match_naive_scan():
         assert minimal_elements(vs) == _naive_extremal(vs, lowest=True), vs
         assert maximal_elements(list(vs)) == _naive_extremal(vs, lowest=False), vs
     assert minimal_elements([(3, 0), (0, 2)]) == {(3, 0), (0, 2)}
+
+
+def _assert_matches_reference(inst):
+    """``enumerate_attainable`` equals the depth-first reference, and every
+    entry it returns is a Python int."""
+    aset = enumerate_attainable(inst)
+    column_sets, vectors = reference_attainable(inst)
+    assert aset.column_sets == column_sets, inst
+    assert aset.vectors == vectors, inst
+    assert aset.canonical_vectors == {sort_desc(v) for v in vectors}, inst
+    for found in (aset.column_sets, aset.vectors, aset.canonical_vectors):
+        assert all(type(e) is int for v in found for e in v), inst
+    return aset
+
+
+def test_enumeration_matches_depth_first_reference():
+    rng = random.Random(2222)
+    variants = ("min_remaining", "min_combined", "general_min", "general_max")
+    seen = collections.Counter()
+    checked = 0
+    while checked < 400:
+        variant = variants[checked % 4]
+        inst = random_instance(rng, variant, max_mn=7, max_value=5)
+        if sum(inst.row_sums) > DEFAULT_MAX_TOTAL:
+            continue
+        aset = _assert_matches_reference(inst)
+        checked += 1
+        seen[f"n={inst.n}"] += 1
+        seen["infeasible"] += not aset.column_sets
+        if variant != "min_combined":
+            peak = conjugate(inst.row_sums, inst.n)[0]
+            seen["binding" if min(inst.ceiling) < peak else "slack"] += 1
+    keys = [f"n={n}" for n in range(1, 8)] + ["infeasible", "binding", "slack"]
+    assert min(seen[k] for k in keys) >= 10, seen
+
+
+@pytest.mark.parametrize("top", [2**63 - 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("variant", ["min_remaining", "min_combined", "general_min", "general_max"])
+def test_enumeration_matches_reference_at_the_int64_edges(variant, top):
+    r = (3, 2, 2, 1)
+    total = sum(r)
+    caps = (4, 4, 1, 2)
+    # One entry at ``top``, and one where the largest objective entry is
+    # exactly 2**63 - 1, the last value the int64 arrays hold.
+    for profile in ((top, 0, 5, top), (2**63 - 1 - total, 3, 0, 1)):
+        if variant == "min_remaining":
+            inst = Instance(variant, r, ceiling=profile)
+        elif variant == "min_combined":
+            inst = Instance(variant, r, base=profile)
+        elif variant == "general_min":
+            inst = Instance(variant, r, reference=profile, ceiling=caps)
+        else:
+            inst = Instance(variant, r, base=profile, ceiling=caps)
+        assert _assert_matches_reference(inst).vectors
+        dtype = oracle._attainable_arrays(inst, DEFAULT_MAX_COLS, DEFAULT_MAX_TOTAL)[1].dtype
+        assert dtype == (object if max(profile) > 2**63 - 1 - total else np.int64)
+
+
+def test_enumeration_matches_reference_with_negative_and_empty_objectives():
+    # A zero reference drives the shaved entries negative.
+    aset = _assert_matches_reference(
+        Instance("general_min", (3, 3, 2, 1), reference=(0, 0, 0, 0), ceiling=(4, 4, 4, 1))
+    )
+    assert min(min(v) for v in aset.vectors) == -4
+    # A row longer than the instance is wide, and caps that cannot hold the total.
+    for inst in (
+        Instance("min_combined", (3,), base=(1, 2)),
+        Instance("general_max", (2, 2), base=(1, 2, 0), ceiling=(1, 1, 1)),
+    ):
+        assert not _assert_matches_reference(inst).vectors
+
+
+def test_certify_refuses_an_absent_vector_of_the_wrong_length():
+    shave = Instance("min_remaining", (4, 4, 3, 1, 1), ceiling=(7, 6, 5, 4, 4))
+    for absent in ((1, 2), (3, 3, 3, 2, 2, 0)):
+        with pytest.raises(
+            LengthMismatchError,
+            match=f"absent vector has {len(absent)} entries but the instance has 5 columns",
+        ):
+            certify(shave, absent_canonical=absent)
 
 
 def test_extremal_elements_reject_mixed_lengths():
