@@ -12,6 +12,9 @@ import csv
 import statistics
 import sys
 import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from majpop._commands import _bench_instance
 from majpop.solvers import peak_shave

@@ -1,5 +1,7 @@
 """Compiled inner loops: the row sweep of the peak-shaving and
-valley-filling solvers, and the tie search of ``solvers.enumerate_optima``.
+valley-filling solvers, the tie search of ``solvers.enumerate_optima``,
+and the canonical profiles of ``solvers.min_remaining_profile`` and
+``solvers.min_combined_profile``.
 
 The row loop is inherently sequential, so the whole sweep is compiled as one
 C function (``_sweep.c``), with no per-row interpreter overhead.  It sorts
@@ -22,10 +24,19 @@ in an open-addressing hash table, with the first path that reached each.
 It is tested against the test suite's plain depth-first reference for
 the same keys, key order, witnesses and errors.
 
-Both are compiled from one C source, ``_sweep.c``, which holds the
-sweep, the search and their CPython binding: one extension module whose
-two functions are ``sweep`` and ``search_ties`` here, so a solve calls
-into C with no Python frame between.  ``sweep(start, row_counts,
+The profile is the third C function.  It gives the nonincreasing final
+profile that every uncapped sweep reaches, whatever its ties, without a
+sweep or a matrix: sorted, the start profile's prefix sums less (when
+shaving) those of the conjugate of the row sums bound the profile's
+prefix sums, and the profile is read off the least concave majorant of
+those points, one monotone stack pass, in O(m + n log n) time and O(n)
+memory.  Filling is the shave of the negated profile.  It is tested
+against the sweep under every tie policy and against the oracle.
+
+All three are compiled from one C source, ``_sweep.c``, which holds the
+sweep, the search, the profile and their CPython binding: one extension
+module whose three functions are ``sweep``, ``search_ties`` and
+``profile`` here, so a solve calls into C with no Python frame between.  ``sweep(start, row_counts,
 take_largest, delta, policy, seed, caps=None)`` takes the profile, the row
 sums and any caps as lists or tuples of Python ints, ``take_largest`` to
 select the columns holding the largest values (else the smallest), the
@@ -47,13 +58,20 @@ profile and each row's distinct profiles; it searches with the
 interpreter lock released, and returns the final profiles as a tuple of
 tuples in the order first reached, and their witnesses, one m*n matrix
 per profile, row-major, as one ``bytes``: the picks of the first path
-that reached each profile.
+that reached each profile.  ``profile(start, row_counts, take_largest)``
+takes the profile, with entries in [0, 2**64), and the row sums, and
+returns the canonical profile as a tuple of ints, which past 2**64 - 1
+when a fill carries them there.  It has two checks of its own: fewer than
+2**32 columns, and, for a shave, the sign test (no entry below 0) against
+the prefix test of ``completion.feasible_min_remaining``, on the sorted
+values it already holds; InternalInvariantError reports a disagreement.
 
 The C code checks the row counts, the caps and the profile's distance
 from the int64 limits in one pass each, so no Python pass over a vector
 repeats it, and raises every error itself.  ValueError names the first
 cause, in the order delta, the policy name, the profile, the row counts,
-the caps' length and the caps; an entry that is not an int raises
+the caps' length and the caps (for ``profile``, the column count, the
+profile and the row counts); an entry that is not an int raises
 TypeError.  A capped sweep's row that needs more columns than remain
 below their caps raises InfeasibleError, naming its need and its open
 column count.  A search past its budget raises BudgetExceededError,
@@ -75,9 +93,9 @@ fails to import is rebuilt once.
 
 When the build or the load fails, the import still succeeds:
 ``KERNEL_AVAILABLE`` is False, ``BUILD_ERROR`` holds the reason (the
-compiler's own error text, say), and ``sweep`` and ``search_ties`` are
-both ``_unavailable``, which raises ``BuildError`` with that reason.
-There is no other sweep or search to fall back on.
+compiler's own error text, say), and ``sweep``, ``search_ties`` and
+``profile`` are all ``_unavailable``, which raises ``BuildError`` with
+that reason.  There is no other sweep, search or profile to fall back on.
 """
 
 import os
@@ -237,7 +255,7 @@ def _load():
 
 
 def _unavailable(*args):
-    """``sweep`` and ``search_ties`` where the build failed."""
+    """``sweep``, ``search_ties`` and ``profile`` where the build failed."""
     raise BuildError(f"the compiled row sweep is unavailable: {BUILD_ERROR}")
 
 
@@ -246,9 +264,9 @@ try:
     _module = _load()
 except Exception as exc:  # raised by every call, so what needs no sweep still works
     BUILD_ERROR = str(exc) or repr(exc)
-    sweep = search_ties = _unavailable
+    sweep = search_ties = profile = _unavailable
 else:
-    sweep, search_ties = _module.sweep, _module.search_ties
+    sweep, search_ties, profile = _module.sweep, _module.search_ties, _module.profile
     del _module
 KERNEL_AVAILABLE = BUILD_ERROR is None
 

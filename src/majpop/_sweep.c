@@ -1,8 +1,8 @@
 /* The compiled row sweep of the peak-shaving and valley-filling solvers,
- * the tie search that enumerates their optima, and their CPython binding:
- * the extension module majpop._sweep, which _speedups builds from this
- * file alone, and whose two functions are _speedups.sweep and
- * _speedups.search_ties.
+ * the tie search that enumerates their optima, the canonical profile they
+ * share, and their CPython binding: the extension module majpop._sweep,
+ * which _speedups builds from this file alone, and whose three functions
+ * are _speedups.sweep, _speedups.search_ties and _speedups.profile.
  *
  * The columns are sorted once, better value first and then by index, and
  * the sweep keeps that order from row to row.  Row i reads its threshold at
@@ -25,15 +25,17 @@
  * are sorted apart and merged in (rank_columns), in O(n + c log c) for c
  * closed columns.
  *
- * run_rows is the sweep and search_rows, after it, the tie search; both
- * take plain C arguments.  The binding, at the end of this file, converts
- * the Python vectors into int64 buffers and checks them in one pass each
- * before anything is written: 0 <= row_counts[i] <= n, 0 <= caps[j], and
- * no value can leave the int64 range over m rows.  It runs the sweep or
- * the search with the interpreter lock released, and raises every error
- * itself, with the text the Python callers show.  They make no pass of
- * their own; only when this code refuses an input do they rerun their
- * checks, to name the cause.  A sweep returns the finished
+ * run_rows is the sweep, search_rows, after it, the tie search, and
+ * hull_profile the profile; all three take plain C arguments.  The
+ * binding, at the end of this file, converts the Python vectors into int64
+ * buffers and checks them in one pass each before anything is written:
+ * 0 <= row_counts[i] <= n, 0 <= caps[j], and no value can leave the int64
+ * range over m rows (a profile's values are uint64 instead, which it sums
+ * in 128 bits).  It runs the sweep, the search or the profile with the
+ * interpreter lock released, and raises every error itself, with the
+ * text the Python callers show.  They make no pass of their own; only
+ * when this code refuses an input do they rerun their checks, to name the
+ * cause.  A sweep returns the finished
  * majpop._cells.SolveResult, its Cells and both objective tuples built
  * here (finished), so no Python code runs between the solver's call and
  * its result.
@@ -840,6 +842,134 @@ done:
     return status;
 }
 
+/* ---- Canonical profiles ----
+ *
+ * hull_profile gives the nonincreasing form of an uncapped sweep's final
+ * profile, shared by every tie resolution, without running the sweep.
+ * With T_k = sum_i min(r_i, k), the prefix sums of the conjugate of the
+ * row counts, the k columns with the largest values lose at most T_k
+ * units over the rows, so the k largest entries of any shaved profile sum
+ * to at least L_k = C_k - T_k, C_k the sum of the k largest values.  A
+ * nonincreasing integer vector has concave prefix sums, so they lie on or
+ * above the least concave majorant of the points (k, L_k), and the sweep's
+ * profile meets it: each hull segment of length d and rise S holds S mod d
+ * entries of ceil(S / d) and the rest floor(S / d).  Adjacent segments
+ * with the same floor interleave, so runs of them are emitted together,
+ * their ceilings first.  Filling is shaving the negated profile: the
+ * result is the negation of that shave, reversed.  O(m + n log n). */
+
+#ifndef __SIZEOF_INT128__
+#error "the profile's arithmetic needs a compiler with __int128"
+#endif
+/* __extension__: ISO C has no 128-bit type, and -pedantic says so. */
+__extension__ typedef __int128 wide;
+
+/* Profiles take fewer columns than this, so the hull's cross products
+ * stay inside wide: each step of L moves by less than 2**65, and the two
+ * segment lengths multiplied are at most n*n/4, so |S1 * d2| < n*n * 2**63. */
+#define PROFILE_MAX_COLUMNS (INT64_C(1) << 32)
+
+/* floor(num / den), with den > 0, and its remainder in [0, den). */
+static wide floor_div(wide num, int64_t den, int64_t *rem)
+{
+    wide q = num / den, r = num % den;
+    if (r < 0) {
+        q--;
+        r += den;
+    }
+    *rem = (int64_t)r;
+    return q;
+}
+
+/* The canonical profile of the uncapped sweep of values[0..n) by
+ * row_counts[0..m), nonincreasing, into out[0..n), on inputs the binding
+ * passed: every row count in [0, n] and n below PROFILE_MAX_COLUMNS.
+ * take_largest shaves (each row takes one unit off its largest values),
+ * else each row adds one unit to its smallest.  Returns 0, 1 when a
+ * shave's two feasibility tests disagree, or -1 when there is no scratch
+ * memory.
+ *
+ * A shave is feasible when its smallest entry is not negative; as a check
+ * on the hull, that sign test is compared with the prefix test of
+ * completion.feasible_min_remaining on the same sorted values: every
+ * suffix sum of the values at least that of the conjugate, that is L_n at
+ * least every L_k. */
+static int hull_profile(const uint64_t *values, int64_t n, const int64_t *row_counts, int64_t m,
+                        int take_largest, wide *out)
+{
+    /* The columns by value, their sort keys and the merge scratch; the
+     * conjugate, conj[k] = #{i : r_i >= k}; and the hull, its points'
+     * abscissas at[] and ordinates ys[]. */
+    int64_t *work, *cols, *key, *tmp, *conj, *at, top, j, k, pos;
+    wide *ys, level = 0, highest = 0, sign = take_largest ? 1 : -1;
+    int status = 0;
+
+    if (n <= 0)
+        return 0;
+    /* The wide ordinates first, where malloc's alignment holds for them. */
+    ys = malloc((size_t)(n + 1) * sizeof *ys + (size_t)(5 * n + 2) * sizeof *work);
+    if (ys == NULL)
+        return -1;
+    work = (int64_t *)(ys + n + 1);
+    cols = work;
+    key = work + n;
+    tmp = work + 2 * n;
+    conj = work + 3 * n;
+    at = conj + n + 1;
+
+    /* Larger keys first: the values, largest first when shaving and
+     * smallest first when filling, by their bits mapped onto int64. */
+    for (j = 0; j < n; j++) {
+        int64_t ordered = (int64_t)(values[j] ^ (UINT64_C(1) << 63));
+        cols[j] = j;
+        key[j] = take_largest ? ordered : ~ordered;
+    }
+    sort_by_key(cols, n, tmp, key);
+    memset(conj, 0, (size_t)(n + 1) * sizeof *conj);
+    for (j = 0; j < m; j++)
+        conj[row_counts[j]]++;
+    for (k = n - 1; k >= 1; k--)
+        conj[k] += conj[k + 1];
+
+    /* The upper hull of (k, L_k), k = 0..n, L_k = sign * (sum of the k
+     * first sorted values) - T_k: a point leaves the stack when it lies on
+     * or below the line from the point before it to the next one. */
+    at[0] = 0;
+    ys[0] = 0;
+    top = 0;
+    for (k = 1; k <= n; k++) {
+        level += sign * (wide)values[cols[k - 1]] - conj[k];
+        if (level > highest)
+            highest = level;
+        while (top > 0 &&
+               (ys[top] - ys[top - 1]) * (k - at[top]) <= (level - ys[top]) * (at[top] - at[top - 1]))
+            top--;
+        top++;
+        at[top] = k;
+        ys[top] = level;
+    }
+
+    /* Each segment's entries, ceilings first; a run of segments with one
+     * floor is emitted as one, so the output stays nonincreasing. */
+    for (pos = 0, j = 1; j <= top;) {
+        int64_t ceilings = 0, floors = 0, rem, u;
+        wide q = floor_div(ys[j] - ys[j - 1], at[j] - at[j - 1], &rem);
+        do {
+            ceilings += rem;
+            floors += at[j] - at[j - 1] - rem;
+            j++;
+        } while (j <= top && floor_div(ys[j] - ys[j - 1], at[j] - at[j - 1], &rem) == q);
+        for (u = 0; u < ceilings + floors; u++, pos++) {
+            wide v = sign * (u < ceilings ? q + 1 : q);
+            out[take_largest ? pos : n - 1 - pos] = v;
+        }
+    }
+    if (take_largest && (out[n - 1] >= 0) != (level >= highest))
+        status = 1;
+    free(ys);
+    return status;
+}
+
 /* ---- The CPython binding ----
  *
  * sweep(values, row_counts, take_largest, delta, policy, seed[, caps])
@@ -849,7 +979,9 @@ done:
  * the vectors to int64, checks them with check_inputs, and runs run_rows
  * or search_rows with the interpreter lock released.  sweep returns a
  * SolveResult, built by finished; search_ties, the final profiles and
- * their witnesses.
+ * their witnesses.  profile(values, row_counts, take_largest) converts
+ * the profile to uint64 and the row counts to int64, checks the counts
+ * alone, and returns hull_profile's result as a tuple of ints.
  *
  * The entries are converted in order (the profile, the row counts, the
  * caps' length, the caps) and the first refusal raises, so the error
@@ -859,10 +991,11 @@ done:
  * mod 2**64. */
 
 /* From majpop.errors, majpop._cells and majpop._speedups, set at import:
- * the two errors, the Cells and SolveResult classes, and the policy names.
+ * the three errors, the Cells and SolveResult classes, and the policy names.
  * Also set there: the offsets of Cells' three slots, and SolveResult's
  * field names in its __init__'s order, interned. */
-static PyObject *infeasible_error, *budget_error, *cells_type, *result_type, *policy_names;
+static PyObject *infeasible_error, *budget_error, *internal_error, *cells_type, *result_type,
+    *policy_names;
 static Py_ssize_t data_slot, shape_slot, array_slot;
 static PyObject *field_names[4];
 
@@ -900,12 +1033,8 @@ static int convert(PyObject *seq, int64_t *out, Py_ssize_t n, int64_t clamp, con
     return 0;
 }
 
-/* The checks made before anything is written, in one pass each, with
- * ValueError for the first refused: a row count outside [0, n], a negative
- * cap (caps may be NULL), or a value within m of an int64 limit, where m
- * unit steps could take it out of range.  Returns 0 or -1. */
-static int check_inputs(const int64_t *values, const int64_t *row_counts,
-                        const int64_t *caps, int64_t n, int64_t m)
+/* ValueError unless every row count lies in [0, n].  Returns 0 or -1. */
+static int check_row_counts(const int64_t *row_counts, int64_t n, int64_t m)
 {
     int64_t i;
     /* Read as unsigned, a negative count exceeds every n. */
@@ -914,6 +1043,19 @@ static int check_inputs(const int64_t *values, const int64_t *row_counts,
             PyErr_Format(PyExc_ValueError, "row counts must lie in [0, %lld]", (long long)n);
             return -1;
         }
+    return 0;
+}
+
+/* The checks made before anything is written, in one pass each, with
+ * ValueError for the first refused: a row count outside [0, n], a negative
+ * cap (caps may be NULL), or a value within m of an int64 limit, where m
+ * unit steps could take it out of range.  Returns 0 or -1. */
+static int check_inputs(const int64_t *values, const int64_t *row_counts,
+                        const int64_t *caps, int64_t n, int64_t m)
+{
+    int64_t i;
+    if (check_row_counts(row_counts, n, m) < 0)
+        return -1;
     if (caps != NULL)
         for (i = 0; i < n; i++)
             if (caps[i] < 0) {
@@ -1254,6 +1396,129 @@ done:
     return result;
 }
 
+/* Convert the first n entries of the list or tuple seq into out, as
+ * convert does, with ValueError(refusal) for an entry outside [0, 2**64). */
+static int convert_unsigned(PyObject *seq, uint64_t *out, Py_ssize_t n, const char *refusal)
+{
+    Py_ssize_t i;
+    for (i = 0; i < n; i++) {
+        PyObject *item, *index;
+        unsigned long long v;
+        if (i >= PySequence_Fast_GET_SIZE(seq)) {
+            PyErr_SetString(PyExc_RuntimeError, "sequence changed size during conversion");
+            return -1;
+        }
+        item = PySequence_Fast_GET_ITEM(seq, i);
+        Py_INCREF(item);
+        index = PyNumber_Index(item);
+        Py_DECREF(item);
+        if (index == NULL)
+            return -1;
+        v = PyLong_AsUnsignedLongLong(index);
+        Py_DECREF(index);
+        if (v == (unsigned long long)-1 && PyErr_Occurred()) {
+            if (PyErr_ExceptionMatches(PyExc_OverflowError))
+                PyErr_SetString(PyExc_ValueError, refusal);
+            return -1;
+        }
+        out[i] = v;
+    }
+    return 0;
+}
+
+/* v as a Python int, or NULL with an exception set; past the int64 range
+ * it is joined from its high and low words. */
+static PyObject *wide_int(wide v)
+{
+    PyObject *high, *low, *shift, *shifted, *joined;
+    if (v >= INT64_MIN && v <= INT64_MAX)
+        return PyLong_FromLongLong((long long)v);
+    high = PyLong_FromLongLong((long long)(v >> 64));
+    low = PyLong_FromUnsignedLongLong((unsigned long long)(uint64_t)v);
+    shift = PyLong_FromLong(64);
+    shifted = high && shift ? PyNumber_Lshift(high, shift) : NULL;
+    joined = shifted && low ? PyNumber_Add(shifted, low) : NULL;
+    Py_XDECREF(high);
+    Py_XDECREF(low);
+    Py_XDECREF(shift);
+    Py_XDECREF(shifted);
+    return joined;
+}
+
+static PyObject *profile(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *values_seq = NULL, *rows_seq = NULL, *result = NULL;
+    uint64_t *values;
+    int64_t *rows;
+    wide *out = NULL;
+    Py_ssize_t n, m, j;
+    int take_largest, status;
+
+    (void)module;
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "profile takes 3 arguments, not %zd", nargs);
+        return NULL;
+    }
+    take_largest = PyObject_IsTrue(args[2]);
+    if (take_largest < 0)
+        return NULL;
+    values_seq = PySequence_Fast(args[0], "the profile must be a sequence");
+    if (values_seq == NULL)
+        goto done;
+    rows_seq = PySequence_Fast(args[1], "the row counts must be a sequence");
+    if (rows_seq == NULL)
+        goto done;
+    n = PySequence_Fast_GET_SIZE(values_seq);
+    m = PySequence_Fast_GET_SIZE(rows_seq);
+    if (n >= PROFILE_MAX_COLUMNS) {
+        PyErr_SetString(PyExc_ValueError, "profiles take fewer than 2**32 columns");
+        goto done;
+    }
+    /* The wide output first, where the allocator's alignment holds for it. */
+    out = PyMem_Malloc((size_t)n * sizeof *out + (size_t)(n + m) * sizeof *values);
+    if (out == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    values = (uint64_t *)(out + n);
+    rows = (int64_t *)(values + n);
+    if (convert_unsigned(values_seq, values, n, "values must lie in [0, 2**64)") < 0 ||
+        convert(rows_seq, rows, m, -1, "row counts must lie within the int64 range") < 0 ||
+        check_row_counts(rows, n, m) < 0)
+        goto done;
+    Py_BEGIN_ALLOW_THREADS
+    status = hull_profile(values, n, rows, m, take_largest, out);
+    Py_END_ALLOW_THREADS
+    if (status > 0) {
+        PyErr_SetString(internal_error, "the sign test and the prefix test disagree on a shave's feasibility");
+        goto done;
+    }
+    if (status < 0) {
+        PyErr_Format(PyExc_MemoryError, "no memory for the profile's scratch buffers (%lld columns)",
+                     (long long)n);
+        goto done;
+    }
+    result = PyTuple_New(n);
+    if (result == NULL)
+        goto done;
+    /* Equal entries, side by side, share one int. */
+    for (j = 0; j < n; j++) {
+        PyObject *v = j > 0 && out[j] == out[j - 1] ? Py_NewRef(PyTuple_GET_ITEM(result, j - 1))
+                                                    : wide_int(out[j]);
+        if (v == NULL) {
+            Py_CLEAR(result);
+            goto done;
+        }
+        PyTuple_SET_ITEM(result, j, v);
+    }
+
+done:
+    Py_XDECREF(values_seq);
+    Py_XDECREF(rows_seq);
+    PyMem_Free(out);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"sweep", (PyCFunction)(void (*)(void))sweep, METH_FASTCALL,
      "sweep(start, row_counts, take_largest, delta, policy, seed, caps=None)\n"
@@ -1267,11 +1532,16 @@ static PyMethodDef methods[] = {
      "Resolve every row's ties in every way; returns the final profiles, a\n"
      "tuple of tuples in the order first reached, and their witness\n"
      "matrices, row-major, as one bytes."},
+    {"profile", (PyCFunction)(void (*)(void))profile, METH_FASTCALL,
+     "profile(start, row_counts, take_largest)\n"
+     "--\n\n"
+     "The nonincreasing final profile every uncapped sweep of start reaches,\n"
+     "computed without a sweep or a matrix, as a tuple of ints."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef sweep_module = {
-    PyModuleDef_HEAD_INIT, "majpop._sweep", "The compiled row sweep and tie search.", -1, methods,
+    PyModuleDef_HEAD_INIT, "majpop._sweep", "The compiled row sweep, tie search and profiles.", -1, methods,
     NULL, NULL, NULL, NULL,
 };
 
@@ -1310,6 +1580,7 @@ PyMODINIT_FUNC PyInit__sweep(void)
     int u;
     if (imported("majpop.errors", "InfeasibleError", &infeasible_error) < 0 ||
         imported("majpop.errors", "BudgetExceededError", &budget_error) < 0 ||
+        imported("majpop.errors", "InternalInvariantError", &internal_error) < 0 ||
         imported("majpop._cells", "Cells", &cells_type) < 0 ||
         imported("majpop._cells", "SolveResult", &result_type) < 0 ||
         imported("majpop._speedups", "POLICIES", &policy_names) < 0)

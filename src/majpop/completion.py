@@ -107,11 +107,6 @@ def feasible_min_remaining(c, r) -> bool:
     rv = as_vector(r, name="row_sums")
     if any(v < 0 for v in cv) or any(v < 0 for v in rv):
         return False
-    return _feasible_min_remaining(cv, rv)
-
-
-def _feasible_min_remaining(cv, rv) -> bool:
-    """:func:`feasible_min_remaining` on tuples of nonnegative ints, unchecked."""
     n, m = len(cv), len(rv)
     if any(v > n for v in rv):
         return False

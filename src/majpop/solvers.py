@@ -37,17 +37,23 @@ sweep: where the build failed, every call that sweeps raises
 ``_speedups.BuildError``.  The C code writes the matrix into a ``bytes``,
 handed back as ``Cells``, so a solve imports no numpy:
 ``SolveResult.matrix`` builds the numpy array on first access.  Nor does a solve import
-:mod:`majpop.completion`: only ``feasible`` and ``min_remaining_profile``
-need it, and they import it when they run.  They import the module, not
-a name from it: ``from .completion import name`` in a function costs
-≈2 µs a call, most of it the failed lookup of ``__path__`` on a module
-that is not a package.
+:mod:`majpop.completion`: only ``feasible`` needs it, and imports it when
+it runs.  It imports the module, not a name from it: ``from .completion
+import name`` in a function costs ≈2 µs a call, most of it the failed
+lookup of ``__path__`` on a module that is not a package.
 
 Resolving every row's ties in every way, row by row, enumerates the full
 set of optimal objective vectors; see :func:`enumerate_optima`.  That
 search runs compiled too, as the extension's second function,
 ``_speedups.search_ties``: like every sweep it raises
 ``_speedups.BuildError`` where the build failed.
+
+The canonical profiles need no sweep at all: ``min_remaining_profile`` and
+``min_combined_profile`` read the nonincreasing optimum off one hull of the
+prefix sums of the sorted start profile and of the conjugate of the row
+sums, in O(m + n log n) and with no matrix, through the extension's third
+function, ``_speedups.profile``, which raises ``_speedups.BuildError`` too
+where the build failed.
 """
 
 from itertools import accumulate
@@ -185,10 +191,10 @@ def _rank_compressed(start: IntVector, m: int) -> list[int]:
 
 
 def _retried(refusal: ValueError, call, start: IntVector, r: IntVector, *args) -> tuple:
-    """``call(start, r, *args)`` again, after the compiled sweep or tie
-    search refused its inputs with ``refusal``; returns the call's result
-    and the shift that moves the profiles it returns back, one offset per
-    column.
+    """``call(start, r, *args)`` again, after the compiled sweep, tie
+    search or profile refused its inputs with ``refusal``; returns the
+    call's result and the shift that moves the profiles it returns back,
+    one offset per column.
 
     Nothing is checked before the first call, whose first pass checks the
     row sums and the profile.  Only when it refuses them do the checks run
@@ -257,33 +263,51 @@ def valley_fill(base, row_sums, policy: TiePolicy = LOWEST_INDEX) -> SolveResult
         return _retried_sweep(refusal, b, r, False, +1, policy)
 
 
-def min_remaining_profile(ceiling, row_sums) -> IntVector:
-    """Canonical (nonincreasing) optimal remaining profile for a feasible setup."""
-    from . import completion
+def _canonical_profile(start: IntVector, r: IntVector, largest: bool) -> IntVector:
+    """The nonincreasing final profile every uncapped sweep of ``start`` by
+    ``r`` reaches, from ``_speedups.profile``, which builds no matrix.  A
+    profile it refuses, one with an entry of 2**64 or more, goes through
+    ``_retried``: the rank-compressed profile's result, plus the shift
+    sorted alike, since the gaps wider than m that compression cuts split
+    the columns into groups that no row mixes, and ranks keep the order."""
+    try:
+        return _speedups.profile(start, r, largest)
+    except ValueError as refusal:
+        packed, shift = _retried(refusal, _speedups.profile, start, r, largest)
+        return tuple([v + d for v, d in zip(packed, sort_desc(shift))])
 
+
+def min_remaining_profile(ceiling, row_sums) -> IntVector:
+    """Canonical (nonincreasing) optimal remaining profile for a feasible setup.
+
+    The profile is read off the least concave majorant of the prefix sums
+    of the ceiling, sorted, less those of the conjugate of the row sums, in
+    O(m + n log n) and with no matrix (``_speedups.profile``).  A negative
+    entry means the ceiling cannot absorb the rows, and raises
+    InfeasibleError; so does a row above n, which names itself.  The C code
+    checks that sign test against the prefix test of
+    ``completion.feasible_min_remaining`` and raises InternalInvariantError
+    if the two disagree.
+    """
     c = as_vector(ceiling, "ceiling", nonnegative=True)
     r = as_vector(row_sums, "row_sums", nonnegative=True)
-    if not completion._feasible_min_remaining(c, r):
+    profile = _canonical_profile(c, r, True)
+    if profile and profile[-1] < 0:
         raise InfeasibleError(f"ceiling {c} cannot absorb row sums {r}")
-    if not c:
-        return ()
-    try:
-        return _speedups.sweep(c, r, True, -1, "lowest_index", 0).canonical_objective
-    except ValueError as refusal:
-        return _retried_sweep(refusal, c, r, True, -1, LOWEST_INDEX).canonical_objective
+    return profile
 
 
 def min_combined_profile(base, row_sums) -> IntVector:
-    """Canonical (nonincreasing) optimal combined profile; always exists."""
+    """Canonical (nonincreasing) optimal combined profile; always exists
+    once every row fits in n columns.
+
+    Read off the greatest convex minorant of the prefix sums of the base,
+    sorted nondecreasing, plus those of the conjugate of the row sums, in
+    O(m + n log n) and with no matrix (``_speedups.profile``).
+    """
     b = as_vector(base, "base", nonnegative=True)
     r = as_vector(row_sums, "row_sums", nonnegative=True)
-    if not b:
-        _check_rows(r, 0)
-        return ()
-    try:
-        return _speedups.sweep(b, r, False, +1, "lowest_index", 0).canonical_objective
-    except ValueError as refusal:
-        return _retried_sweep(refusal, b, r, False, +1, LOWEST_INDEX).canonical_objective
+    return _canonical_profile(b, r, False)
 
 
 def solve(inst: Instance, policy: TiePolicy = LOWEST_INDEX) -> SolveResult:

@@ -312,6 +312,7 @@ def test_failed_build_keeps_what_needs_no_sweep(without_cc, tmp_path):
 def test_failed_build_fails_every_call_that_sweeps(monkeypatch, without_cc):
     monkeypatch.setattr(_speedups, "sweep", _speedups._unavailable)
     monkeypatch.setattr(_speedups, "search_ties", _speedups._unavailable)
+    monkeypatch.setattr(_speedups, "profile", _speedups._unavailable)
     monkeypatch.setattr(_speedups, "BUILD_ERROR", "cannot run cc: not found")
     inst = majpop.Instance("min_remaining", (2, 1), ceiling=(3, 2, 1))
     sweeping = (
@@ -592,6 +593,25 @@ def test_binding_keeps_no_memory_across_calls():
         majpop.Instance("min_combined", (2, 1), base=(2**64 - 1, 0, 2**63)),
     )
     policy = TiePolicy("uniform_random", 3)
+    # Profiles shaved and filled, feasible and not, one rank compressed, and
+    # ones the C code refuses or cannot convert.
+    profile_calls = (
+        (majpop.min_remaining_profile, (9, 7, 6, 5, 1), (3, 1, 2, 3, 0)),
+        (majpop.min_remaining_profile, (0, 0, 1), (2, 1)),  # infeasible
+        (majpop.min_remaining_profile, (5, 4), (1, 3)),  # a row above n
+        (majpop.min_combined_profile, (2**64 - 1, 0, 2**63), (2, 1, 3)),  # fills past 2**64
+        (majpop.min_combined_profile, (10**30, 0, 7), (2, 1)),  # rank compressed
+        (_speedups.profile, [0, 2**64, 1], [1], True),  # refused
+        (_speedups.profile, [0, 1, 2.5], [1], False),  # TypeError
+    )
+
+    def profiles(rounds):
+        for _ in range(rounds):
+            for call, *args in profile_calls:
+                try:
+                    call(*args)
+                except (ValueError, TypeError, InfeasibleError):
+                    pass
 
     def run(rounds):
         for _ in range(rounds):
@@ -611,6 +631,7 @@ def test_binding_keeps_no_memory_across_calls():
 
     run(100)
     solves(100)
+    profiles(100)
     # Each record holds its class, and each Cells its own: a reference
     # tp_alloc took and nothing gave back would show here.
     held = sys.getrefcount(majpop.SolveResult), sys.getrefcount(majpop.completion.Cells)
@@ -620,9 +641,11 @@ def test_binding_keeps_no_memory_across_calls():
     try:
         run(10)
         solves(10)
+        profiles(10)
         before = tracemalloc.get_traced_memory()[0]
         run(50_000 // len(calls))
         solves(50_000 // len(instances))
+        profiles(50_000 // len(profile_calls))
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
