@@ -19,6 +19,7 @@ from majpop import (
     make_matrix,
     row_sums,
     sort_desc,
+    weakly_supermajorized,
 )
 from majpop.oracle import all_matrices, enumerate_attainable, matrix_exists
 from majpop.solvers import Instance
@@ -58,6 +59,56 @@ def test_feasible_min_remaining_examples():
     assert feasible_min_remaining((7, 6, 5, 4, 4), (4, 4, 3, 1, 1))
     assert not feasible_min_remaining((0, 0), (1,))
     assert not feasible_min_remaining((1,), (2,))
+
+
+@pytest.mark.parametrize(
+    "c, r, expected",
+    [
+        # Ceilings of 2**64 and more: no column takes more than m units.
+        ((2**64, 0), (1,), True),
+        ((2**64, 2**64 + 5, 0), (2, 2, 2), True),
+        ((2**64, 0, 0), (2,), False),
+        ((2**70,), (2,), False),
+        ((10**30, 1, 1), (3, 1), True),
+        ((10**30, 1, 0), (3, 1), False),
+        ((2**64 - 1, 2**63), (2, 2, 1), True),
+        # No columns: only rows that take nothing fit.
+        ((), (), True),
+        ((), (0, 0), True),
+        ((), (1,), False),
+        ((), (0, 1), False),
+        # No rows: every ceiling fits.
+        ((0, 0), (), True),
+        ((3,), (), True),
+        ((2**65, 0), (), True),
+        # Negative entries make the class empty rather than raising.
+        ((-1, 2), (1,), False),
+        ((2, 2), (-1,), False),
+        ((-1,), (), False),
+        ((), (-1,), False),
+        # A row wider than the instance.
+        ((5, 5), (3,), False),
+        ((5, 5), (2, 3, 0), False),
+        ((2**64, 2**64), (3,), False),
+    ],
+)
+def test_feasible_min_remaining_edges(c, r, expected):
+    assert feasible_min_remaining(c, r) is expected
+
+
+def test_feasible_min_remaining_matches_the_supermajorization_form():
+    rng = random.Random(808)
+    seen = {True: 0, False: 0}
+    for _ in range(600):
+        n = rng.randint(0, 40)
+        m = rng.randint(0, 40)
+        r = tuple(rng.randint(0, n) for _ in range(m))
+        scale = rng.choice((2, m + 2, 2 * m + 2, 2**64 + m))
+        c = tuple(rng.randint(0, scale) if rng.random() < 0.9 else rng.randint(0, 2) for _ in range(n))
+        expected = weakly_supermajorized(c, conjugate(r, n)) if n else sum(r) == 0
+        assert feasible_min_remaining(c, r) is expected, (c, r)
+        seen[expected] += 1
+    assert min(seen.values()) > 100
 
 
 def test_feasible_min_remaining_matches_enumerated_fill_vectors():
@@ -108,6 +159,46 @@ def test_construct_matrix_names_violated_prefix():
         construct_matrix((2, 1), (1, 1))
     with pytest.raises(InfeasibleError, match="exceeds the number of columns"):
         construct_matrix((3,), (1, 1))
+
+
+# Each of the six reasons _line_sum_violation gives, in full, and which one
+# wins when several hold: the first in the order listed here.
+LINE_SUM_VIOLATIONS = [
+    ((2, -1), (1, 0), "row sums contain a negative entry"),
+    ((-1,), (-1, 5), "row sums contain a negative entry"),
+    ((1, 1), (3, -1), "column sums contain a negative entry"),
+    ((5, 1), (1, -2), "column sums contain a negative entry"),
+    ((1, 3), (2, 2), "row_sums[1] = 3 exceeds the number of columns 2"),
+    ((4, 3), (9, 1, 0), "row_sums[0] = 4 exceeds the number of columns 3"),
+    ((1, 1), (0, 3), "col_sums[1] = 3 exceeds the number of rows 2"),
+    ((0,), (2, 5), "col_sums[0] = 2 exceeds the number of rows 1"),
+    ((2, 1), (1, 1), "total row sum 3 differs from total column sum 2"),
+    ((), (0, 0), None),
+    ((0, 0), (), None),
+    ((1,), (), "row_sums[0] = 1 exceeds the number of columns 0"),
+    ((), (1,), "col_sums[0] = 1 exceeds the number of rows 0"),
+    ((2, 1, 0), (3, 0), "prefix 1 of the sorted column sums is 3, exceeding the conjugate row-sum prefix 2"),
+    ((3, 1, 1, 1), (3, 3, 0, 0), "prefix 2 of the sorted column sums is 6, exceeding the conjugate row-sum prefix 5"),
+    ((3, 3, 3, 1), (4, 4, 1, 1), "prefix 2 of the sorted column sums is 8, exceeding the conjugate row-sum prefix 7"),
+    ((4, 2), (0, 2, 2, 2), "prefix 3 of the sorted column sums is 6, exceeding the conjugate row-sum prefix 5"),
+    ((2, 2, 0, 0), (0, 2, 2, 0), None),
+    ((2, 2, 2), (3, 3, 0), None),
+    ((3, 3, 1), (3, 1, 1, 2), None),
+]
+
+
+@pytest.mark.parametrize("r, x, reason", LINE_SUM_VIOLATIONS)
+def test_construct_matrix_names_each_violation_in_full(r, x, reason):
+    if reason is None:
+        a = construct_matrix(r, x)
+        assert a.shape == (len(r), len(x))
+        assert row_sums(a) == r and col_sums(a) == x
+        assert gale_ryser_feasible(r, x)
+        return
+    with pytest.raises(InfeasibleError) as exc:
+        construct_matrix(r, x)
+    assert str(exc.value) == f"no 0/1 matrix has these line sums: {reason}"
+    assert not gale_ryser_feasible(r, x)
 
 
 def test_interchange_example():
