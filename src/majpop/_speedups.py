@@ -61,10 +61,13 @@ per profile, row-major, as one ``bytes``: the picks of the first path
 that reached each profile.  ``profile(start, row_counts, take_largest)``
 takes the profile, with entries in [0, 2**64), and the row sums, and
 returns the canonical profile as a tuple of ints, which past 2**64 - 1
-when a fill carries them there.  It has two checks of its own: fewer than
-2**32 columns, and, for a shave, the sign test (no entry below 0) against
-the prefix test of ``completion.feasible_min_remaining``, on the sorted
-values it already holds; InternalInvariantError reports a disagreement.
+when a fill carries them there.  It has checks of its own: fewer than
+2**32 columns, and, for a shave, the sign test (no entry below 0), which
+``completion.feasible_min_remaining`` and ``completion.construct_matrix``
+read as their Gale-Ryser test, against the supermajorization prefix test,
+and that against the clamped submajorization of the row sums, on the
+sorted values it already holds; InternalInvariantError reports a
+disagreement.
 
 The C code checks the row counts, the caps and the profile's distance
 from the int64 limits in one pass each, so no Python pass over a vector

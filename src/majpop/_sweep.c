@@ -11,9 +11,20 @@
  * every column it takes by one unit, so only the blocks at the threshold and
  * one unit either side of it can fall out of order, and the row restores
  * the order by merging those alone.  The total is O(n log n + sum_i (r_i +
- * t_i)), with t_i the columns in the blocks row i touches.  Tie handling,
- * the load-order keys and the splitmix64 stream match the test suite's
- * reference sweep (tests/helpers.py, reference_sweep) bit for bit.
+ * t_i)), with t_i the columns in the blocks row i touches.  Tie handling
+ * and the splitmix64 stream match the test suite's reference sweep
+ * (tests/helpers.py, reference_sweep) bit for bit.
+ *
+ * load_order needs no keys of its own.  Within a tie block every column
+ * holds the same value v = start_j + delta * placed_j, so its placements
+ * so far, (v - start_j) / delta, rank the block as the start profile
+ * does, in every row alike.  The load-order ranking is therefore one
+ * fixed order of the columns: start descending when delta is -1 and
+ * ascending when it is +1, then index ascending when the sweep takes the
+ * largest values and descending when it takes the smallest.
+ * run_load_order labels the columns in that order once, runs the
+ * lowest-index sweep on the labels, and writes the cells, the values and
+ * the ranking back through them, so it costs what lowest_index costs.
  *
  * With column caps, the order holds the open columns alone: a column that
  * reaches its cap leaves it, so each row selects among its open columns, in
@@ -58,11 +69,13 @@
 #define POLICY_RANDOM 3
 
 /* Inlined into each caller: the per-row helpers, and the sweep into its
- * two specialised copies. */
+ * four specialised copies.  Kept out of line: the relabelled sweep. */
 #if defined(__GNUC__)
 #define INLINE static inline __attribute__((always_inline))
+#define NOINLINE __attribute__((noinline))
 #else
 #define INLINE static inline
+#define NOINLINE
 #endif
 
 static uint64_t splitmix64(uint64_t *state)
@@ -75,12 +88,19 @@ static uint64_t splitmix64(uint64_t *state)
     return z ^ (z >> 31);
 }
 
+/* Column j's cell in the current row: cell label[j] when the sweep runs
+ * on relabelled columns (run_load_order), else cell j. */
+INLINE uint8_t *cell(uint8_t *row, const int64_t *label, int64_t j)
+{
+    return row + (label == NULL ? j : label[j]);
+}
+
 /* Take column j into the current row: set its bit and, where placements
  * are counted, count this one.  Its value moves in the caller's level
  * array. */
-static void take(uint8_t *row, int64_t *placed, int64_t j)
+INLINE void take(uint8_t *row, const int64_t *label, int64_t *placed, int64_t j)
 {
-    row[j] = 1;
+    *cell(row, label, j) = 1;
     if (placed != NULL)
         placed[j]++;
 }
@@ -255,19 +275,19 @@ static int64_t key_of(int64_t value, int take_largest)
     return take_largest ? value : ~value;
 }
 
-/* Pick k of the block order[s..e) by the tie policy and take them.  The
- * picks go to picks[0..k) and the rest to order[s+k..e), each in index
- * order; picks[-1] is a scratch slot. */
-INLINE void pick(int64_t *order, int64_t s, int64_t t, int64_t k, int policy,
-                 int take_largest, int64_t n, uint8_t *row, int64_t *placed,
-                 uint64_t *state, int64_t *picks, int64_t *a, int64_t *b)
+/* Pick k of the block order[s..e) by the tie policy (any but load_order,
+ * which run_load_order turns into lowest_index) and take them.  The picks
+ * go to picks[0..k) and the rest to order[s+k..e), each in index order;
+ * picks[-1] is a scratch slot. */
+INLINE void pick(int64_t *order, int64_t s, int64_t t, int64_t k, int policy, uint8_t *row,
+                 const int64_t *label, int64_t *placed, uint64_t *state, int64_t *picks, int64_t *a)
 {
     int64_t u, j, *picks_end, *rest_end;
     if (k == t || policy == POLICY_LOWEST) {
         for (u = 0; u < k; u++) {
             j = order[s + u];
             picks[u] = j;
-            take(row, placed, j);
+            take(row, label, placed, j);
         }
         return;
     }
@@ -275,41 +295,20 @@ INLINE void pick(int64_t *order, int64_t s, int64_t t, int64_t k, int policy,
         for (u = 0; u < k; u++) {
             j = order[s + t - k + u];
             picks[u] = j;
-            take(row, placed, j);
+            take(row, label, placed, j);
         }
         memmove(order + s + k, order + s, (size_t)(t - k) * sizeof *order);
         return;
     }
-    if (policy == POLICY_LOAD_ORDER) {
-        /* Prefer columns already loaded the most; break remaining ties by
-         * low index when shaving peaks and high index when filling
-         * valleys.  The index term makes every key distinct. */
-        int64_t kth;
-        for (u = 0; u < t; u++) {
-            j = order[s + u];
-            a[u] = placed[j] * (n + 1) + (take_largest ? n - 1 - j : j);
-            b[u] = a[u];
-        }
-        kth = kth_smallest(b, t, t - k);
-        for (u = 0; u < t; u++) {
-            /* take() without a branch: the block's row bits are all 0. */
-            int64_t picked = a[u] >= kth;
-            j = order[s + u];
-            row[j] = (uint8_t)picked;
-            placed[j] += picked;
-        }
-    } else {
-        /* Partial Fisher-Yates over a copy of the block; one draw per
-         * pick. */
-        memcpy(a, order + s, (size_t)t * sizeof *a);
-        for (u = 0; u < k; u++) {
-            uint64_t z = splitmix64(state);
-            int64_t w = u + (int64_t)(z % (uint64_t)(t - u));
-            j = a[w];
-            a[w] = a[u];
-            a[u] = j;
-            take(row, placed, j);
-        }
+    /* Partial Fisher-Yates over a copy of the block; one draw per pick. */
+    memcpy(a, order + s, (size_t)t * sizeof *a);
+    for (u = 0; u < k; u++) {
+        uint64_t z = splitmix64(state);
+        int64_t w = u + (int64_t)(z % (uint64_t)(t - u));
+        j = a[w];
+        a[w] = a[u];
+        a[u] = j;
+        take(row, label, placed, j);
     }
     /* The picks have their row bits set: a stable partition, from the back
      * and without a branch.  Each column is written to both lists and only
@@ -321,7 +320,7 @@ INLINE void pick(int64_t *order, int64_t s, int64_t t, int64_t k, int policy,
     for (u = s + t - 1; u >= s; u--) {
         int64_t picked;
         j = order[u];
-        picked = row[j];
+        picked = *cell(row, label, j);
         picks_end[-1] = j;
         rest_end[-1] = j;
         picks_end -= picked;
@@ -363,28 +362,33 @@ static void rank_columns(int64_t *ranked, const int64_t *values, int64_t n, int6
  * matrix: uint8[m, n] output, zero-initialized by the caller.
  * take_largest: select the columns holding the largest values, else the
  *     smallest; delta (+1 or -1) is applied to each selected column.
- * policy: a POLICY_* code; seed feeds the splitmix64 stream for
+ * policy: a POLICY_* code other than POLICY_LOAD_ORDER, which
+ *     run_load_order runs; seed feeds the splitmix64 stream for
  *     POLICY_RANDOM.
  * caps: int64[n] most units each column may take over the sweep, or NULL.
  * stranded: on return 1, the stranded row's need and how many columns
  *     were still open in it.  Rows before it are written to values and
  *     matrix; it and the rows after it are not.
- * capped: whether caps is given, a constant at both calls in the binding,
- *     so each call compiles to its own loop and the uncapped one carries
- *     no cap test.
+ * label: NULL, or, from run_load_order, the column of matrix each of the
+ *     n columns here stands for; the sweep writes column j's cells to
+ *     column label[j], and values, caps and ranked stay in its own order.
+ * capped: whether caps is given.  It and label are constants at every
+ *     call, so each call compiles to its own loop: the uncapped ones carry
+ *     no cap test, and the binding's own ones no relabelling.
  *
  * order[lo..n) holds the open columns, larger key first, equal keys by
  * index, and level[u] is the current key of column order[u] (key_of its
  * value); values[j] is written when column j closes and, for the columns
  * still open, at the end.  A taken column's key moves by step: down when
  * shaving peaks and filling valleys, up for general_max.  placed counts
- * each column's placements where the caps or the load-order keys read
- * them, and is NULL elsewhere.  Scratch: the counts, order, level, and two
+ * each column's placements where the caps read them, and is NULL
+ * elsewhere.  Scratch: the counts, order, level, and two
  * regions a and b of n + 4 slots for the column lists a row merges. */
 INLINE int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
                     int64_t m, uint8_t *matrix, int take_largest,
                     int64_t delta, int policy, uint64_t seed,
-                    const int64_t *caps, int64_t *stranded, int64_t *ranked, const int capped)
+                    const int64_t *caps, int64_t *stranded, int64_t *ranked,
+                    const int64_t *label, const int capped)
 {
     int64_t *work, *placed, *order, *level, *a, *b;
     int64_t step = take_largest ? delta : -delta, lo, i, j, u;
@@ -396,7 +400,7 @@ INLINE int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
     work = calloc((size_t)n * 5 + 8, sizeof *work);
     if (work == NULL)
         return -1;
-    placed = capped || policy == POLICY_LOAD_ORDER ? work : NULL;
+    placed = capped ? work : NULL;
     order = work + n;
     level = work + 2 * n;
     a = work + 3 * n;
@@ -458,7 +462,7 @@ INLINE int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
              * other two next to them. */
             int64_t *above = a + 1;
             int64_t na = 0, closed;
-            pick(order, s, t, k, policy, take_largest, n, row, placed, &state, picks, a, b);
+            pick(order, s, t, k, policy, row, label, placed, &state, picks, a);
             nb = k;
             if (capped) {
                 /* Picks that reached their caps leave the order. */
@@ -472,7 +476,7 @@ INLINE int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
             }
             for (u = p; u < s; u++) {
                 j = order[u];
-                take(row, placed, j);
+                take(row, label, placed, j);
                 above[na] = j;
                 if (capped) {
                     values[j] = key_of(thr, take_largest);
@@ -496,14 +500,14 @@ INLINE int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
              * key up and already stand where they belong, just after the
              * prefix. */
             for (u = s; u < s + k; u++)
-                take(row, placed, order[u]);
+                take(row, label, placed, order[u]);
             fill(level, s, s + k, thr + 1);
             end = s;
             rest = s;
         } else {
             /* general_max: the picks move one key up and go just before
              * the ties left in order[s+k..e). */
-            pick(order, s, t, k, policy, take_largest, n, row, placed, &state, picks, a, b);
+            pick(order, s, t, k, policy, row, label, placed, &state, picks, a);
             nb = k;
             if (capped) {
                 nb = 0;
@@ -526,7 +530,7 @@ INLINE int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
             for (u = rest - 1; u >= lo; u--) {
                 int64_t key = level[u] + step;
                 j = order[u];
-                take(row, placed, j);
+                take(row, label, placed, j);
                 values[j] = key_of(key, take_largest);
                 order[end - 1] = j;
                 level[end - 1] = key;
@@ -535,7 +539,7 @@ INLINE int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
             lo = end;
         } else {
             for (u = lo; u < rest; u++) {
-                take(row, placed, order[u]);
+                take(row, label, placed, order[u]);
                 level[u] += step;
             }
         }
@@ -544,6 +548,60 @@ INLINE int run_rows(int64_t *values, int64_t n, const int64_t *row_counts,
         values[order[u]] = key_of(level[u], take_largest);
     if (status == 0)
         rank_columns(ranked, values, n, order, level, lo, placed, caps, take_largest, b, a);
+    free(work);
+    return status;
+}
+
+/* A load_order sweep, on run_rows' arguments but the policy: lowest_index
+ * on the columns labelled in the load-order ranking (see the top of this
+ * file), which picks the lowest labels of each block, the very columns
+ * load_order picks.  Nothing else in a sweep reads an index, so the
+ * cells, written through label, the values and the ranking, mapped back,
+ * and a stranded row are the load_order sweep's own.  (general_max's
+ * blocks never mix starts at all: a column below another open one is
+ * taken only with it, so the gap between them never closes.)
+ *
+ * Scratch: 3n slots on top of run_rows' own, for label (label to column),
+ * and the start profile and caps in label order.  Not inlined, so the
+ * binding's sweep, where the other policies run, keeps its layout. */
+static NOINLINE int run_load_order(int64_t *values, int64_t n, const int64_t *row_counts,
+                                   int64_t m, uint8_t *matrix, int take_largest, int64_t delta,
+                                   const int64_t *caps, int64_t *stranded, int64_t *ranked)
+{
+    int64_t *work, *label, *start, *own_caps, u;
+    int status;
+
+    if (n <= 0)
+        return 0;
+    work = malloc((size_t)n * 3 * sizeof *work);
+    if (work == NULL)
+        return -1;
+    label = work;
+    start = work + n;        /* the sort keys, by column, until the sort ends */
+    own_caps = work + 2 * n; /* the sort's scratch until then */
+    /* Start descending when delta is -1, else ascending; stable, so equal
+     * starts keep the index order set here. */
+    for (u = 0; u < n; u++) {
+        label[u] = take_largest ? u : n - 1 - u;
+        start[u] = key_of(values[u], delta < 0);
+    }
+    sort_by_key(label, n, own_caps, start);
+    for (u = 0; u < n; u++) {
+        start[u] = values[label[u]];
+        if (caps != NULL)
+            own_caps[u] = caps[label[u]];
+    }
+    if (caps == NULL)
+        status = run_rows(start, n, row_counts, m, matrix, take_largest, delta, POLICY_LOWEST, 0,
+                          NULL, stranded, ranked, label, 0);
+    else
+        status = run_rows(start, n, row_counts, m, matrix, take_largest, delta, POLICY_LOWEST, 0,
+                          own_caps, stranded, ranked, label, 1);
+    if (status == 0)
+        for (u = 0; u < n; u++) {
+            values[label[u]] = start[u];
+            ranked[u] = label[ranked[u]];
+        }
     free(work);
     return status;
 }
@@ -885,23 +943,29 @@ static wide floor_div(wide num, int64_t den, int64_t *rem)
  * row_counts[0..m), nonincreasing, into out[0..n), on inputs the binding
  * passed: every row count in [0, n] and n below PROFILE_MAX_COLUMNS.
  * take_largest shaves (each row takes one unit off its largest values),
- * else each row adds one unit to its smallest.  Returns 0, 1 when a
- * shave's two feasibility tests disagree, or -1 when there is no scratch
- * memory.
+ * else each row adds one unit to its smallest.  Returns 0, 1 or 2 when a
+ * shave's feasibility tests disagree (below), or -1 when there is no
+ * scratch memory.
  *
- * A shave is feasible when its smallest entry is not negative; as a check
- * on the hull, that sign test is compared with the prefix test of
- * completion.feasible_min_remaining on the same sorted values: every
- * suffix sum of the values at least that of the conjugate, that is L_n at
- * least every L_k. */
+ * A shave is feasible when its smallest entry is not negative, which is
+ * the test completion.feasible_min_remaining and
+ * completion.construct_matrix read.  As a check on the hull, that sign
+ * test is compared (status 1) with the prefix test on the same sorted
+ * values: every suffix sum of the values at least that of the conjugate,
+ * that is L_n at least every L_k.  That test is compared in turn (status
+ * 2) with the other side of Gale-Ryser, the row counts weakly submajorized
+ * by the conjugate of the values clamped at m: for k = 1..m, the k largest
+ * row counts sum to at most sum_j min(values_j, k), whose steps
+ * #{j : values_j >= k} and the row counts in nonincreasing order are both
+ * read off sorted arrays by a cursor, in O(m + n). */
 static int hull_profile(const uint64_t *values, int64_t n, const int64_t *row_counts, int64_t m,
                         int take_largest, wide *out)
 {
     /* The columns by value, their sort keys and the merge scratch; the
      * conjugate, conj[k] = #{i : r_i >= k}; and the hull, its points'
      * abscissas at[] and ordinates ys[]. */
-    int64_t *work, *cols, *key, *tmp, *conj, *at, top, j, k, pos;
-    wide *ys, level = 0, highest = 0, sign = take_largest ? 1 : -1;
+    int64_t *work, *cols, *key, *tmp, *conj, *at, top, j, k, pos, kth_row, at_least;
+    wide *ys, level = 0, highest = 0, sign = take_largest ? 1 : -1, row_sum = 0, column_sum = 0;
     int status = 0;
 
     if (n <= 0)
@@ -964,8 +1028,23 @@ static int hull_profile(const uint64_t *values, int64_t n, const int64_t *row_co
             out[take_largest ? pos : n - 1 - pos] = v;
         }
     }
-    if (take_largest && (out[n - 1] >= 0) != (level >= highest))
-        status = 1;
+    if (take_largest) {
+        /* kth_row: the k-th largest row count, max{l : conj[l] >= k};
+         * at_least: #{j : values_j >= k}. */
+        kth_row = at_least = n;
+        for (k = 1; k <= m && row_sum <= column_sum; k++) {
+            while (kth_row > 0 && conj[kth_row] < k)
+                kth_row--;
+            while (at_least > 0 && values[cols[at_least - 1]] < (uint64_t)k)
+                at_least--;
+            row_sum += kth_row;
+            column_sum += at_least;
+        }
+        if ((out[n - 1] >= 0) != (level >= highest))
+            status = 1;
+        else if ((row_sum <= column_sum) != (level >= highest))
+            status = 2;
+    }
     free(ys);
     return status;
 }
@@ -1279,12 +1358,18 @@ static PyObject *sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs
     bytes = (uint8_t *)PyBytes_AS_STRING(matrix);
     memset(bytes, 0, (size_t)(m * n));
     Py_BEGIN_ALLOW_THREADS
-    if (in.caps == NULL)
+    /* load_order last: tested first, its branch moved the other policies'
+     * loops in this function, and lowest_index sweeps of wide tie blocks
+     * read 4% slower in an in-process A/B. */
+    if (policy != POLICY_LOAD_ORDER && in.caps == NULL)
         status = run_rows(in.values, n, in.rows, m, bytes, take_largest, delta, policy, seed,
-                          NULL, stranded, in.ranked, 0);
+                          NULL, stranded, in.ranked, NULL, 0);
+    else if (policy != POLICY_LOAD_ORDER)
+        status = run_rows(in.values, n, in.rows, m, bytes, take_largest, delta, policy, seed,
+                          in.caps, stranded, in.ranked, NULL, 1);
     else
-        status = run_rows(in.values, n, in.rows, m, bytes, take_largest, delta, policy, seed,
-                          in.caps, stranded, in.ranked, 1);
+        status = run_load_order(in.values, n, in.rows, m, bytes, take_largest, delta, in.caps,
+                                stranded, in.ranked);
     Py_END_ALLOW_THREADS
     if (status > 0) {
         PyErr_Format(infeasible_error, "a row needs %lld columns but only %lld remain below their caps",
@@ -1490,7 +1575,9 @@ static PyObject *profile(PyObject *module, PyObject *const *args, Py_ssize_t nar
     status = hull_profile(values, n, rows, m, take_largest, out);
     Py_END_ALLOW_THREADS
     if (status > 0) {
-        PyErr_SetString(internal_error, "the sign test and the prefix test disagree on a shave's feasibility");
+        PyErr_SetString(internal_error, status == 1 ? "the sign test and the prefix test disagree on a shave's feasibility"
+                                                    : "the prefix test and the clamped submajorization test disagree "
+                                                      "on a shave's feasibility");
         goto done;
     }
     if (status < 0) {

@@ -8,7 +8,10 @@ array is built from those on first use, so a caller that never asks for it
 never imports numpy; neither does importing this module.  The class of
 interest is all m-by-n such matrices with row sums ``r`` and column sums
 ``x``; it is nonempty exactly when ``x`` is majorized by the conjugate of
-``r`` taken at dimension n.  The feasibility tests take O((m + n) log(m + n)),
+``r`` taken at dimension n.  The feasibility tests of
+:func:`feasible_min_remaining` and :func:`construct_matrix` run in C, on
+the hull of the solvers' canonical profile (``_speedups.profile``), in
+O(m + n log n); :func:`gale_ryser_feasible` takes O((m + n) log(m + n)),
 :func:`geth_vector` takes O(n log n), and :func:`construct_matrix` is one
 row sweep of the solvers, O(mn) when compiled; only
 :func:`enumerate_matrices` is desk-scale.
@@ -24,9 +27,7 @@ from .majorization import (
     conjugate,
     is_nonincreasing,
     majorized,
-    pad,
     sort_desc,
-    weakly_submajorized,
     weakly_supermajorized,
 )
 
@@ -98,26 +99,33 @@ def gale_ryser_feasible(r, x) -> bool:
 def feasible_min_remaining(c, r) -> bool:
     """Whether capacities ``c`` admit a completion with row sums ``r``.
 
-    Tests the supermajorization of ``c`` against the conjugate of ``r`` and
-    cross-checks the equivalent submajorization of ``r`` against the
-    conjugate of ``c`` clamped to m (no prefix past the m-th can fail, so
-    m entries suffice); a disagreement would be a bug, not an input problem.
+    Negative entries and rows wider than ``c`` make the class empty.  The
+    rest is one C pass, ``_speedups.profile``: the peak shave of ``c`` by
+    ``r`` leaves no entry below 0 exactly when ``c`` is weakly
+    supermajorized by the conjugate of ``r``.  The same pass cross-checks
+    that sign test against the supermajorization, and the supermajorization
+    against the equivalent submajorization of ``r`` by the conjugate of
+    ``c`` clamped to m; a disagreement raises InternalInvariantError, a bug
+    rather than an input problem.  No column takes more than m units, so a
+    ceiling of 2**64 or more is clamped to m first, which keeps the answer.
+    Feasibility needs no sweep, so where the build failed the
+    supermajorization is tested on the prefix sums in Python instead.
     """
+    from . import _speedups
+
     cv = as_vector(c, name="ceiling")
     rv = as_vector(r, name="row_sums")
-    if any(v < 0 for v in cv) or any(v < 0 for v in rv):
-        return False
     n, m = len(cv), len(rv)
-    if any(v > n for v in rv):
+    if min(cv, default=0) < 0 or min(rv, default=0) < 0 or max(rv, default=0) > n:
         return False
-    first = weakly_supermajorized(cv, conjugate(rv, n)) if n else sum(rv) == 0
-    dim = max(m, 1)
-    second = weakly_submajorized(pad(rv, dim), conjugate([min(v, m) for v in cv], dim))
-    if first != second:
-        raise InternalInvariantError(
-            f"feasibility forms disagree for c={cv}, r={rv}: {first} vs {second}"
-        )
-    return first
+    if not n:
+        return True
+    if max(cv) > _speedups._MASK64:
+        cv = [min(v, m) for v in cv]
+    try:
+        return _speedups.profile(cv, rv, True)[-1] >= 0
+    except _speedups.BuildError:
+        return weakly_supermajorized(cv, conjugate(rv, n))
 
 
 def construct_matrix(r, x) -> Matrix:
@@ -125,18 +133,32 @@ def construct_matrix(r, x) -> Matrix:
 
     Each row places its ones in the columns with the largest remaining
     column-sum demand, lowest index first on ties, so the whole build is one
-    row sweep.  Infeasible sums raise, naming the violated prefix.
+    row sweep.  The signs, sizes and totals are checked with ``min``,
+    ``max`` and ``sum``, and the Gale-Ryser prefix test runs in C
+    (``_speedups.profile``, as in :func:`feasible_min_remaining`).
+    Infeasible sums raise, naming the first violated condition, found by
+    :func:`_line_sum_violation`, which runs only then.
     """
-    from .solvers import peak_shave  # so that importing this module builds no C sweep
+    from . import _speedups  # here, so that importing this module builds no C sweep
 
     rv = as_vector(r, name="row_sums")
     xv = as_vector(x, name="col_sums")
-    reason = _line_sum_violation(rv, xv)
-    if reason is not None:
+    m, n = len(rv), len(xv)
+    if (
+        min(rv, default=0) < 0
+        or min(xv, default=0) < 0
+        or max(rv, default=0) > n
+        or max(xv, default=0) > m
+        or sum(rv) != sum(xv)
+        or (n and _speedups.profile(xv, rv, True)[-1] < 0)
+    ):
+        reason = _line_sum_violation(rv, xv)
+        if reason is None:
+            raise InternalInvariantError(f"the prefix tests disagree on row sums {rv}, column sums {xv}")
         raise InfeasibleError(f"no 0/1 matrix has these line sums: {reason}")
     if not xv:
-        return Cells(b"", (len(rv), 0)).array()
-    shaved = peak_shave(xv, rv)
+        return Cells(b"", (m, 0)).array()
+    shaved = _speedups.sweep(xv, rv, True, -1, "lowest_index", 0)
     if any(shaved.objective):
         raise InternalInvariantError(f"greedy construction left demand {list(shaved.objective)}")
     return shaved.matrix

@@ -11,8 +11,17 @@ policy reaches an optimum; the policies below pick *which* optimum:
     input profile, ``highest_index`` peak shaving (and ``lowest_index``
     valley filling) emits the objective already sorted.
 ``load_order``
-    Prefer the column with the larger count of units placed so far; the
-    resulting column-sum vector tracks the order of the input profile.
+    Prefer the column with the larger count of units placed so far, then
+    the lower index (the higher when filling valleys); the resulting
+    column-sum vector tracks the order of the input profile.  Within a
+    block of tied columns every one holds the same value v, and column j
+    holds ``start[j] + delta * placed[j]``, so ``placed[j] = (v - start[j])
+    / delta``: the ranking is the start profile's own, the same in every
+    row.  Shaves rank by start descending, then index ascending; fills by
+    start ascending, then index descending; ``general_max`` by start
+    ascending, then index ascending.  The C sweep labels the columns in
+    that order once and runs ``lowest_index`` on the labels, so
+    ``load_order`` costs what ``lowest_index`` costs.
 ``uniform_random(seed)``
     Tied columns drawn without replacement from a seeded splitmix64 stream,
     so traces reproduce exactly across platforms.
@@ -284,10 +293,10 @@ def min_remaining_profile(ceiling, row_sums) -> IntVector:
     of the ceiling, sorted, less those of the conjugate of the row sums, in
     O(m + n log n) and with no matrix (``_speedups.profile``).  A negative
     entry means the ceiling cannot absorb the rows, and raises
-    InfeasibleError; so does a row above n, which names itself.  The C code
-    checks that sign test against the prefix test of
-    ``completion.feasible_min_remaining`` and raises InternalInvariantError
-    if the two disagree.
+    InfeasibleError; so does a row above n, which names itself.  That sign
+    test is ``completion.feasible_min_remaining``'s too; the C code checks
+    it against the prefix tests of Gale-Ryser and raises
+    InternalInvariantError if they disagree.
     """
     c = as_vector(ceiling, "ceiling", nonnegative=True)
     r = as_vector(row_sums, "row_sums", nonnegative=True)

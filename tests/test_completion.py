@@ -21,6 +21,7 @@ from majpop import (
     sort_desc,
     weakly_supermajorized,
 )
+from majpop import _speedups
 from majpop.oracle import all_matrices, enumerate_attainable, matrix_exists
 from majpop.solvers import Instance
 
@@ -109,6 +110,20 @@ def test_feasible_min_remaining_matches_the_supermajorization_form():
         assert feasible_min_remaining(c, r) is expected, (c, r)
         seen[expected] += 1
     assert min(seen.values()) > 100
+
+
+def test_feasible_min_remaining_answers_alike_without_the_build(monkeypatch):
+    rng = random.Random(909)
+    draws = []
+    for _ in range(300):
+        n, m = rng.randint(0, 12), rng.randint(0, 12)
+        r = tuple(rng.randint(0, n) for _ in range(m))
+        c = tuple(rng.choice((rng.randint(0, m + 1), 2**64 + rng.randint(0, 3))) for _ in range(n))
+        draws.append((c, r))
+    compiled = [feasible_min_remaining(c, r) for c, r in draws]
+    assert 50 < sum(compiled) < 250
+    monkeypatch.setattr(_speedups, "profile", _speedups._unavailable)
+    assert [feasible_min_remaining(c, r) for c, r in draws] == compiled
 
 
 def test_feasible_min_remaining_matches_enumerated_fill_vectors():

@@ -1,3 +1,4 @@
+import collections
 import copy
 import os
 import pickle
@@ -302,6 +303,88 @@ def test_capped_kernel_matches_interpreter():
                 stranded += isinstance(py, str)
                 completed += not isinstance(py, str)
     assert stranded > 100 and completed > 100
+
+
+def test_kernel_matches_interpreter_on_wide_tie_heavy_profiles():
+    # Flat ceilings and 0/1 bases hundreds of columns wide: nearly every
+    # row ends on a block of hundreds of ties.
+    rng = random.Random(24)
+    sides = ((True, -1), (False, 1), (True, 1))  # shave, fill, general_max
+    for trial in range(12):
+        n = rng.randint(200, 500)
+        m = rng.randint(5, 30)
+        r = tuple(rng.randint(0, rng.choice((n // 2, n))) for _ in range(m))
+        flat = (rng.randint(m, 2 * m),) * n
+        base = tuple(rng.randint(0, 1) for _ in range(n))
+        caps = (None, tuple(rng.randint(0, m) for _ in range(n)))[trial % 2]
+        for start, (largest, delta) in zip((flat, base, base), sides):
+            for kind in TIE_KINDS:
+                seed = rng.randrange(2**64)
+                py = _outcome(reference_sweep, start, r, largest, delta, TiePolicy(kind, seed), caps)
+                kernel = _outcome(swept, start, r, largest, delta, kind, seed, caps)
+                assert py == kernel, (trial, kind, largest, delta)
+
+
+def _load_order_labels(inst):
+    """The columns in the order load_order prefers them among ties: most
+    placements first, which within a block of equal values is start
+    descending for shaves and ascending for fills and general_max, then low
+    index when the sweep takes the largest values and high index otherwise."""
+    field, _, largest, delta = solvers._SWEEPS[inst.variant]
+    start = getattr(inst, field)
+    return sorted(range(inst.n), key=lambda j: (start[j] * delta, j if largest else -j))
+
+
+def _solved(inst, policy, label=None):
+    """solve's objective, its sorted form, feasible and cell bytes, with the
+    columns moved from position l to label[l]; or the stranding text."""
+    try:
+        result = solve(inst, policy)
+    except InfeasibleError as exc:
+        return str(exc)
+    objective, matrix = result.objective, result.matrix
+    if label is not None:
+        moved = [0] * inst.n
+        for l, j in enumerate(label):
+            moved[j] = objective[l]
+        objective = tuple(moved)
+        matrix = np.empty_like(matrix)
+        matrix[:, label] = result.matrix
+    return objective, result.canonical_objective, result.feasible, matrix.tobytes()
+
+
+def _relabelled(inst, label):
+    vectors = {name: getattr(inst, name) for name in ("ceiling", "base", "reference")}
+    return Instance(inst.variant, inst.row_sums, **{
+        name: None if v is None else tuple(v[j] for j in label) for name, v in vectors.items()
+    })
+
+
+def test_load_order_is_lowest_index_on_relabelled_columns():
+    rng = random.Random(2024)
+    seen = collections.Counter()
+    for trial in range(2400):
+        variant = solvers.VARIANTS[trial % 4]
+        inst = random_instance(rng, variant, max_mn=rng.choice((4, 9)), max_value=rng.choice((2, 6)))
+        if trial % 8 >= 6:
+            # Profiles within m of the int64 limits and past them: the sweep
+            # refuses them and solve rank compresses.
+            field = solvers._SWEEPS[variant][0]
+            top = rng.choice((2**63 - 1, 2**63 + 3, 2**64 - 1, 10**30))
+            profile = tuple(top - rng.randint(0, 3) if rng.random() < 0.7 else v for v in getattr(inst, field))
+            inst = Instance(variant, inst.row_sums, **{
+                name: profile if name == field else getattr(inst, name) for name in ("ceiling", "base", "reference")
+            })
+            seen["int64 edge"] += 1
+        label = _load_order_labels(inst)
+        got = _solved(inst, LOAD_ORDER)
+        assert got == _solved(_relabelled(inst, label), LOWEST_INDEX, label), (inst, label)
+        if isinstance(got, str):
+            seen["stranded"] += 1
+        elif variant.startswith("general"):
+            placed = np.frombuffer(got[3], dtype=np.uint8).reshape(len(inst.row_sums), inst.n).sum(axis=0)
+            seen["binding" if any(0 < c == p for p, c in zip(placed, inst.ceiling)) else "slack"] += 1
+    assert min(seen[k] for k in ("int64 edge", "stranded", "binding", "slack")) > 100, seen
 
 
 # Start profiles whose blocks of equal values sit far apart, in runs, or in
