@@ -63,11 +63,12 @@ takes the profile, with entries in [0, 2**64), and the row sums, and
 returns the canonical profile as a tuple of ints, which past 2**64 - 1
 when a fill carries them there.  It has checks of its own: fewer than
 2**32 columns, and, for a shave, the sign test (no entry below 0), which
-``completion.feasible_min_remaining`` and ``completion.construct_matrix``
-read as their Gale-Ryser test, against the supermajorization prefix test,
-and that against the clamped submajorization of the row sums, on the
-sorted values it already holds; InternalInvariantError reports a
-disagreement.
+``completion.feasible_min_remaining``, ``completion.gale_ryser_feasible``
+and ``completion.construct_matrix`` read as their Gale-Ryser test (all
+three through ``completion._absorbs``), against the supermajorization
+prefix test, and that against the clamped submajorization of the row
+sums, on the sorted values it already holds; InternalInvariantError
+reports a disagreement.
 
 The C code checks the row counts, the caps and the profile's distance
 from the int64 limits in one pass each, so no Python pass over a vector
@@ -115,9 +116,11 @@ _DIRECTORY = os.path.dirname(os.path.abspath(__file__))
 # The sweep, the tie search and their binding.
 _SOURCES = (os.path.join(_DIRECTORY, "_sweep.c"),)
 # No flag that changes arithmetic: the output must match the reference sweep.
-# Functions start on a cache line, so the speed of the hot loops does not
-# hang on where an edit elsewhere in the file moves them (a ``load_order``
-# sweep has read 10-20% apart between two such layouts).  ``_build`` adds
+# Functions start on a cache line.  That does not make the hot loops' speed
+# independent of edits elsewhere in the file: deleting eight lines that never
+# run, inside ``run_rows``, moved ``lowest_index`` sweeps of flat and
+# near-flat ceilings by +11% and ``load_order`` sweeps by -5%, so a timing
+# that follows an edit of ``_sweep.c`` may be the layout's.  ``_build`` adds
 # the Python include directories.
 _COMPILE = ("cc", "-O2", "-falign-functions=64", "-shared", "-fPIC")
 # The module's name; ``_sweep.c`` defines ``PyInit__sweep`` to match.

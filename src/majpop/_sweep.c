@@ -1378,7 +1378,7 @@ static PyObject *sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs
     }
     if (status < 0) {
         PyErr_Format(PyExc_MemoryError, "no memory for the sweep's scratch buffers (%lld int64)",
-                     (long long)(5 * n + 8));
+                     (long long)(5 * n + 8 + (policy == POLICY_LOAD_ORDER ? 3 * n : 0)));
         goto done;
     }
     result = finished(matrix, m, n, in.values, in.ranked, delta);

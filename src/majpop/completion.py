@@ -8,13 +8,15 @@ array is built from those on first use, so a caller that never asks for it
 never imports numpy; neither does importing this module.  The class of
 interest is all m-by-n such matrices with row sums ``r`` and column sums
 ``x``; it is nonempty exactly when ``x`` is majorized by the conjugate of
-``r`` taken at dimension n.  The feasibility tests of
-:func:`feasible_min_remaining` and :func:`construct_matrix` run in C, on
-the hull of the solvers' canonical profile (``_speedups.profile``), in
-O(m + n log n); :func:`gale_ryser_feasible` takes O((m + n) log(m + n)),
-:func:`geth_vector` takes O(n log n), and :func:`construct_matrix` is one
-row sweep of the solvers, O(mn) when compiled; only
-:func:`enumerate_matrices` is desk-scale.
+``r`` taken at dimension n.  That Gale-Ryser test is decided in one place,
+:func:`_absorbs`, in C on the hull of the solvers' canonical profile
+(``_speedups.profile``), in O(m + n log n), for
+:func:`feasible_min_remaining`, :func:`gale_ryser_feasible` and
+:func:`construct_matrix` alike; the Python prefix loop of
+:func:`_line_sum_violation` runs only after :func:`_absorbs` has said no,
+to name the cause.  :func:`geth_vector` takes O(n log n), and
+:func:`construct_matrix` is one row sweep of the solvers, O(mn) when
+compiled; only :func:`enumerate_matrices` is desk-scale.
 """
 
 from itertools import accumulate
@@ -57,8 +59,44 @@ def matrix_rows(a: Matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(v) for v in row) for row in a)
 
 
+def _absorbs(c: IntVector, r: IntVector) -> bool:
+    """Whether capacities ``c`` admit a 0/1 matrix with row sums ``r`` and
+    column sums at most ``c``, both already vectors of ints.
+
+    Negative entries and rows wider than ``c`` make the class empty.  The
+    rest is one C pass, ``_speedups.profile``: the peak shave of ``c`` by
+    ``r`` leaves no entry below 0 exactly when ``c`` is weakly
+    supermajorized by the conjugate of ``r``.  The same pass cross-checks
+    that sign test against the supermajorization, and the supermajorization
+    against the equivalent submajorization of ``r`` by the conjugate of
+    ``c`` clamped to m; a disagreement raises InternalInvariantError, a bug
+    rather than an input problem.  No column takes more than m units, so a
+    ceiling of 2**64 or more is clamped to m first, which keeps the answer.
+    Feasibility needs no sweep, so where the build failed the
+    supermajorization is tested on the prefix sums in Python instead.
+    When the totals are equal, no entry below 0 means every entry at 0, so
+    this is also the Gale-Ryser test of row sums ``r`` and column sums ``c``.
+    """
+    from . import _speedups
+
+    n, m = len(c), len(r)
+    if min(c, default=0) < 0 or min(r, default=0) < 0 or max(r, default=0) > n:
+        return False
+    if not n:
+        return True
+    if max(c) > _speedups._MASK64:
+        c = [min(v, m) for v in c]
+    try:
+        return _speedups.profile(c, r, True)[-1] >= 0
+    except _speedups.BuildError:
+        return weakly_supermajorized(c, conjugate(r, n))
+
+
 def _line_sum_violation(r: IntVector, x: IntVector) -> str | None:
-    """Reason the matrix class is empty, or None when it is realizable."""
+    """Reason the matrix class is empty, or None when :func:`_absorbs` finds
+    it realizable; a refusal that no check below names is a bug, raised."""
+    if sum(r) == sum(x) and _absorbs(x, r):
+        return None
     m, n = len(r), len(x)
     if any(v < 0 for v in r):
         return "row sums contain a negative entry"
@@ -72,14 +110,13 @@ def _line_sum_violation(r: IntVector, x: IntVector) -> str | None:
             return f"col_sums[{j}] = {v} exceeds the number of rows {m}"
     if sum(r) != sum(x):
         return f"total row sum {sum(r)} differs from total column sum {sum(x)}"
-    t = conjugate(r, n) if n else ()
-    for k, (px, pt) in enumerate(zip(accumulate(sort_desc(x)), accumulate(t)), start=1):
+    for k, (px, pt) in enumerate(zip(accumulate(sort_desc(x)), accumulate(conjugate(r, n))), start=1):
         if px > pt:
             return (
                 f"prefix {k} of the sorted column sums is {px}, "
                 f"exceeding the conjugate row-sum prefix {pt}"
             )
-    return None
+    raise InternalInvariantError(f"the prefix tests disagree on row sums {r}, column sums {x}")
 
 
 def gale_ryser_feasible(r, x) -> bool:
@@ -99,33 +136,10 @@ def gale_ryser_feasible(r, x) -> bool:
 def feasible_min_remaining(c, r) -> bool:
     """Whether capacities ``c`` admit a completion with row sums ``r``.
 
-    Negative entries and rows wider than ``c`` make the class empty.  The
-    rest is one C pass, ``_speedups.profile``: the peak shave of ``c`` by
-    ``r`` leaves no entry below 0 exactly when ``c`` is weakly
-    supermajorized by the conjugate of ``r``.  The same pass cross-checks
-    that sign test against the supermajorization, and the supermajorization
-    against the equivalent submajorization of ``r`` by the conjugate of
-    ``c`` clamped to m; a disagreement raises InternalInvariantError, a bug
-    rather than an input problem.  No column takes more than m units, so a
-    ceiling of 2**64 or more is clamped to m first, which keeps the answer.
-    Feasibility needs no sweep, so where the build failed the
-    supermajorization is tested on the prefix sums in Python instead.
+    Negative entries and rows wider than ``c`` make the class empty; the
+    test itself is :func:`_absorbs`, one C pass where the build succeeded.
     """
-    from . import _speedups
-
-    cv = as_vector(c, name="ceiling")
-    rv = as_vector(r, name="row_sums")
-    n, m = len(cv), len(rv)
-    if min(cv, default=0) < 0 or min(rv, default=0) < 0 or max(rv, default=0) > n:
-        return False
-    if not n:
-        return True
-    if max(cv) > _speedups._MASK64:
-        cv = [min(v, m) for v in cv]
-    try:
-        return _speedups.profile(cv, rv, True)[-1] >= 0
-    except _speedups.BuildError:
-        return weakly_supermajorized(cv, conjugate(rv, n))
+    return _absorbs(as_vector(c, name="ceiling"), as_vector(r, name="row_sums"))
 
 
 def construct_matrix(r, x) -> Matrix:
@@ -133,31 +147,18 @@ def construct_matrix(r, x) -> Matrix:
 
     Each row places its ones in the columns with the largest remaining
     column-sum demand, lowest index first on ties, so the whole build is one
-    row sweep.  The signs, sizes and totals are checked with ``min``,
-    ``max`` and ``sum``, and the Gale-Ryser prefix test runs in C
-    (``_speedups.profile``, as in :func:`feasible_min_remaining`).
-    Infeasible sums raise, naming the first violated condition, found by
-    :func:`_line_sum_violation`, which runs only then.
+    row sweep.  Infeasible sums raise, naming the first violated condition
+    (:func:`_line_sum_violation`, whose test is :func:`_absorbs`).
     """
     from . import _speedups  # here, so that importing this module builds no C sweep
 
     rv = as_vector(r, name="row_sums")
     xv = as_vector(x, name="col_sums")
-    m, n = len(rv), len(xv)
-    if (
-        min(rv, default=0) < 0
-        or min(xv, default=0) < 0
-        or max(rv, default=0) > n
-        or max(xv, default=0) > m
-        or sum(rv) != sum(xv)
-        or (n and _speedups.profile(xv, rv, True)[-1] < 0)
-    ):
-        reason = _line_sum_violation(rv, xv)
-        if reason is None:
-            raise InternalInvariantError(f"the prefix tests disagree on row sums {rv}, column sums {xv}")
+    reason = _line_sum_violation(rv, xv)
+    if reason is not None:
         raise InfeasibleError(f"no 0/1 matrix has these line sums: {reason}")
     if not xv:
-        return Cells(b"", (m, 0)).array()
+        return Cells(b"", (len(rv), 0)).array()
     shaved = _speedups.sweep(xv, rv, True, -1, "lowest_index", 0)
     if any(shaved.objective):
         raise InternalInvariantError(f"greedy construction left demand {list(shaved.objective)}")

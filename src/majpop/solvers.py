@@ -371,7 +371,7 @@ def feasible(inst: Instance) -> bool:
         return all(v <= inst.n for v in inst.row_sums)
     from . import completion
 
-    return completion.feasible_min_remaining(inst.ceiling, inst.row_sums)
+    return completion._absorbs(inst.ceiling, inst.row_sums)
 
 
 def enumerate_optima(inst: Instance, cap: int = 1_000_000) -> dict[IntVector, Matrix]:

@@ -162,6 +162,20 @@ def test_construct_command(capsys):
     assert code == 1 and "prefix" in err
 
 
+def test_construct_without_the_build_still_names_unrealizable_sums(capsys, monkeypatch):
+    from majpop import _speedups
+
+    for name in ("sweep", "search_ties", "profile"):
+        monkeypatch.setattr(_speedups, name, _speedups._unavailable)
+    monkeypatch.setattr(_speedups, "BUILD_ERROR", "cannot run cc: not found")
+    code, out, err = run_cli(capsys, "construct", "--row-sums", "2,1,0", "--col-sums", "3,0")
+    prefix = "prefix 1 of the sorted column sums is 3, exceeding the conjugate row-sum prefix 2"
+    assert (code, out) == (1, "") and prefix in err
+    code, out, err = run_cli(capsys, "construct", "--row-sums", "1", "--col-sums", "1,0,0")
+    assert (code, out) == (3, "") and err.startswith("internal error: BuildError(")
+    assert "the compiled row sweep is unavailable: cannot run cc: not found" in err
+
+
 def test_enumerate_command(tmp_path, capsys):
     path = write_instance(tmp_path, "peak.json", PEAK_INSTANCE)
     code, out, _ = run_cli(capsys, "enumerate", "--instance", path)

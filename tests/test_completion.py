@@ -22,6 +22,7 @@ from majpop import (
     weakly_supermajorized,
 )
 from majpop import _speedups
+from majpop.errors import InternalInvariantError
 from majpop.oracle import all_matrices, enumerate_attainable, matrix_exists
 from majpop.solvers import Instance
 
@@ -54,6 +55,38 @@ def test_gale_ryser_agrees_with_backtracking():
         seen_true += expected
         seen_false += not expected
     assert seen_true > 50 and seen_false > 50
+
+
+def test_gale_ryser_answers_alike_without_the_build(monkeypatch):
+    # The draws of test_gale_ryser_agrees_with_backtracking.
+    rng = random.Random(99)
+    draws = []
+    for _ in range(500):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 5)
+        r = tuple(rng.randint(0, min(n, 4)) for _ in range(m))
+        draws.append((r, tuple(rng.randint(0, min(m, 4)) for _ in range(n))))
+    expected = [matrix_exists(r, x) for r, x in draws]
+    assert [gale_ryser_feasible(r, x) for r, x in draws] == expected
+    # With equal totals, the capacity test is the Gale-Ryser test.
+    assert [sum(r) == sum(x) and feasible_min_remaining(x, r) for r, x in draws] == expected
+    monkeypatch.setattr(_speedups, "profile", _speedups._unavailable)
+    assert [gale_ryser_feasible(r, x) for r, x in draws] == expected
+
+
+def test_a_hull_that_disagrees_with_the_prefix_test_is_a_bug(monkeypatch):
+    r, x = (2, 2, 1), (2, 2, 1)
+    assert gale_ryser_feasible(r, x)
+    profile = _speedups.profile
+    monkeypatch.setattr(_speedups, "profile", lambda *args: (*profile(*args)[:-1], -1))
+    text = "the prefix tests disagree on row sums (2, 2, 1), column sums (2, 2, 1)"
+    with pytest.raises(InternalInvariantError) as info:
+        construct_matrix(r, x)
+    assert str(info.value) == text
+    with pytest.raises(InternalInvariantError) as info:
+        gale_ryser_feasible(r, x)
+    assert str(info.value) == text
+    assert not feasible_min_remaining(x, r)  # the sign alone, with no prefix test to disagree
 
 
 def test_feasible_min_remaining_examples():

@@ -556,6 +556,50 @@ def test_binding_raises_typeerror_for_an_entry_that_is_not_an_int():
             _speedups.sweep(start, rows, True, -1, "lowest_index", 0, caps)
 
 
+# Calls refused with a TypeError before any entry converts: a wrong number
+# of arguments, or a vector that is not a sequence.
+BINDING_TYPE_REFUSALS = {
+    "sweep with five arguments": (
+        ("sweep", [0, 1], [1], True, -1, "lowest_index"), "sweep takes 6 or 7 arguments, not 5"
+    ),
+    "sweep with eight arguments": (
+        ("sweep", [0, 1], [1], True, -1, "lowest_index", 0, None, 0), "sweep takes 6 or 7 arguments, not 8"
+    ),
+    "search_ties with five arguments": (
+        ("search_ties", [0, 1], [1], True, -1, None), "search_ties takes 6 arguments, not 5"
+    ),
+    "profile with two arguments": (("profile", [0, 1], [1]), "profile takes 3 arguments, not 2"),
+    "profile with four arguments": (("profile", [0, 1], [1], True, 0), "profile takes 3 arguments, not 4"),
+    "sweep of a profile that is not a sequence": (
+        ("sweep", 5, [1], True, -1, "lowest_index", 0), "the profile must be a sequence"
+    ),
+    "sweep of row counts that are not a sequence": (
+        ("sweep", [0, 1], 5, True, -1, "lowest_index", 0), "the row counts must be a sequence"
+    ),
+    "sweep with caps that are not a sequence": (
+        ("sweep", [0, 1], [1], True, -1, "lowest_index", 0, 5), "the caps must be a sequence"
+    ),
+    "search_ties of a profile that is not a sequence": (
+        ("search_ties", 5, [1], True, -1, None, 10), "the profile must be a sequence"
+    ),
+    "search_ties with caps that are not a sequence": (
+        ("search_ties", [0, 1], [1], True, -1, 5, 10), "the caps must be a sequence"
+    ),
+    "profile of a profile that is not a sequence": (("profile", 5, [1], True), "the profile must be a sequence"),
+    "profile of row counts that are not a sequence": (
+        ("profile", [0, 1], 5, True), "the row counts must be a sequence"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BINDING_TYPE_REFUSALS))
+def test_binding_refuses_a_wrong_call_with_a_typeerror(case):
+    (name, *args), text = BINDING_TYPE_REFUSALS[case]
+    with pytest.raises(TypeError) as info:
+        getattr(_speedups, name)(*args)
+    assert str(info.value) == text
+
+
 class _Clearing:
     """An index that empties the list that holds it when it is converted."""
 
@@ -572,6 +616,10 @@ def test_binding_survives_a_list_that_changes_while_it_converts():
     start[0] = _Clearing(start)
     with pytest.raises(RuntimeError, match="changed size"):
         _speedups.sweep(start, [1], True, -1, "lowest_index", 0)
+    start = [0, 0, 0]
+    start[0] = _Clearing(start)
+    with pytest.raises(RuntimeError, match="changed size"):
+        _speedups.profile(start, [1], True)
 
 
 def test_binding_keeps_no_memory_across_calls():
