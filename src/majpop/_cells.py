@@ -124,8 +124,8 @@ class SolveResult(_Record):
         """The CLI payload.  ``"matrix"`` is the stored 0/1 value itself, not
         nested lists: for a solver's result, ``Cells``, which has ``.shape``
         and ``.tolist()`` and needs no numpy (``numpy.asarray`` on it gives
-        the array).  ``majpop.cli._emit`` writes it as JSON text straight
-        from its bytes."""
+        the array).  ``majpop.cli._emit`` checks its bytes and streams them
+        as JSON text, 64 KiB at a time, through ``_speedups.write_matrix``."""
         return {
             "feasible": self.feasible,
             "objective": list(self.objective),

@@ -10,7 +10,6 @@ and ``from .cli import ...`` would load ``cli.py`` a second time.
 
 import csv
 import io
-import sys
 import time
 
 from ._speedups import _MASK64
@@ -152,5 +151,5 @@ def cmd_bench(args, cli) -> int:
         writer = csv.DictWriter(buf, fieldnames=["m", "n", "policy", "seed", "wall_time_ns", "feasible"])
         writer.writeheader()
         writer.writerows(records)
-        sys.stdout.write(buf.getvalue())
+        cli._stdout().write(buf.getvalue())
     return 0

@@ -1,7 +1,8 @@
 """Compiled inner loops: the row sweep of the peak-shaving and
 valley-filling solvers, the tie search of ``solvers.enumerate_optima``,
-and the canonical profiles of ``solvers.min_remaining_profile`` and
-``solvers.min_combined_profile``.
+the canonical profiles of ``solvers.min_remaining_profile`` and
+``solvers.min_combined_profile``, and the JSON text of the 0/1 matrices
+the CLI prints.
 
 The row loop is inherently sequential, so the whole sweep is compiled as one
 C function (``_sweep.c``), with no per-row interpreter overhead.  It sorts
@@ -33,10 +34,15 @@ those points, one monotone stack pass, in O(m + n log n) time and O(n)
 memory.  Filling is the shave of the negated profile.  It is tested
 against the sweep under every tie policy and against the oracle.
 
-All three are compiled from one C source, ``_sweep.c``, which holds the
-sweep, the search, the profile and their CPython binding: one extension
-module whose three functions are ``sweep``, ``search_ties`` and
-``profile`` here, so a solve calls into C with no Python frame between.  ``sweep(start, row_counts,
+The matrix text is the fourth.  It checks every cell of a 0/1 matrix and
+streams the matrix's JSON text to a ``write`` callable in 64 KiB chunks,
+so printing a 2000 x 2000 witness never holds its 8 MB text.
+
+All four are compiled from one C source, ``_sweep.c``, which holds the
+sweep, the search, the profile, the matrix text and their CPython
+binding: one extension module whose four functions are ``sweep``,
+``search_ties``, ``profile`` and ``write_matrix`` here, so a solve calls
+into C with no Python frame between.  ``sweep(start, row_counts,
 take_largest, delta, policy, seed, caps=None)`` takes the profile, the row
 sums and any caps as lists or tuples of Python ints, ``take_largest`` to
 select the columns holding the largest values (else the smallest), the
@@ -63,12 +69,23 @@ takes the profile, with entries in [0, 2**64), and the row sums, and
 returns the canonical profile as a tuple of ints, which past 2**64 - 1
 when a fill carries them there.  It has checks of its own: fewer than
 2**32 columns, and, for a shave, the sign test (no entry below 0), which
-``completion.feasible_min_remaining``, ``completion.gale_ryser_feasible``
-and ``completion.construct_matrix`` read as their Gale-Ryser test (all
-three through ``completion._absorbs``), against the supermajorization
+``completion.feasible_min_remaining``, ``completion.gale_ryser_feasible``,
+``completion.construct_matrix`` and ``solvers.feasible`` read as their
+Gale-Ryser test (all four through ``completion._absorbs``), against the supermajorization
 prefix test, and that against the clamped submajorization of the row
 sums, on the sorted values it already holds; InternalInvariantError
-reports a disagreement.
+reports a disagreement.  ``write_matrix(cells, m, n, write)`` takes the
+cells of an m x n matrix as a buffer of one-byte items, 2-D of shape
+(m, n) with any strides (a numpy ``uint8`` array, transposed or not) or
+1-D and row-major (``Cells.data``).  With ``write`` None it only checks
+the cells; otherwise it writes the text ``json.dumps`` gives for the
+nested lists, without spaces, into one reused buffer of 64 KiB, or of
+one row where a row is longer, and passes each full buffer to ``write``
+as a fresh ``bytes``.  A write that takes fewer bytes gets the rest, and
+one that returns None raises ``BlockingIOError``.  Each row is checked as
+its text is written, and a cell other than 0 or 1 raises
+InternalInvariantError naming the shape before the chunk that holds it
+goes out.
 
 The C code checks the row counts, the caps and the profile's distance
 from the int64 limits in one pass each, so no Python pass over a vector
@@ -97,9 +114,10 @@ fails to import is rebuilt once.
 
 When the build or the load fails, the import still succeeds:
 ``KERNEL_AVAILABLE`` is False, ``BUILD_ERROR`` holds the reason (the
-compiler's own error text, say), and ``sweep``, ``search_ties`` and
-``profile`` are all ``_unavailable``, which raises ``BuildError`` with
-that reason.  There is no other sweep, search or profile to fall back on.
+compiler's own error text, say), and ``sweep``, ``search_ties``,
+``profile`` and ``write_matrix`` are all ``_unavailable``, which raises
+``BuildError`` with that reason.  There is no other sweep, search,
+profile or matrix text to fall back on.
 """
 
 import os
@@ -113,7 +131,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleS
 POLICIES = ("lowest_index", "highest_index", "load_order", "uniform_random")
 
 _DIRECTORY = os.path.dirname(os.path.abspath(__file__))
-# The sweep, the tie search and their binding.
+# The sweep, the tie search, the profile, the matrix text and their binding.
 _SOURCES = (os.path.join(_DIRECTORY, "_sweep.c"),)
 # No flag that changes arithmetic: the output must match the reference sweep.
 # Functions start on a cache line.  That does not make the hot loops' speed
@@ -261,7 +279,8 @@ def _load():
 
 
 def _unavailable(*args):
-    """``sweep``, ``search_ties`` and ``profile`` where the build failed."""
+    """``sweep``, ``search_ties``, ``profile`` and ``write_matrix`` where the
+    build failed."""
     raise BuildError(f"the compiled row sweep is unavailable: {BUILD_ERROR}")
 
 
@@ -270,9 +289,10 @@ try:
     _module = _load()
 except Exception as exc:  # raised by every call, so what needs no sweep still works
     BUILD_ERROR = str(exc) or repr(exc)
-    sweep = search_ties = profile = _unavailable
+    sweep = search_ties = profile = write_matrix = _unavailable
 else:
     sweep, search_ties, profile = _module.sweep, _module.search_ties, _module.profile
+    write_matrix = _module.write_matrix
     del _module
 KERNEL_AVAILABLE = BUILD_ERROR is None
 

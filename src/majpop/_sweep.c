@@ -1,8 +1,9 @@
 /* The compiled row sweep of the peak-shaving and valley-filling solvers,
  * the tie search that enumerates their optima, the canonical profile they
- * share, and their CPython binding: the extension module majpop._sweep,
- * which _speedups builds from this file alone, and whose three functions
- * are _speedups.sweep, _speedups.search_ties and _speedups.profile.
+ * share, the JSON text of a 0/1 matrix, and their CPython binding: the
+ * extension module majpop._sweep, which _speedups builds from this file
+ * alone, and whose four functions are _speedups.sweep,
+ * _speedups.search_ties, _speedups.profile and _speedups.write_matrix.
  *
  * The columns are sorted once, better value first and then by index, and
  * the sweep keeps that order from row to row.  Row i reads its threshold at
@@ -49,7 +50,8 @@
  * cause.  A sweep returns the finished
  * majpop._cells.SolveResult, its Cells and both objective tuples built
  * here (finished), so no Python code runs between the solver's call and
- * its result.
+ * its result.  write_matrix, last, streams a matrix's text to a Python
+ * write callable, one 64 KiB chunk at a time.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -76,6 +78,17 @@
 #else
 #define INLINE static inline
 #define NOINLINE
+#endif
+
+/* The matrix text's functions go into a section of their own, which the
+ * linker puts after the one holding every other function, so adding them
+ * moved no function of the sweep, the search or the profile: a timing
+ * that follows an edit here may otherwise be the layout's (see
+ * _speedups._COMPILE). */
+#if defined(__GNUC__) && defined(__ELF__)
+#define APART __attribute__((section(".text.apart")))
+#else
+#define APART
 #endif
 
 static uint64_t splitmix64(uint64_t *state)
@@ -948,16 +961,17 @@ static wide floor_div(wide num, int64_t den, int64_t *rem)
  * scratch memory.
  *
  * A shave is feasible when its smallest entry is not negative, which is
- * the test completion.feasible_min_remaining and
- * completion.construct_matrix read.  As a check on the hull, that sign
- * test is compared (status 1) with the prefix test on the same sorted
- * values: every suffix sum of the values at least that of the conjugate,
- * that is L_n at least every L_k.  That test is compared in turn (status
- * 2) with the other side of Gale-Ryser, the row counts weakly submajorized
- * by the conjugate of the values clamped at m: for k = 1..m, the k largest
- * row counts sum to at most sum_j min(values_j, k), whose steps
- * #{j : values_j >= k} and the row counts in nonincreasing order are both
- * read off sorted arrays by a cursor, in O(m + n). */
+ * the test completion.feasible_min_remaining,
+ * completion.gale_ryser_feasible, completion.construct_matrix and
+ * solvers.feasible read, all through completion._absorbs.  As a check on
+ * the hull, that sign test is compared (status 1) with the prefix test on
+ * the same sorted values: every suffix sum of the values at least that of
+ * the conjugate, that is L_n at least every L_k.  That test is compared in
+ * turn (status 2) with the other side of Gale-Ryser, the row counts weakly
+ * submajorized by the conjugate of the values clamped at m: for k = 1..m,
+ * the k largest row counts sum to at most sum_j min(values_j, k), whose
+ * steps #{j : values_j >= k} and the row counts in nonincreasing order are
+ * both read off sorted arrays by a cursor, in O(m + n). */
 static int hull_profile(const uint64_t *values, int64_t n, const int64_t *row_counts, int64_t m,
                         int take_largest, wide *out)
 {
@@ -1606,6 +1620,194 @@ done:
     return result;
 }
 
+/* ---- A 0/1 matrix's JSON text ----
+ *
+ * write_matrix(cells, m, n, write) takes the cells of an m x n matrix, a
+ * buffer of one-byte items: 2-D of shape (m, n) with any strides, or 1-D of
+ * m * n items, row-major.  With write None it only checks that every cell
+ * is 0 or 1.  Otherwise it turns the rows into the compact JSON text of the
+ * nested lists, "[[0,1],[1,0]]", in one buffer of TEXT_CHUNK bytes, or of
+ * one row and its brackets if that is longer, and passes the buffer to
+ * write as a fresh bytes object each time it fills.  A write that takes
+ * fewer bytes gets the rest, and one that returns None raises
+ * BlockingIOError, as cli._write_all does.  Each row is checked as it is
+ * turned into text, so a cell other than 0 or 1 stops the stream before the
+ * chunk that holds it; InternalInvariantError names the shape. */
+
+#define TEXT_CHUNK ((Py_ssize_t)1 << 16)
+#define BAD_CELL "the (%lld, %lld) matrix has an entry other than 0 or 1"
+
+/* The OR of the n cells at row[0], row[step], ..., one byte each, folded
+ * to one byte; contiguous cells are read eight at a time.  This and
+ * row_text are inlined once with step 1, for the rows of Cells and of
+ * C-order arrays, which then run about three times as fast as through the
+ * strided loop. */
+INLINE unsigned row_bits(const uint8_t *row, Py_ssize_t n, Py_ssize_t step)
+{
+    uint64_t seen = 0, word;
+    Py_ssize_t j = 0;
+    if (step == 1)
+        for (; j + 8 <= n; j += 8) {
+            memcpy(&word, row + j, 8);
+            seen |= word;
+        }
+    for (; j < n; j++)
+        seen |= row[j * step];
+    seen |= seen >> 32;
+    seen |= seen >> 16;
+    return (unsigned)((seen | seen >> 8) & 0xff);
+}
+
+/* Write the n cells at row[0], row[step], ... as "c," each into out[0..2n),
+ * and return their OR. */
+INLINE unsigned row_text(const uint8_t *row, Py_ssize_t n, Py_ssize_t step, char *out)
+{
+    unsigned seen = 0;
+    Py_ssize_t j;
+    for (j = 0; j < n; j++) {
+        uint8_t c = row[j * step];
+        seen |= c;
+        out[2 * j] = (char)('0' + c);
+        out[2 * j + 1] = ',';
+    }
+    return seen;
+}
+
+/* Pass text[0..len) to write until it has taken every byte.  Returns 0, or
+ * -1 with an exception set. */
+APART static int write_text(PyObject *write, const char *text, Py_ssize_t len)
+{
+    while (len > 0) {
+        PyObject *chunk = PyBytes_FromStringAndSize(text, len), *taken;
+        long long count;
+        int overflow;
+        if (chunk == NULL)
+            return -1;
+        taken = PyObject_CallOneArg(write, chunk);
+        Py_DECREF(chunk);
+        if (taken == NULL)
+            return -1;
+        if (taken == Py_None) {
+            Py_DECREF(taken);
+            PyErr_SetString(PyExc_BlockingIOError, "stdout would block");
+            return -1;
+        }
+        count = PyLong_AsLongLongAndOverflow(taken, &overflow);
+        if (!(count == -1 && PyErr_Occurred()) && (overflow || count < 0 || count > len))
+            PyErr_Format(PyExc_RuntimeError, "write returned %R for %zd bytes", taken, len);
+        Py_DECREF(taken);
+        if (count < 0 || overflow || count > len)
+            return -1;
+        text += count;
+        len -= (Py_ssize_t)count;
+    }
+    return 0;
+}
+
+APART static PyObject *write_matrix(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *view_object, *write, *result = NULL;
+    const Py_buffer *view;
+    long long m, n;
+    Py_ssize_t row_step, step, piece, size, used = 0, i;
+    const uint8_t *cells;
+    char *text = NULL;
+    unsigned seen = 0;
+    int m_overflow, n_overflow;
+
+    (void)module;
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError, "write_matrix takes 4 arguments, not %zd", nargs);
+        return NULL;
+    }
+    m = PyLong_AsLongLongAndOverflow(args[1], &m_overflow);
+    if (m == -1 && PyErr_Occurred())
+        return NULL;
+    n = PyLong_AsLongLongAndOverflow(args[2], &n_overflow);
+    if (n == -1 && PyErr_Occurred())
+        return NULL;
+    write = args[3];
+    /* A memoryview holds the buffer, strides included, until it is released. */
+    view_object = PyMemoryView_FromObject(args[0]);
+    if (view_object == NULL)
+        return NULL;
+    view = PyMemoryView_GET_BUFFER(view_object);
+    cells = view->buf;
+    if (m_overflow || n_overflow || m < 0 || n < 0 || m > PY_SSIZE_T_MAX || n > PY_SSIZE_T_MAX / 2 - 2 ||
+        view->itemsize != 1) {
+        PyErr_SetString(PyExc_ValueError, "write_matrix takes one-byte cells and a nonnegative shape");
+        goto done;
+    }
+    if (view->ndim == 2 && view->shape[0] == m && view->shape[1] == n) {
+        row_step = view->strides[0];
+        step = view->strides[1];
+    } else if (view->ndim == 1 &&
+               (n == 0 ? view->shape[0] == 0 : m <= PY_SSIZE_T_MAX / n && view->shape[0] == m * n)) {
+        row_step = (Py_ssize_t)n * view->strides[0];
+        step = view->strides[0];
+    } else {
+        PyErr_Format(PyExc_ValueError, "the cells do not form a (%lld, %lld) matrix", m, n);
+        goto done;
+    }
+
+    if (write == Py_None) {
+        for (i = 0; i < m && seen <= 1; i++)
+            seen |= step == 1 ? row_bits(cells + i * row_step, n, 1)
+                              : row_bits(cells + i * row_step, n, step);
+        if (seen > 1)
+            PyErr_Format(internal_error, BAD_CELL, m, n);
+        else
+            result = Py_NewRef(Py_None);
+        goto done;
+    }
+
+    /* A row's text, "[c,...,c]" or "[]", with the "[" or "," before it; and
+     * the buffer, which holds at least one such piece and the closing "]". */
+    piece = n ? 2 * (Py_ssize_t)n + 2 : 3;
+    size = piece + 1 > TEXT_CHUNK ? piece + 1 : TEXT_CHUNK;
+    text = PyMem_Malloc((size_t)size);
+    if (text == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0; i < m; i++) {
+        if (used + piece > size) {
+            if (write_text(write, text, used) < 0)
+                goto done;
+            used = 0;
+        }
+        text[used++] = i ? ',' : '[';
+        text[used++] = '[';
+        if (n) {
+            seen |= step == 1 ? row_text(cells + i * row_step, n, 1, text + used)
+                              : row_text(cells + i * row_step, n, step, text + used);
+            used += 2 * (Py_ssize_t)n;
+            text[used - 1] = ']';
+        } else {
+            text[used++] = ']';
+        }
+        if (seen > 1) {
+            PyErr_Format(internal_error, BAD_CELL, m, n);
+            goto done;
+        }
+    }
+    if (m == 0)
+        text[used++] = '[';
+    if (used == size) {
+        if (write_text(write, text, used) < 0)
+            goto done;
+        used = 0;
+    }
+    text[used++] = ']';
+    if (write_text(write, text, used) == 0)
+        result = Py_NewRef(Py_None);
+
+done:
+    PyMem_Free(text);
+    Py_DECREF(view_object);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"sweep", (PyCFunction)(void (*)(void))sweep, METH_FASTCALL,
      "sweep(start, row_counts, take_largest, delta, policy, seed, caps=None)\n"
@@ -1624,12 +1826,18 @@ static PyMethodDef methods[] = {
      "--\n\n"
      "The nonincreasing final profile every uncapped sweep of start reaches,\n"
      "computed without a sweep or a matrix, as a tuple of ints."},
+    {"write_matrix", (PyCFunction)(void (*)(void))write_matrix, METH_FASTCALL,
+     "write_matrix(cells, m, n, write)\n"
+     "--\n\n"
+     "Check that every cell of the m x n 0/1 matrix is 0 or 1; unless write\n"
+     "is None, pass its compact JSON text to write in chunks of 64 KiB, or\n"
+     "of one row where a row is longer, each a fresh bytes."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef sweep_module = {
-    PyModuleDef_HEAD_INIT, "majpop._sweep", "The compiled row sweep, tie search and profiles.", -1, methods,
-    NULL, NULL, NULL, NULL,
+    PyModuleDef_HEAD_INIT, "majpop._sweep", "The compiled row sweep, tie search, profiles and matrix text.", -1,
+    methods, NULL, NULL, NULL, NULL,
 };
 
 /* *out = module.name, a new reference.  Returns 0, or -1 with an

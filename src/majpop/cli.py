@@ -4,8 +4,9 @@ Results go to stdout as JSON (CSV for ``bench``); diagnostics go to stderr.
 Every payload goes through one encoder, ``_emit``, which writes bytes to
 ``sys.stdout.buffer``: each 0/1 matrix, ``Cells`` from ``solve``
 or a frozen ``uint8`` array from ``enumerate`` and ``construct``, is
-written as JSON text into one ``bytearray`` that goes out as it stands;
-everything else goes to ``json.dumps``.  The output equals
+checked in C before the first byte goes out, then streamed as JSON text
+by ``_speedups.write_matrix`` in 64 KiB chunks, so no matrix's whole text
+is ever held; everything else goes to ``json.dumps``.  The output equals
 ``json.dumps(payload, separators=(",", ":"), sort_keys=True)`` of the
 payload with each matrix as nested lists, without building those lists.
 Only ``solve`` and ``feasible`` are handled here; the other commands'
@@ -14,19 +15,22 @@ them runs.  So ``solve`` imports neither numpy nor ``completion``,
 ``lattice``, ``oracle`` and ``dataclasses``.  The ``majpop``
 command is ``run``: ``main``, a flush, and ``os._exit``, which skips the
 garbage collection of interpreter shutdown; ``main`` itself returns.
-Exit codes: 0 success, 1 infeasible instance, 2 invalid input or exceeded
-budget, 3 internal error: a violated invariant or any other exception, each
-with one line on stderr.  Given the same arguments and seed, every
+Exit codes: 0 success, 1 infeasible instance, 2 invalid input, exceeded
+budget or a failed write to stdout (a closed stdout included), 3 internal
+error: a violated invariant or any other exception, each with one line on
+stderr.  Given the same arguments and seed, every
 subcommand except ``bench`` (whose records carry wall times) writes
 byte-identical output.
 """
 
 import argparse
+import errno
 import json
 import os
 import sys
 from typing import Optional, Sequence
 
+from . import _speedups
 from ._cells import Cells
 from ._speedups import _MASK64
 from .errors import BudgetExceededError, InfeasibleError, InternalInvariantError
@@ -40,9 +44,6 @@ _POLICY_FLAGS = {
 }
 
 _INSTANCE_KEYS = frozenset(("variant", "row_sums", "ceiling", "base", "reference"))
-
-# ``bytes.translate`` table: a 0/1 cell to its digit, any other byte to "?".
-_DIGITS = b"01" + b"?" * 254
 
 
 def _check_json_vector(data, name: str) -> tuple[int, ...]:
@@ -96,45 +97,34 @@ def _tie_policy(kind: str, seed: int) -> TiePolicy:
     return TiePolicy(kind, seed) if kind == "uniform_random" else TiePolicy(kind)
 
 
-def _matrix_text(matrix) -> bytearray:
-    """JSON text of a 0/1 matrix, from its ``[``: ``Cells`` from ``solve``, or
-    a 2-D ``uint8`` buffer such as a numpy array from ``enumerate`` or
-    ``construct``.
-
-    Each row is ``,[a,b,...,z]``: one template row repeated m times, then
-    each row's cells, turned into digits by ``_DIGITS``, written over its
-    slots; a ``?`` anywhere in the text is a cell other than 0 or 1.  The
-    first comma becomes the opening ``[`` (an empty text becomes ``[``),
-    and the caller writes the closing ``]``.
-    """
+def _matrix(matrix) -> tuple:
+    """A 0/1 matrix as ``_speedups.write_matrix`` takes it: its cells and
+    its shape.  ``Cells`` from ``solve`` give their row-major bytes; any
+    other value must be a 2-D ``uint8`` buffer, such as a numpy array from
+    ``enumerate`` or ``construct``, in any memory order."""
     if isinstance(matrix, Cells):
-        shape, cells = matrix.shape, matrix.data
-    else:
-        view = memoryview(matrix)
-        if view.format != "B" or view.ndim != 2:
-            raise InternalInvariantError(
-                f"expected a 2-D uint8 matrix, got format {view.format!r}, shape {view.shape}"
-            )
-        shape, cells = view.shape, view.tobytes()
-    m, n = shape
-    row = b",[" + b"0," * (n - 1) + b"0]" if n else b",[]"
-    text = bytearray(row) * m
-    for i in range(m):
-        first = 2 + i * len(row)
-        text[first : first + 2 * n : 2] = cells[i * n : (i + 1) * n].translate(_DIGITS)
-    if b"?" in text:
-        raise InternalInvariantError(f"the {shape} matrix has an entry other than 0 or 1")
-    text[:1] = b"["
-    return text
+        return (matrix.data, *matrix.shape)
+    view = memoryview(matrix)
+    if view.format != "B" or view.ndim != 2:
+        raise InternalInvariantError(
+            f"expected a 2-D uint8 matrix, got format {view.format!r}, shape {view.shape}"
+        )
+    return (view, *view.shape)
+
+
+def _matrix_size(m: int, n: int) -> int:
+    """The length of the JSON text of an m x n matrix: each row is ``[`` or
+    ``,`` and ``[c,...,c]`` (``[]`` when n is 0), and a ``]`` closes."""
+    return m * (2 * n + 2 if n else 3) + 1 if m else 2
 
 
 def _encode(value, parts: list) -> None:
     """Append the compact, key-sorted JSON text of ``value`` to ``parts``.
 
-    ``parts`` alternates ``str`` and ``bytearray``: text goes onto its last
-    item, a ``str``, and each matrix goes in as the ``bytearray`` from
-    ``_matrix_text``, followed by a new ``str`` that starts with its
-    closing ``]``.  A value with no matrix inside goes to ``json.dumps``
+    ``parts`` alternates ``str`` and matrices: text goes onto its last
+    item, a ``str``, and each matrix goes in as ``_matrix`` gives it,
+    checked by ``_speedups.write_matrix`` with no ``write``, followed by a
+    new ``str``.  A value with no matrix inside goes to ``json.dumps``
     whole, so a long flat list costs no per-entry Python work;
     ``json.dumps`` raises ``TypeError`` at a matrix, and only then is the
     dict or list walked.
@@ -155,7 +145,9 @@ def _encode(value, parts: list) -> None:
                 _encode(item, parts)
             parts[-1] += "]"
         else:
-            parts += [_matrix_text(value), "]"]
+            matrix = _matrix(value)
+            _speedups.write_matrix(*matrix, None)
+            parts += [matrix, ""]
 
 
 def _write_all(out, data) -> None:
@@ -192,22 +184,36 @@ def _grow_pipe(size: int) -> None:
         pass
 
 
+def _stdout():
+    """``sys.stdout``; when it is None, as in a process started with file
+    descriptor 1 closed, an ``OSError`` like that of any failed write."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "stdout is closed")
+    return sys.stdout
+
+
 def _emit(payload) -> None:
     """Write ``payload`` and a newline to stdout as bytes, then flush.
 
-    The whole text is encoded before the first byte goes out, so a payload
-    that fails leaves stdout empty.  Each matrix's text goes out as the
-    one buffer ``_matrix_text`` wrote.
+    Every matrix is checked while the payload is encoded, before the first
+    byte goes out, so a payload that fails leaves stdout empty.  Then the
+    text parts go out as they are and each matrix is streamed by
+    ``_speedups.write_matrix``, 64 KiB at a time, to the same ``write``.
     """
     parts = [""]
     _encode(payload, parts)
     parts[-1] += "\n"
+    stdout = _stdout()
     # Text written through sys.stdout before this goes first.
-    sys.stdout.flush()
-    _grow_pipe(sum(map(len, parts)))
-    out = getattr(sys.stdout, "buffer", sys.stdout)
+    stdout.flush()
+    texts, matrices = parts[::2], parts[1::2]
+    _grow_pipe(sum(map(len, texts)) + sum(_matrix_size(m, n) for _, m, n in matrices))
+    out = getattr(stdout, "buffer", stdout)
     for k, part in enumerate(parts):
-        _write_all(out, part if k % 2 else part.encode("ascii"))
+        if k % 2:
+            _speedups.write_matrix(*part, out.write)
+        else:
+            _write_all(out, part.encode("ascii"))
     out.flush()
 
 
@@ -339,7 +345,7 @@ def run() -> None:
     """
     code = main()
     try:
-        sys.stdout.flush()
+        _stdout().flush()
     except Exception as exc:
         if code == 0:
             print(f"invalid input: {exc}", file=sys.stderr)

@@ -165,7 +165,7 @@ def test_construct_command(capsys):
 def test_construct_without_the_build_still_names_unrealizable_sums(capsys, monkeypatch):
     from majpop import _speedups
 
-    for name in ("sweep", "search_ties", "profile"):
+    for name in ("sweep", "search_ties", "profile", "write_matrix"):
         monkeypatch.setattr(_speedups, name, _speedups._unavailable)
     monkeypatch.setattr(_speedups, "BUILD_ERROR", "cannot run cc: not found")
     code, out, err = run_cli(capsys, "construct", "--row-sums", "2,1,0", "--col-sums", "3,0")
@@ -479,6 +479,40 @@ def test_solve_into_a_closed_pipe_exits_2(large_instance):
     _assert_one_line(err, b"invalid input: [Errno 32] ")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_solve_into_a_pipe_closed_mid_matrix_exits_2(large_instance, unbuffered):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(majpop.__file__)))
+    env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "majpop.cli", "solve", "--instance", large_instance],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    _assert_one_line(err, b"invalid input: [Errno 32] ")
+
+
+# Closes file descriptor 1, then runs the CLI in its place.
+_WITH_STDOUT_CLOSED = "import os, sys; os.close(1); os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--instance", str(INSTANCES / "peak_shave_demo.json")],
+    ["feasible", "--instance", str(INSTANCES / "peak_shave_demo.json")],
+    ["bench", "--rows", "4", "--cols", "5"],
+], ids=lambda argv: argv[0])
+def test_closed_stdout_exits_2(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(majpop.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", _WITH_STDOUT_CLOSED, "-m", "majpop.cli", *argv], stderr=subprocess.PIPE, env=env
+    )
+    assert run.returncode == 2
+    _assert_one_line(run.stderr, b"invalid input: [Errno 9] ")
+
+
 @pytest.mark.parametrize("flag", sorted(_POLICY_FLAGS))
 def test_solve_prints_json_dumps_of_the_lists(tmp_path, flag):
     r, c, _ = _bench_instance(3, 300, 300, 0)
@@ -624,6 +658,93 @@ def test_emit_rejects_non_string_key_beside_matrix(capsys):
     with pytest.raises(InternalInvariantError):
         _emit({1: np.zeros((1, 1), dtype=np.uint8)})
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (5, 0), (0, 5), (0, 0)])
+def test_emit_of_any_memory_order_matches_json_dumps(capsys, shape):
+    a = np.random.default_rng(11).integers(0, 2, size=(2 * shape[0], 3 * shape[1]), dtype=np.uint8)
+    b = a[: shape[0], : shape[1]]
+    layouts = {
+        "strided": a[::2, ::3],
+        "transposed": np.ascontiguousarray(b.T).T,
+        "fortran": np.asfortranarray(b),
+        "reversed": b[::-1, ::-1],
+    }
+    for name, matrix in layouts.items():
+        assert matrix.shape == shape, name
+        assert _emitted(capsys, {"matrix": matrix}) == _reference_text({"matrix": matrix.tolist()}), name
+    cells = Cells(b.tobytes(), shape)
+    assert _emitted(capsys, {"matrix": cells}) == _reference_text({"matrix": b.tolist()})
+
+
+def test_emit_of_rows_longer_than_a_chunk(capsys):
+    a = np.random.default_rng(5).integers(0, 2, size=(3, 40_000), dtype=np.uint8)
+    assert _emitted(capsys, [a, Cells(a.tobytes(), a.shape)]) == _reference_text([a.tolist()] * 2)
+
+
+def test_emit_checks_every_matrix_before_writing(capsys):
+    good = np.ones((2, 2), dtype=np.uint8)
+    bad = np.array([[0, 1], [2, 0]], dtype=np.uint8)
+    with pytest.raises(InternalInvariantError, match=r"the \(2, 2\) matrix has an entry other than 0 or 1"):
+        _emit({"a": good, "b": bad})
+    assert capsys.readouterr().out == ""
+
+
+class _Sink:
+    """A stdout with only ``write`` and ``flush``.  Each write takes at most
+    ``most`` bytes (all of them when ``most`` is None), and its size is
+    recorded."""
+
+    def __init__(self, most=None):
+        self.most = most
+        self.data = bytearray()
+        self.sizes = []
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        taken = bytes(data[: self.most])
+        self.data += taken
+        return len(taken)
+
+    def flush(self):
+        pass
+
+
+def test_emit_to_a_sink_that_takes_part_of_each_write(monkeypatch):
+    payload, text = _large_payload()
+    for most in (1000, 40_000):
+        sink = _Sink(most)
+        monkeypatch.setattr(sys, "stdout", sink)
+        _emit(payload)
+        assert bytes(sink.data) == text, most
+        assert max(sink.sizes) > most
+
+
+def test_emit_to_a_sink_that_would_block(monkeypatch):
+    class WouldBlock:
+        def write(self, data):
+            return None
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", WouldBlock())
+    payload, _ = _large_payload()
+    # The first write of the first payload is a text part, of the second a matrix's.
+    for value in (payload, payload["matrix"]):
+        with pytest.raises(BlockingIOError, match="stdout would block"):
+            _emit(value)
+
+
+def test_emit_streams_a_large_matrix_in_chunks(monkeypatch):
+    r, c, _ = _bench_instance(1, 2000, 2000, 0)
+    payload = solve(Instance("min_remaining", r, ceiling=c)).to_json()
+    sink = _Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    _emit(payload)
+    row = len(",[" + "0," * 2000)
+    assert max(sink.sizes) <= (1 << 16) + row
+    assert sum(sink.sizes) == len(sink.data) == 8_020_067
 
 
 def test_lattice_join_at_huge_total(capsys):

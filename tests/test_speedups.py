@@ -313,6 +313,7 @@ def test_failed_build_fails_every_call_that_sweeps(monkeypatch, without_cc):
     monkeypatch.setattr(_speedups, "sweep", _speedups._unavailable)
     monkeypatch.setattr(_speedups, "search_ties", _speedups._unavailable)
     monkeypatch.setattr(_speedups, "profile", _speedups._unavailable)
+    monkeypatch.setattr(_speedups, "write_matrix", _speedups._unavailable)
     monkeypatch.setattr(_speedups, "BUILD_ERROR", "cannot run cc: not found")
     inst = majpop.Instance("min_remaining", (2, 1), ceiling=(3, 2, 1))
     sweeping = (
@@ -598,6 +599,20 @@ def test_binding_refuses_a_wrong_call_with_a_typeerror(case):
     with pytest.raises(TypeError) as info:
         getattr(_speedups, name)(*args)
     assert str(info.value) == text
+
+
+def test_write_matrix_stops_before_the_chunk_of_a_bad_row():
+    # Each 40 000-cell row is longer than a chunk, so it goes out alone.
+    cells = bytearray(3 * 40_000)
+    cells[-1] = 2
+    chunks = []
+    with pytest.raises(majpop.InternalInvariantError, match=r"the \(3, 40000\) matrix has an entry other"):
+        _speedups.write_matrix(bytes(cells), 3, 40_000, lambda chunk: chunks.append(chunk) or len(chunk))
+    row = "[" + ",".join("0" * 40_000) + "]"
+    assert chunks == [("[" + row).encode(), ("," + row).encode()]
+    for refused in ((b"\0" * 5, 2, 3), (np.zeros((2, 3), dtype=np.int64), 2, 3), (b"", -1, 0)):
+        with pytest.raises(ValueError):
+            _speedups.write_matrix(*refused, None)
 
 
 class _Clearing:
