@@ -296,6 +296,43 @@ def random_instance(rng: random.Random, variant: str, max_mn: int = 6, max_value
     return Instance(variant, r, base=profile, ceiling=caps)
 
 
+# The profile each variant's objective is measured from.
+PROFILE_FIELD = {
+    "min_remaining": "ceiling", "min_combined": "base", "general_min": "reference", "general_max": "base",
+}
+
+
+def certify_sweep(count: int = 400, seed: int = 1973) -> list[tuple[Instance, Optional[IntVector]]]:
+    """The draws of the golden certify sweep: ``(instance, absent)`` pairs
+    from :func:`random_instance`, cycling through the four variants, within
+    the oracle's default budget (7 columns, total 14).
+
+    Every fifth profile is raised by 2**63, so its objective vectors leave
+    int64.  Every third draw names an absent vector: in turn a sorted
+    attainable objective vector (the claim fails) and a random one."""
+    rng = random.Random(seed)
+    variants = ("min_remaining", "min_combined", "general_min", "general_max")
+    draws = []
+    for k in range(count):
+        inst = random_instance(rng, variants[k % 4], max_mn=7)
+        while sum(inst.row_sums) > 14:
+            inst = random_instance(rng, variants[k % 4], max_mn=7)
+        if k % 5 == 4:
+            field = PROFILE_FIELD[inst.variant]
+            fields = {f: getattr(inst, f) for f in ("ceiling", "base", "reference")}
+            fields[field] = tuple(v + 2**63 for v in fields[field])
+            inst = Instance(inst.variant, inst.row_sums, **fields)
+        absent = None
+        if k % 3 == 2:
+            attainable = sorted(reference_attainable(inst)[1])
+            if k % 2 and attainable:
+                absent = sort_desc(rng.choice(attainable))
+            else:
+                absent = tuple(rng.randint(0, 9) for _ in range(inst.n))
+        draws.append((inst, absent))
+    return draws
+
+
 def reference_column_vectors(
     n: int, total: int, upper: Sequence[int], threshold: IntVector
 ) -> list[IntVector]:

@@ -1,6 +1,8 @@
 import collections
 import itertools
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from majpop.oracle import DEFAULT_MAX_COLS, DEFAULT_MAX_TOTAL, all_matrices, mat
 from majpop import col_sums, enumerate_matrices, matrix_rows, row_sums
 
 from helpers import (
-    random_feasible_instance, random_instance, reference_attainable, reference_lattice_closure,
+    certify_sweep, random_feasible_instance, random_instance, reference_attainable,
+    reference_lattice_closure,
 )
 
 GAP_MIN = Instance("min_remaining", (4, 2), ceiling=(8, 6, 6, 6, 4, 4, 4))
@@ -210,6 +213,28 @@ def test_enumeration_matches_reference_with_negative_and_empty_objectives():
         Instance("general_max", (2, 2), base=(1, 2, 0), ceiling=(1, 1, 1)),
     ):
         assert not _assert_matches_reference(inst).vectors
+
+
+CERTIFY_SWEEP = Path(__file__).parent / "golden" / "certify-sweep.json"
+
+
+def _certify_sweep_text() -> str:
+    """The golden sweep's text: one line per draw of ``certify_sweep()``,
+    holding the instance, the absent vector and the report, as a JSON list."""
+    lines = []
+    for inst, absent in certify_sweep():
+        fields = {f: getattr(inst, f) for f in ("variant", "row_sums", "ceiling", "base", "reference")}
+        entry = {
+            "instance": {k: v for k, v in fields.items() if v is not None},
+            "absent": absent,
+            "report": certify(inst, absent_canonical=absent).to_json(),
+        }
+        lines.append(json.dumps(entry, sort_keys=True, separators=(",", ":")))
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+def test_certify_reproduces_the_golden_sweep():
+    assert _certify_sweep_text() == CERTIFY_SWEEP.read_text()
 
 
 def test_certify_refuses_an_absent_vector_of_the_wrong_length():
