@@ -11,9 +11,13 @@ in memory.  Both routes stay, and the test suite checks that they agree with
 each other and with exhaustive scans.
 
 The public functions validate their inputs and then call a private core
-(``_meet``, ``_join``, ``_join_recursive``) that checks nothing.  Callers
-that already hold valid partitions of one total and length, such as the
-oracle's closure check, call the cores directly.
+(``_meet``, ``_join``, ``_join_recursive``) that checks nothing.
+``_meet_join_pairs`` is the array form of ``_meet`` and ``_join`` for many
+pairs of partitions of one total and length at once, such as the oracle's
+closure check holds: every pair takes the conjugate route, whose arrays
+grow with the largest part.  The tuple cores stay beside it, because
+``join`` serves single pairs whose total, up to 10^12, no array of
+conjugates could hold.
 """
 
 from itertools import accumulate
@@ -47,6 +51,43 @@ def _meet(a: IntVector, b: IntVector) -> IntVector:
         out.append(cur - prev)
         prev = cur
     return tuple(out)
+
+
+def _meet_join_pairs(forms, i, j):
+    """The meets and joins of the pairs ``(forms[i[k]], forms[j[k]])``, one
+    row per pair: ``_meet`` and ``_join`` on whole arrays.
+
+    ``forms`` is a 2-D int64 array of partitions, one per row, that share a
+    length and a total; ``i`` and ``j`` index its rows.  The meet
+    differences the pairwise minima of the prefix sums.  The join is the
+    conjugate of the meet of the conjugates, and each form's conjugate is
+    built once.
+    """
+    import numpy as np
+
+    def prefix_sums(a):  # with a leading 0, so that a meet is one difference
+        out = np.zeros((len(a), a.shape[1] + 1), dtype=a.dtype)
+        np.cumsum(a, axis=1, out=out[:, 1:])
+        return out
+
+    prefix = prefix_sums(forms)
+    dual = prefix_sums(_conjugates(forms, max(int(forms[:, 0].max(initial=0)), 1)))
+    low = np.minimum(prefix[i], prefix[j])
+    dual_low = np.minimum(dual[i], dual[j])
+    return low[:, 1:] - low[:, :-1], _conjugates(dual_low[:, 1:] - dual_low[:, :-1], forms.shape[1])
+
+
+def _conjugates(rows, dim: int):
+    """``_conjugate`` of every row of a 2-D array of nonnegative ints, at one
+    ``dim`` that is at least the largest entry."""
+    import numpy as np
+
+    width = dim + 1
+    counts = np.bincount(
+        (rows + width * np.arange(len(rows))[:, None]).ravel(), minlength=len(rows) * width
+    ).reshape(len(rows), width)
+    # As in _conjugate: running sums over thresholds dim, ..., 1.
+    return np.cumsum(counts[:, :0:-1], axis=1)[:, ::-1]
 
 
 def join(x: Sequence[int], y: Sequence[int]) -> IntVector:

@@ -21,14 +21,18 @@ ints.  Nothing here comes from the solvers.
 
 The public helpers here validate what they are given, like the rest of the
 package.  Inside :func:`certify` the enumerated vectors are valid by
-construction, so its claims read only the distinct sorted forms, and its
-closure check calls the unchecked lattice cores.
+construction, so its claims read only the distinct sorted forms, as whole
+arrays: the distinct rows come from one ``lexsort`` in tuple order, "a is
+majorized by b" is one ``<=`` over rows of prefix sums, taken in blocks of
+at most ``_BLOCK`` matrix entries, and the closure check sends the
+incomparable pairs, in blocks, to one unchecked array core for their meets
+and joins.  Object arrays take the same path, so entries past int64 stay
+exact.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
-from operator import le
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -92,6 +96,64 @@ class CertificationReport:
 def _sorted_rows(a: np.ndarray) -> np.ndarray:
     """Each row of ``a`` in nonincreasing order."""
     return np.sort(a, axis=1)[:, ::-1]
+
+
+def _lex_groups(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts the rows of a 2-D array lexicographically, which
+    is the order of their tuples (an object array sorts its Python ints
+    exactly), and which of the sorted rows differ from the row before."""
+    order = np.lexsort(a.T[::-1])
+    s = a[order]
+    first = np.ones(len(s), dtype=bool)
+    first[1:] = (s[1:] != s[:-1]).any(axis=1)
+    return order, first
+
+
+def _distinct_rows(a: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array in lexicographic order."""
+    order, first = _lex_groups(a)
+    return a[order[first]]
+
+
+def _prefix_sums(forms: np.ndarray) -> np.ndarray:
+    """Prefix sums of each sorted form, with the negated total appended, so
+    that "a is majorized by b" reads as one elementwise ``<=`` of their rows:
+    ``a``'s prefix sums stay at or below ``b``'s and the totals agree.
+
+    An int64 entry need not leave room for a sum of n of them, so int64
+    forms whose sums could pass it are summed as Python ints."""
+    if forms.dtype != object and forms.size:
+        if max(int(forms.max()), -int(forms.min())) * forms.shape[1] >= 2**63:
+            forms = forms.astype(object)
+    prefix = np.cumsum(forms, axis=1)
+    return np.concatenate((prefix, -prefix[:, -1:]), axis=1)
+
+
+# Entries of the majorization matrix, and pairs sent to the lattice core,
+# per numpy pass: certify's claims hold O(_BLOCK) rows at any budget.
+_BLOCK = 1 << 14
+
+
+def _majorized_blocks(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """The matrix "row r of ``lo`` is majorized by row c of ``hi``", from
+    rows of :func:`_prefix_sums`, as ``(start, block)`` for consecutive
+    blocks of ``lo``'s rows; ``block[r, c]`` answers for row ``start + r``."""
+    step = max(1, _BLOCK // max(1, len(hi)))
+    for start in range(0, len(lo), step):
+        yield start, (lo[start:start + step, None, :] <= hi[None, :, :]).all(axis=2)
+
+
+def _extremal_mask(prefix: np.ndarray, lowest: bool) -> np.ndarray:
+    """Which distinct forms, given by :func:`_prefix_sums`, have no other
+    form strictly below them (``lowest``) or strictly above them."""
+    if lowest:  # w is below u exactly when -u's row is below -w's
+        prefix = -prefix
+    keep = np.empty(len(prefix), dtype=bool)
+    for start, below in _majorized_blocks(prefix, prefix):
+        rows = np.arange(len(below))
+        below[rows, start + rows] = False
+        keep[start:start + len(below)] = ~below.any(axis=1)
+    return keep
 
 
 def _rows_equal(a: np.ndarray, v: Sequence[int]) -> np.ndarray:
@@ -177,31 +239,25 @@ def _extremal_elements(vectors: Iterable[Sequence[int]], name: str, lowest: bool
     """Members whose sorted form has no other sorted form strictly below it
     (``lowest``) or strictly above it under majorization.
 
-    Each distinct sorted form gets its prefix sums once; forms with unequal
-    totals are incomparable.
+    The distinct sorted forms go into one array, in int64 where every entry
+    fits and as Python ints otherwise; forms with unequal totals are
+    incomparable.
     """
     vs = [tuple(v) for v in vectors]
     if not vs:
         raise ValueError(f"{name} needs a nonempty set")
     forms = [sort_desc(v) for v in vs]
-    prefix = {key: tuple(accumulate(key)) for key in forms}
     first = forms[0]
-    for key in prefix:
+    for key in forms:
         if len(key) != len(first):
             raise LengthMismatchError(
                 f"vectors have lengths {len(first)} and {len(key)}; pad the shorter one explicitly"
             )
-
-    def dominated(pu: IntVector) -> bool:
-        for pw in prefix.values():
-            if pw is pu or pw[-1:] != pu[-1:]:
-                continue
-            lo, hi = (pw, pu) if lowest else (pu, pw)
-            if all(a <= b for a, b in zip(lo, hi)):
-                return True
-        return False
-
-    keep = {key for key, pu in prefix.items() if not dominated(pu)}
+    keys = list(dict.fromkeys(forms))
+    arr = np.array(keys).reshape(len(keys), len(first))
+    if arr.dtype != np.int64:  # numpy reads ints past int64 as floats or objects
+        arr = np.array(keys, dtype=object).reshape(len(keys), len(first))
+    keep = {key for key, ok in zip(keys, _extremal_mask(_prefix_sums(arr), lowest)) if ok}
     return {v for v, key in zip(vs, forms) if key in keep}
 
 
@@ -328,6 +384,40 @@ def _sumsq(v: Sequence[int]) -> int:
     return sum(e * e for e in v)
 
 
+def _closure_witness(forms: np.ndarray) -> str:
+    """The closure record's witness for the distinct sorted feasible forms,
+    in lexicographic order: empty when every meet and join of two forms is
+    a form, else the text for the first pair in ``combinations`` order whose
+    meet or join is not.
+
+    Only the incomparable pairs reach ``lattice._meet_join_pairs`` (see
+    :func:`certify`), at most ``_BLOCK`` at a time, and no block after a
+    failing one is computed.  The forms share one length and total, as
+    that core needs.
+    """
+    prefix = _prefix_sums(forms)
+    index = np.arange(len(forms))
+    for start, below in _majorized_blocks(prefix, prefix):
+        later = index > (start + np.arange(len(below)))[:, None]
+        rows, cols = np.nonzero(later & ~below)  # row-major: combinations order
+        for at in range(0, len(rows), _BLOCK):
+            i, j = rows[at:at + _BLOCK] + start, cols[at:at + _BLOCK]
+            meets, joins = lattice._meet_join_pairs(forms, i, j)
+            # Equal rows share an id; a meet or join is a form when its id is.
+            every = np.concatenate((forms, meets, joins))
+            order, first = _lex_groups(every)
+            ids = np.empty(len(every), dtype=np.intp)
+            ids[order] = np.cumsum(first)
+            known = np.zeros(len(every) + 1, dtype=bool)
+            known[ids[:len(forms)]] = True
+            found = known[ids[len(forms):]].reshape(2, len(i)).all(axis=0)
+            if not found.all():
+                k = int(np.argmin(found))
+                a, b, lo, hi = (tuple(v[k].tolist()) for v in (forms[i], forms[j], meets, joins))
+                return f"pair {a}, {b} gives meet {lo} join {hi}"
+    return ""
+
+
 def certify(
     inst: Instance,
     max_cols: int = DEFAULT_MAX_COLS,
@@ -355,11 +445,14 @@ def certify(
     (The least-majorized element that ``general_min`` needs exists on any
     M-convex set; Tamir 1995.)
 
-    The closure check calls the lattice cores only for incomparable pairs.
-    Sorted forms of one total that satisfy a ≼ b also satisfy a ≤ b
-    lexicographically, so in sorted order the only comparable case is
-    a ≼ b, whose meet is a and whose join is b: both are in the set, and
-    such a pair cannot fail.
+    The closure check sends only the incomparable pairs of distinct sorted
+    column-sum forms to ``lattice._meet_join_pairs``, in ``combinations``
+    order and in blocks of at most ``_BLOCK`` pairs, and tests every meet
+    and join for membership in one pass of row ids per block; its witness
+    is the first failing pair.  Sorted forms of one total that satisfy
+    a ≼ b also satisfy a ≤ b lexicographically, so in sorted order the
+    only comparable case is a ≼ b, whose meet is a and whose join is b:
+    both are in the set, and such a pair cannot fail.
     """
     exact_scope = inst.variant in ("min_remaining", "min_combined")
     if absent_canonical is not None and len(absent_canonical) != inst.n:
@@ -380,22 +473,21 @@ def certify(
     except InfeasibleError as exc:
         solve_error = str(exc)
 
-    # The claims below read the distinct sorted forms, as tuples of Python
-    # ints, and match whole rows of the arrays otherwise.
-    closed = set(map(tuple, _sorted_rows(xs).tolist()))
-    sorted_vectors = _sorted_rows(vectors)
-    canonical = set(map(tuple, sorted_vectors.tolist()))
-    canonicals = sorted(canonical)
+    # The claims below read the distinct sorted forms, in lexicographic
+    # order, and match whole rows of the arrays otherwise.
     star: Optional[IntVector] = None
     if inst.variant == "general_max":
         pass  # several incomparable maximal elements are possible; see above
     elif nonempty:
-        # The minimal sorted forms are the sorted forms of the minimal vectors.
-        extremal = sorted(minimal_elements(canonicals))
-        ok = len(extremal) == 1
-        record("essential_uniqueness", ok, "" if ok else f"distinct sorted optima: {extremal}")
+        sorted_vectors = _sorted_rows(vectors)
+        canonical = _distinct_rows(sorted_vectors)
+        prefix = _prefix_sums(canonical)
+        least = np.flatnonzero(_extremal_mask(prefix, lowest=True))
+        ok = len(least) == 1
+        witness = "" if ok else f"distinct sorted optima: {list(map(tuple, canonical[least].tolist()))}"
+        record("essential_uniqueness", ok, witness)
         if ok:
-            star = extremal[0]
+            star = tuple(canonical[least[0]].tolist())
     else:
         record("essential_uniqueness", True, _VACUOUS)
 
@@ -408,7 +500,7 @@ def certify(
             # row, so there is no output to judge here.
             record("solver_output_attainable", True, solve_error or _VACUOUS)
     elif star is not None:
-        bound_ok = all(majorized(star, u) for u in canonicals)
+        bound_ok = all(below.all() for _, below in _majorized_blocks(prefix[least], prefix))
         if result is None:
             ok, witness = False, f"solver refused a nonempty instance: {solve_error}"
         else:
@@ -434,20 +526,7 @@ def certify(
             record("tie_branch_completeness", True, _VACUOUS)
 
     if nonempty:
-        # Sorted feasible vectors share one length and total, so the
-        # unchecked lattice cores apply; a comparable pair is skipped (see
-        # the docstring).
-        forms = sorted(closed)
-        prefix = [tuple(accumulate(a)) for a in forms]
-        bad = ""
-        for (a, pa), (b, pb) in combinations(zip(forms, prefix), 2):
-            if all(map(le, pa, pb)):
-                continue
-            lo = lattice._meet(a, b)
-            hi = lattice._join(a, b)
-            if lo not in closed or hi not in closed:
-                bad = f"pair {a}, {b} gives meet {lo} join {hi}"
-                break
+        bad = _closure_witness(_distinct_rows(_sorted_rows(xs)))
         record("canonical_column_lattice_closed", bad == "", bad)
     else:
         record("canonical_column_lattice_closed", True, _VACUOUS)
@@ -474,7 +553,7 @@ def certify(
         )
 
     if star is not None and exact_scope:
-        best = min(map(_sumsq, canonicals))
+        best = min(map(_sumsq, canonical.tolist()))
         ok = _sumsq(star) == best
         record(
             "sum_of_squares_scalarization",
@@ -486,7 +565,7 @@ def certify(
 
     if absent_canonical is not None:
         key = sort_desc(absent_canonical)
-        ok = key not in canonical
+        ok = key not in map(tuple, _sorted_rows(vectors).tolist())
         record("claimed_absent_vector", ok, "" if ok else f"{key} is attainable")
 
     return CertificationReport(inst.variant, tuple(records))

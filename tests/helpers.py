@@ -302,14 +302,24 @@ PROFILE_FIELD = {
 }
 
 
+def raise_profile(profile: Sequence[int], past: bool) -> IntVector:
+    """``profile`` with every entry raised by 2**63 (``past``), so that the
+    objective vectors leave int64, or with its first three raised by 2**62,
+    so that their entries fit int64 but sums of two or more need not."""
+    if past:
+        return tuple(v + 2**63 for v in profile)
+    return tuple(v + 2**62 * (j < 3) for j, v in enumerate(profile))
+
+
 def certify_sweep(count: int = 400, seed: int = 1973) -> list[tuple[Instance, Optional[IntVector]]]:
     """The draws of the golden certify sweep: ``(instance, absent)`` pairs
     from :func:`random_instance`, cycling through the four variants, within
     the oracle's default budget (7 columns, total 14).
 
-    Every fifth profile is raised by 2**63, so its objective vectors leave
-    int64.  Every third draw names an absent vector: in turn a sorted
-    attainable objective vector (the claim fails) and a random one."""
+    Every fifth profile is raised by :func:`raise_profile`, past int64 and
+    near it in turn.  Every third draw names an absent vector: in turn
+    a sorted attainable objective vector (the claim fails) and a random
+    one."""
     rng = random.Random(seed)
     variants = ("min_remaining", "min_combined", "general_min", "general_max")
     draws = []
@@ -320,7 +330,7 @@ def certify_sweep(count: int = 400, seed: int = 1973) -> list[tuple[Instance, Op
         if k % 5 == 4:
             field = PROFILE_FIELD[inst.variant]
             fields = {f: getattr(inst, f) for f in ("ceiling", "base", "reference")}
-            fields[field] = tuple(v + 2**63 for v in fields[field])
+            fields[field] = raise_profile(fields[field], k % 10 == 4)
             inst = Instance(inst.variant, inst.row_sums, **fields)
         absent = None
         if k % 3 == 2:

@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from majpop import (
@@ -82,6 +84,45 @@ def test_cores_match_public_functions_above_len_squared():
         y = random_partition(rng, total, n)
         assert lattice._join(x, y) == join(x, y) == join_recursive(x, y)
         assert lattice._meet(x, y) == meet(x, y)
+
+
+def _batched(forms, i, j):
+    """``lattice._meet_join_pairs`` on tuples, its rows back as tuples."""
+    arr = np.array(forms, dtype=np.int64).reshape(len(forms), len(forms[0]))
+    meets, joins = lattice._meet_join_pairs(arr, np.array(i, dtype=np.intp), np.array(j, dtype=np.intp))
+    return [tuple(r) for r in meets.tolist()], [tuple(r) for r in joins.tolist()]
+
+
+def test_batched_cores_match_the_tuple_cores():
+    # Every ordered pair of partitions with total <= 12 and length <= 6.
+    for total in range(13):
+        for length in range(1, 7):
+            parts = list(partitions(total, length))
+            i, j = zip(*itertools.product(range(len(parts)), repeat=2))
+            meets, joins = _batched(parts, i, j)
+            for p, q, lo, hi in zip(i, j, meets, joins):
+                x, y = parts[p], parts[q]
+                assert lo == lattice._meet(x, y), (x, y)
+                assert hi == lattice._join(x, y) == lattice._join_recursive(x, y), (x, y)
+
+
+def test_batched_cores_match_the_tuple_cores_above_len_squared():
+    # Totals above length**2, where _join takes the recursive route; the
+    # batched core builds conjugates as long as the largest part.
+    rng = random.Random(1973)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        total = rng.randint(n * n + 1, 3000)
+        forms = [random_partition(rng, total, n) for _ in range(4)]
+        i, j = zip(*itertools.combinations(range(4), 2))
+        meets, joins = _batched(forms, i, j)
+        for p, q, lo, hi in zip(i, j, meets, joins):
+            x, y = forms[p], forms[q]
+            assert lo == lattice._meet(x, y)
+            assert hi == lattice._join(x, y) == lattice._join_recursive(x, y)
+    # No pairs: empty rows of the forms' length.
+    meets, joins = lattice._meet_join_pairs(np.array([[2, 1]]), np.array([], dtype=np.intp), np.array([], dtype=np.intp))
+    assert meets.shape == joins.shape == (0, 2)
 
 
 def test_join_above_len_squared_checks_its_inputs_once(monkeypatch):

@@ -1,7 +1,10 @@
 import collections
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +26,8 @@ from majpop.oracle import DEFAULT_MAX_COLS, DEFAULT_MAX_TOTAL, all_matrices, mat
 from majpop import col_sums, enumerate_matrices, matrix_rows, row_sums
 
 from helpers import (
-    certify_sweep, random_feasible_instance, random_instance, reference_attainable,
-    reference_lattice_closure,
+    PROFILE_FIELD, certify_sweep, raise_profile, random_feasible_instance, random_instance,
+    reference_attainable, reference_lattice_closure,
 )
 
 GAP_MIN = Instance("min_remaining", (4, 2), ceiling=(8, 6, 6, 6, 4, 4, 4))
@@ -237,6 +240,27 @@ def test_certify_reproduces_the_golden_sweep():
     assert _certify_sweep_text() == CERTIFY_SWEEP.read_text()
 
 
+def test_certify_sums_int64_entries_exactly():
+    # Objective entries near 2**62 fit int64, but the prefix sums that
+    # decide majorization between their sorted forms need not.
+    report = certify(Instance("min_remaining", (2, 2, 1), ceiling=(2**62, 2**62, 2**62, 3)))
+    assert report.passed, report.to_json()
+    rng = random.Random(62)
+    variants = ("min_remaining", "min_combined", "general_min", "general_max")
+    checked = 0
+    while checked < 300:
+        inst = random_instance(rng, variants[checked % 4], max_mn=7)
+        if sum(inst.row_sums) > DEFAULT_MAX_TOTAL:
+            continue
+        fields = {f: getattr(inst, f) for f in ("ceiling", "base", "reference")}
+        field = PROFILE_FIELD[inst.variant]
+        fields[field] = raise_profile(fields[field], past=False)
+        raised = Instance(inst.variant, inst.row_sums, **fields)
+        report = certify(raised)
+        assert report.passed, (raised, report.to_json())
+        checked += 1
+
+
 def test_certify_refuses_an_absent_vector_of_the_wrong_length():
     shave = Instance("min_remaining", (4, 4, 3, 1, 1), ceiling=(7, 6, 5, 4, 4))
     for absent in ((1, 2), (3, 3, 3, 2, 2, 0)):
@@ -431,33 +455,48 @@ def _incomparable(a, b):
 
 
 class _Cores:
-    """Stand-ins for the lattice cores that certify calls: each call is
-    logged, and when ``faulty`` picks an incomparable pair, both cores answer
-    it with a vector outside every feasible set.  Comparable pairs always get
-    the true meet and join."""
+    """A stand-in for the lattice module as certify calls it.  Each call of
+    ``_meet_join_pairs`` logs its pairs as one block, and when ``faulty``
+    picks an incomparable pair, its meet and join are a vector outside every
+    feasible set.  Comparable pairs always get the true meet and join.
+    ``_meet`` and ``_join`` answer the same way, one pair at a time, for
+    ``reference_lattice_closure``."""
 
     def __init__(self, faulty=lambda a, b: False):
         self.faulty = faulty
-        self.calls = {"meet": [], "join": []}
+        self.blocks = []
 
-    def _answer(self, name, a, b):
-        self.calls[name].append((a, b))
-        if _incomparable(a, b) and self.faulty(a, b):
-            return (-1,) * len(a)
-        return getattr(lattice, "_" + name)(a, b)
+    def _wrong(self, a, b):
+        return _incomparable(a, b) and self.faulty(a, b)
+
+    def _meet_join_pairs(self, forms, i, j):
+        meets, joins = lattice._meet_join_pairs(forms, i, j)
+        pairs = [(tuple(forms[p].tolist()), tuple(forms[q].tolist())) for p, q in zip(i, j)]
+        self.blocks.append(pairs)
+        for k, (a, b) in enumerate(pairs):
+            if self._wrong(a, b):
+                meets[k] = joins[k] = -1
+        return meets, joins
 
     def _meet(self, a, b):
-        return self._answer("meet", a, b)
+        return (-1,) * len(a) if self._wrong(a, b) else lattice._meet(a, b)
 
     def _join(self, a, b):
-        return self._answer("join", a, b)
+        return (-1,) * len(a) if self._wrong(a, b) else lattice._join(a, b)
+
+    @property
+    def pairs(self):
+        return [p for block in self.blocks for p in block]
 
 
-@pytest.mark.parametrize("inst", [
+CLOSURE_CASES = [
     Instance("min_remaining", (4, 4, 3, 1, 1), ceiling=(7, 6, 5, 4, 4)),
     Instance("min_combined", (4, 3, 3, 2, 1), base=(8, 6, 5, 2, 2)),
     Instance("general_min", (3, 3, 2, 2, 1, 1), reference=(4, 1, 0, 3, 2), ceiling=(6, 6, 6, 2, 1)),
-])
+]
+
+
+@pytest.mark.parametrize("inst", CLOSURE_CASES)
 def test_closure_check_calls_the_cores_only_for_incomparable_pairs(monkeypatch, inst):
     forms = sorted({sort_desc(x) for x in enumerate_attainable(inst).column_sets})
     pairs = list(itertools.combinations(forms, 2))
@@ -467,10 +506,12 @@ def test_closure_check_calls_the_cores_only_for_incomparable_pairs(monkeypatch, 
     honest = _Cores()
     monkeypatch.setattr(oracle, "lattice", honest)
     assert _closure_record(certify(inst)).passed
-    assert honest.calls == {"meet": incomparable, "join": incomparable}
+    assert honest.pairs == incomparable
+    assert max(map(len, honest.blocks)) <= oracle._BLOCK
 
     # Wrong answers on every incomparable pair: the first one in sorted order
-    # fails the record, with the witness the all-pairs loop gives.
+    # fails the record, with the witness the all-pairs loop gives, and no
+    # block after its own reaches the core.
     faulty = _Cores(faulty=lambda a, b: True)
     monkeypatch.setattr(oracle, "lattice", faulty)
     rec = _closure_record(certify(inst))
@@ -480,7 +521,7 @@ def test_closure_check_calls_the_cores_only_for_incomparable_pairs(monkeypatch, 
     assert (rec.passed, rec.witness) == reference_lattice_closure(
         enumerate_attainable(inst).column_sets, _Cores(faulty=lambda a, b: True)
     )
-    assert faulty.calls == {"meet": [(a, b)], "join": [(a, b)]}
+    assert len(faulty.blocks) == 1 and faulty.pairs == incomparable[:len(faulty.pairs)]
 
 
 def _every_third(a, b):
@@ -514,3 +555,62 @@ def test_closure_record_matches_all_pairs_reference(monkeypatch):
             peak = conjugate(inst.row_sums, inst.n)[0]
             seen["binding" if min(inst.ceiling) < peak else "slack"] += 1
     assert min(seen[k] for k in ("failed", "infeasible", "n=6", "m=6", "binding", "slack")) >= 10, seen
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_certify_is_the_same_at_every_block_size(monkeypatch, block):
+    faulty_cases = CLOSURE_CASES + [inst for inst, _ in certify_sweep()[:40]]
+    want = [
+        _closure_record(_certify_with(monkeypatch, inst, _Cores(_every_third))) for inst in faulty_cases
+    ]
+    assert sum(not rec.passed for rec in want) >= 5
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    shapes = []
+    blocks = oracle._majorized_blocks
+
+    def recording(lo, hi):
+        for start, below in blocks(lo, hi):
+            shapes.append(below.shape)
+            yield start, below
+
+    monkeypatch.setattr(oracle, "_majorized_blocks", recording)
+    assert _certify_sweep_text() == CERTIFY_SWEEP.read_text()
+    # Each pass over the majorization matrix holds at most one row or
+    # _BLOCK entries, and each batch of pairs at most _BLOCK pairs.
+    assert all(rows == 1 or rows * cols <= block for rows, cols in shapes)
+    for inst, rec in zip(faulty_cases, want):
+        cores = _Cores(_every_third)
+        assert _closure_record(_certify_with(monkeypatch, inst, cores)) == rec
+        assert max(map(len, cores.blocks), default=0) <= block
+        if not rec.passed:  # no block after the failing pair's is computed
+            a, b = next(p for p in cores.pairs if _every_third(*p))
+            assert rec.witness.startswith(f"pair {a}, {b} gives")
+            assert (a, b) in cores.blocks[-1]
+
+
+def _certify_with(monkeypatch, inst, cores):
+    monkeypatch.setattr(oracle, "lattice", cores)
+    try:
+        return certify(inst)
+    finally:
+        monkeypatch.setattr(oracle, "lattice", lattice)
+
+
+# Run in a child under a 1 GiB address-space limit: certify of an instance
+# whose 1 849 distinct objective forms give a 1 849 x 1 849 majorization
+# matrix, at a raised total.
+_LIMITED_CERTIFY = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from majpop import Instance, certify
+from majpop.oracle import _attainable_arrays, _distinct_rows, _sorted_rows
+inst = Instance("min_combined", (4, 4, 3, 3, 2, 2, 2), base=(0, 1, 2, 3, 4, 5, 6))
+assert len(_distinct_rows(_sorted_rows(_attainable_arrays(inst, 7, 20)[1]))) == 1849
+sys.exit(0 if certify(inst, max_total=20).passed else 1)
+"""
+
+
+def test_certify_at_a_raised_total_fits_in_one_gib():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oracle.__file__)), OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", _LIMITED_CERTIFY], capture_output=True, env=env)
+    assert run.returncode == 0, run.stderr
