@@ -89,7 +89,7 @@ def cmd_certify(args, cli) -> int:
     from . import oracle
 
     inst = cli.load_instance(args.instance)
-    absent = _parse_vector(cli, args.absent, "--absent") if args.absent else None
+    absent = _parse_vector(cli, args.absent, "--absent") if args.absent is not None else None
     report = oracle.certify(
         inst,
         max_cols=oracle.DEFAULT_MAX_COLS if args.max_cols is None else args.max_cols,

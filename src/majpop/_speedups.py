@@ -75,9 +75,11 @@ Gale-Ryser test (all four through ``completion._absorbs``), against the supermaj
 prefix test, and that against the clamped submajorization of the row
 sums, on the sorted values it already holds; InternalInvariantError
 reports a disagreement.  ``write_matrix(cells, m, n, write)`` takes the
-cells of an m x n matrix as a buffer of one-byte items, 2-D of shape
-(m, n) with any strides (a numpy ``uint8`` array, transposed or not) or
-1-D and row-major (``Cells.data``).  With ``write`` None it only checks
+cells of an m x n matrix as m * n one-byte items, row-major with unit
+stride: a buffer of shape (m * n,), such as ``Cells.data``, or (m, n),
+such as a C-order numpy ``uint8`` array; any other buffer raises
+ValueError, and ``cli._matrix`` copies an array in another memory order
+to C order first.  With ``write`` None it only checks
 the cells; otherwise it writes the text ``json.dumps`` gives for the
 nested lists, without spaces, into one reused buffer of 64 KiB, or of
 one row where a row is longer, and passes each full buffer to ``write``

@@ -1622,50 +1622,46 @@ done:
 
 /* ---- A 0/1 matrix's JSON text ----
  *
- * write_matrix(cells, m, n, write) takes the cells of an m x n matrix, a
- * buffer of one-byte items: 2-D of shape (m, n) with any strides, or 1-D of
- * m * n items, row-major.  With write None it only checks that every cell
- * is 0 or 1.  Otherwise it turns the rows into the compact JSON text of the
- * nested lists, "[[0,1],[1,0]]", in one buffer of TEXT_CHUNK bytes, or of
- * one row and its brackets if that is longer, and passes the buffer to
- * write as a fresh bytes object each time it fills.  A write that takes
- * fewer bytes gets the rest, and one that returns None raises
- * BlockingIOError, as cli._write_all does.  Each row is checked as it is
- * turned into text, so a cell other than 0 or 1 stops the stream before the
- * chunk that holds it; InternalInvariantError names the shape. */
+ * write_matrix(cells, m, n, write) takes the cells of an m x n matrix as
+ * m * n one-byte items, row-major with unit stride: a buffer of shape
+ * (m * n) or (m, n), such as Cells.data or a C-order uint8 array.
+ * With write None it only checks that every cell is 0 or 1.  Otherwise it
+ * turns the rows into the compact JSON text of the nested lists,
+ * "[[0,1],[1,0]]", in one buffer of TEXT_CHUNK bytes, or of one row and its
+ * brackets if that is longer, and passes the buffer to write as a fresh
+ * bytes object each time it fills.  A write that takes fewer bytes gets
+ * the rest, and one that returns None raises BlockingIOError, as
+ * cli._write_all does.  Each row is checked as it is turned into text, so a
+ * cell other than 0 or 1 stops the stream before the chunk that holds it;
+ * InternalInvariantError names the shape. */
 
 #define TEXT_CHUNK ((Py_ssize_t)1 << 16)
 #define BAD_CELL "the (%lld, %lld) matrix has an entry other than 0 or 1"
 
-/* The OR of the n cells at row[0], row[step], ..., one byte each, folded
- * to one byte; contiguous cells are read eight at a time.  This and
- * row_text are inlined once with step 1, for the rows of Cells and of
- * C-order arrays, which then run about three times as fast as through the
- * strided loop. */
-INLINE unsigned row_bits(const uint8_t *row, Py_ssize_t n, Py_ssize_t step)
+/* The OR of the n bytes at row, folded to one byte, read eight at a time. */
+INLINE unsigned row_bits(const uint8_t *row, Py_ssize_t n)
 {
     uint64_t seen = 0, word;
     Py_ssize_t j = 0;
-    if (step == 1)
-        for (; j + 8 <= n; j += 8) {
-            memcpy(&word, row + j, 8);
-            seen |= word;
-        }
+    for (; j + 8 <= n; j += 8) {
+        memcpy(&word, row + j, 8);
+        seen |= word;
+    }
     for (; j < n; j++)
-        seen |= row[j * step];
+        seen |= row[j];
     seen |= seen >> 32;
     seen |= seen >> 16;
     return (unsigned)((seen | seen >> 8) & 0xff);
 }
 
-/* Write the n cells at row[0], row[step], ... as "c," each into out[0..2n),
- * and return their OR. */
-INLINE unsigned row_text(const uint8_t *row, Py_ssize_t n, Py_ssize_t step, char *out)
+/* Write the n bytes at row as "c," each into out[0..2n), and return their
+ * OR. */
+INLINE unsigned row_text(const uint8_t *row, Py_ssize_t n, char *out)
 {
     unsigned seen = 0;
     Py_ssize_t j;
     for (j = 0; j < n; j++) {
-        uint8_t c = row[j * step];
+        uint8_t c = row[j];
         seen |= c;
         out[2 * j] = (char)('0' + c);
         out[2 * j + 1] = ',';
@@ -1709,11 +1705,11 @@ APART static PyObject *write_matrix(PyObject *module, PyObject *const *args, Py_
     PyObject *view_object, *write, *result = NULL;
     const Py_buffer *view;
     long long m, n;
-    Py_ssize_t row_step, step, piece, size, used = 0, i;
+    Py_ssize_t piece, size, used = 0, i;
     const uint8_t *cells;
     char *text = NULL;
     unsigned seen = 0;
-    int m_overflow, n_overflow;
+    int m_overflow, n_overflow, refused;
 
     (void)module;
     if (nargs != 4) {
@@ -1727,7 +1723,7 @@ APART static PyObject *write_matrix(PyObject *module, PyObject *const *args, Py_
     if (n == -1 && PyErr_Occurred())
         return NULL;
     write = args[3];
-    /* A memoryview holds the buffer, strides included, until it is released. */
+    /* A memoryview holds the buffer until it is released. */
     view_object = PyMemoryView_FromObject(args[0]);
     if (view_object == NULL)
         return NULL;
@@ -1738,22 +1734,23 @@ APART static PyObject *write_matrix(PyObject *module, PyObject *const *args, Py_
         PyErr_SetString(PyExc_ValueError, "write_matrix takes one-byte cells and a nonnegative shape");
         goto done;
     }
-    if (view->ndim == 2 && view->shape[0] == m && view->shape[1] == n) {
-        row_step = view->strides[0];
-        step = view->strides[1];
-    } else if (view->ndim == 1 &&
-               (n == 0 ? view->shape[0] == 0 : m <= PY_SSIZE_T_MAX / n && view->shape[0] == m * n)) {
-        row_step = (Py_ssize_t)n * view->strides[0];
-        step = view->strides[0];
-    } else {
-        PyErr_Format(PyExc_ValueError, "the cells do not form a (%lld, %lld) matrix", m, n);
+    /* The strides of an empty matrix, or of a dimension of length 1, are
+     * never followed. */
+    if (view->ndim == 2)
+        refused = view->shape[0] != m || view->shape[1] != n || (m > 1 && n && view->strides[0] != n) ||
+                  (n > 1 && m && view->strides[1] != 1);
+    else
+        refused = view->ndim != 1 ||
+                  (n == 0 ? view->shape[0] != 0 : m > PY_SSIZE_T_MAX / n || view->shape[0] != m * n) ||
+                  (view->shape[0] > 1 && view->strides[0] != 1);
+    if (refused) {
+        PyErr_Format(PyExc_ValueError, "the cells are not a row-major (%lld, %lld) matrix with unit stride", m, n);
         goto done;
     }
 
     if (write == Py_None) {
         for (i = 0; i < m && seen <= 1; i++)
-            seen |= step == 1 ? row_bits(cells + i * row_step, n, 1)
-                              : row_bits(cells + i * row_step, n, step);
+            seen |= row_bits(cells + i * n, n);
         if (seen > 1)
             PyErr_Format(internal_error, BAD_CELL, m, n);
         else
@@ -1779,8 +1776,7 @@ APART static PyObject *write_matrix(PyObject *module, PyObject *const *args, Py_
         text[used++] = i ? ',' : '[';
         text[used++] = '[';
         if (n) {
-            seen |= step == 1 ? row_text(cells + i * row_step, n, 1, text + used)
-                              : row_text(cells + i * row_step, n, step, text + used);
+            seen |= row_text(cells + i * n, n, text + used);
             used += 2 * (Py_ssize_t)n;
             text[used - 1] = ']';
         } else {
@@ -1829,9 +1825,10 @@ static PyMethodDef methods[] = {
     {"write_matrix", (PyCFunction)(void (*)(void))write_matrix, METH_FASTCALL,
      "write_matrix(cells, m, n, write)\n"
      "--\n\n"
-     "Check that every cell of the m x n 0/1 matrix is 0 or 1; unless write\n"
-     "is None, pass its compact JSON text to write in chunks of 64 KiB, or\n"
-     "of one row where a row is longer, each a fresh bytes."},
+     "Check that every cell of the m x n 0/1 matrix, m * n row-major bytes\n"
+     "with unit stride, is 0 or 1; unless write is None, pass its compact\n"
+     "JSON text to write in chunks of 64 KiB, or of one row where a row is\n"
+     "longer, each a fresh bytes."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Results go to stdout as JSON (CSV for ``bench``); diagnostics go to stderr.
-Every payload goes through one encoder, ``_emit``, which writes bytes to
-``sys.stdout.buffer``: each 0/1 matrix, ``Cells`` from ``solve``
-or a frozen ``uint8`` array from ``enumerate`` and ``construct``, is
-checked in C before the first byte goes out, then streamed as JSON text
-by ``_speedups.write_matrix`` in 64 KiB chunks, so no matrix's whole text
-is ever held; everything else goes to ``json.dumps``.  The output equals
+Every JSON payload goes through one encoder, ``_emit``, which writes bytes
+to ``sys.stdout.buffer``; ``bench``'s CSV text goes to ``sys.stdout``.
+Each 0/1 matrix, ``Cells`` from ``solve`` or a frozen C-order ``uint8``
+array from ``enumerate`` and ``construct``, is checked in C before the
+first byte goes out, then streamed as JSON text by
+``_speedups.write_matrix`` in 64 KiB chunks, so no matrix's whole text is
+ever held; everything else goes to ``json.dumps``.  The output equals
 ``json.dumps(payload, separators=(",", ":"), sort_keys=True)`` of the
 payload with each matrix as nested lists, without building those lists.
 Only ``solve`` and ``feasible`` are handled here; the other commands'
@@ -98,10 +99,11 @@ def _tie_policy(kind: str, seed: int) -> TiePolicy:
 
 
 def _matrix(matrix) -> tuple:
-    """A 0/1 matrix as ``_speedups.write_matrix`` takes it: its cells and
-    its shape.  ``Cells`` from ``solve`` give their row-major bytes; any
-    other value must be a 2-D ``uint8`` buffer, such as a numpy array from
-    ``enumerate`` or ``construct``, in any memory order."""
+    """A 0/1 matrix as ``_speedups.write_matrix`` takes it: its cells, row
+    after row with unit stride, and its shape.  ``Cells`` from ``solve``
+    give their bytes; any other value must be a 2-D ``uint8`` buffer, such
+    as a numpy array from ``enumerate`` or ``construct``, which are C-order.
+    An array in any other memory order is copied to C order first."""
     if isinstance(matrix, Cells):
         return (matrix.data, *matrix.shape)
     view = memoryview(matrix)
@@ -109,13 +111,7 @@ def _matrix(matrix) -> tuple:
         raise InternalInvariantError(
             f"expected a 2-D uint8 matrix, got format {view.format!r}, shape {view.shape}"
         )
-    return (view, *view.shape)
-
-
-def _matrix_size(m: int, n: int) -> int:
-    """The length of the JSON text of an m x n matrix: each row is ``[`` or
-    ``,`` and ``[c,...,c]`` (``[]`` when n is 0), and a ``]`` closes."""
-    return m * (2 * n + 2 if n else 3) + 1 if m else 2
+    return (view if view.c_contiguous else view.tobytes(), *view.shape)
 
 
 def _encode(value, parts: list) -> None:
@@ -161,29 +157,6 @@ def _write_all(out, data) -> None:
         view = view[written:]
 
 
-# Linux's default pipe capacity, and the most ``_grow_pipe`` asks for.
-_DEFAULT_PIPE = 1 << 16
-_MAX_PIPE = 1 << 20
-
-
-def _grow_pipe(size: int) -> None:
-    """Raise the capacity of stdout's pipe toward ``size`` bytes, at most
-    ``_MAX_PIPE``, so a large write needs fewer turns of the reader.  Any
-    failure (no ``fcntl``, stdout not a pipe, a refused size) is ignored: it
-    only costs time.  A payload that fits a default pipe skips the import
-    and the system calls."""
-    if size <= _DEFAULT_PIPE:
-        return
-    try:
-        import fcntl
-
-        fd = sys.stdout.fileno()
-        if fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) < size:
-            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, min(size, _MAX_PIPE))
-    except (ImportError, AttributeError, OSError, ValueError):
-        pass
-
-
 def _stdout():
     """``sys.stdout``; when it is None, as in a process started with file
     descriptor 1 closed, an ``OSError`` like that of any failed write."""
@@ -206,8 +179,6 @@ def _emit(payload) -> None:
     stdout = _stdout()
     # Text written through sys.stdout before this goes first.
     stdout.flush()
-    texts, matrices = parts[::2], parts[1::2]
-    _grow_pipe(sum(map(len, texts)) + sum(_matrix_size(m, n) for _, m, n in matrices))
     out = getattr(stdout, "buffer", stdout)
     for k, part in enumerate(parts):
         if k % 2:

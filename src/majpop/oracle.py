@@ -162,9 +162,12 @@ def _rows_equal(a: np.ndarray, v: Sequence[int]) -> np.ndarray:
     return (a == np.array(v, dtype=a.dtype)).all(axis=1)
 
 
-def _column_array(n: int, total: int, upper: Sequence[int], threshold: IntVector) -> np.ndarray:
+def _column_array(
+    n: int, total: int, upper: Sequence[int], threshold: IntVector
+) -> tuple[np.ndarray, np.ndarray]:
     """Every x >= 0 with the given total, x <= upper and x majorized by
-    threshold, one per row of an int64 array.
+    threshold, one per row of an int64 array, and the sorted forms of those
+    rows, row for row.
 
     ``n`` is at least 1.  The box is expanded column by column: each partial
     row takes every value its column admits that leaves a remainder the
@@ -174,7 +177,7 @@ def _column_array(n: int, total: int, upper: Sequence[int], threshold: IntVector
     """
     suffix = [*accumulate(upper[::-1], initial=0)][::-1]  # suffix[j] = sum(upper[j:])
     if total > suffix[0]:
-        return np.zeros((0, n), dtype=np.int64)
+        return np.zeros((0, n), dtype=np.int64), np.zeros((0, n), dtype=np.int64)
     xs = np.zeros((1, n), dtype=np.int64)
     rem = np.array([total], dtype=np.int64)
     for j in range(n - 1):
@@ -188,13 +191,18 @@ def _column_array(n: int, total: int, upper: Sequence[int], threshold: IntVector
         xs[:, j] = v
         rem = rem[rows] - v
     xs[:, n - 1] = rem
-    return xs[(np.cumsum(_sorted_rows(xs), axis=1) <= np.cumsum(threshold)).all(axis=1)]
+    forms = _sorted_rows(xs)
+    keep = (np.cumsum(forms, axis=1) <= np.cumsum(threshold)).all(axis=1)
+    return xs[keep], forms[keep]
 
 
-def _attainable_arrays(inst: Instance, max_cols: int, max_total: int) -> tuple[np.ndarray, np.ndarray]:
-    """The feasible column-sum vectors of ``inst`` and the objective vectors
-    they induce, row for row: int64 arrays, or object arrays of Python ints
-    when an objective entry could pass int64."""
+def _attainable_arrays(
+    inst: Instance, max_cols: int, max_total: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The feasible column-sum vectors of ``inst``, the objective vectors
+    they induce, and the sorted forms of the column-sum vectors, row for
+    row: int64 arrays, but the objective vectors are an array of Python ints
+    when an entry could pass int64."""
     r = inst.row_sums
     n = inst.n
     total = sum(r)
@@ -210,17 +218,17 @@ def _attainable_arrays(inst: Instance, max_cols: int, max_total: int) -> tuple[n
     else:
         profile, sign = inst.base, 1
     if any(v > n for v in r):
-        xs = np.zeros((0, n), dtype=np.int64)
+        xs = forms = np.zeros((0, n), dtype=np.int64)
     else:
         t = conjugate(r, n)
         if inst.variant == "min_combined":
             upper = [t[0]] * n
         else:
             upper = [min(cj, t[0]) for cj in inst.ceiling]
-        xs = _column_array(n, total, upper, t)
+        xs, forms = _column_array(n, total, upper, t)
     # Against an object profile the int64 rows are added as Python ints.
     dtype = np.int64 if max(profile) + total < 2**63 else object
-    return xs, np.array(profile, dtype=dtype) + sign * xs
+    return xs, np.array(profile, dtype=dtype) + sign * xs, forms
 
 
 def enumerate_attainable(
@@ -229,7 +237,7 @@ def enumerate_attainable(
     max_total: int = DEFAULT_MAX_TOTAL,
 ) -> AttainableSet:
     """Exhaustively enumerate the feasible and attainable sets of an instance."""
-    xs, vectors = _attainable_arrays(inst, max_cols, max_total)
+    xs, vectors, _ = _attainable_arrays(inst, max_cols, max_total)
     return AttainableSet(
         inst.variant, frozenset(map(tuple, xs.tolist())), frozenset(map(tuple, vectors.tolist()))
     )
@@ -459,7 +467,7 @@ def certify(
         raise LengthMismatchError(
             f"absent vector has {len(absent_canonical)} entries but the instance has {inst.n} columns"
         )
-    xs, vectors = _attainable_arrays(inst, max_cols, max_total)
+    xs, vectors, forms = _attainable_arrays(inst, max_cols, max_total)
     nonempty = len(xs) > 0
     records: list[CheckRecord] = []
 
@@ -474,12 +482,15 @@ def certify(
         solve_error = str(exc)
 
     # The claims below read the distinct sorted forms, in lexicographic
-    # order, and match whole rows of the arrays otherwise.
+    # order, and match whole rows of the arrays otherwise.  The objective
+    # rows are sorted once, and ``general_max`` without an absent vector
+    # reads no sorted objective row.
+    if inst.variant != "general_max" or absent_canonical is not None:
+        sorted_vectors = _sorted_rows(vectors)
     star: Optional[IntVector] = None
     if inst.variant == "general_max":
         pass  # several incomparable maximal elements are possible; see above
     elif nonempty:
-        sorted_vectors = _sorted_rows(vectors)
         canonical = _distinct_rows(sorted_vectors)
         prefix = _prefix_sums(canonical)
         least = np.flatnonzero(_extremal_mask(prefix, lowest=True))
@@ -526,7 +537,7 @@ def certify(
             record("tie_branch_completeness", True, _VACUOUS)
 
     if nonempty:
-        bad = _closure_witness(_distinct_rows(_sorted_rows(xs)))
+        bad = _closure_witness(_distinct_rows(forms))
         record("canonical_column_lattice_closed", bad == "", bad)
     else:
         record("canonical_column_lattice_closed", True, _VACUOUS)
@@ -565,7 +576,7 @@ def certify(
 
     if absent_canonical is not None:
         key = sort_desc(absent_canonical)
-        ok = key not in map(tuple, _sorted_rows(vectors).tolist())
+        ok = key not in map(tuple, sorted_vectors.tolist())
         record("claimed_absent_vector", ok, "" if ok else f"{key} is attainable")
 
     return CertificationReport(inst.variant, tuple(records))

@@ -227,9 +227,14 @@ def test_oracle_certify_command(tmp_path, capsys):
 
 def test_oracle_certify_refuses_an_absent_vector_of_the_wrong_length(capsys):
     path = str(INSTANCES / "peak_shave_demo.json")
-    code, out, err = run_cli(capsys, "oracle", "certify", "--instance", path, "--absent", "1,2")
-    assert (code, out) == (2, "")
-    assert err == "invalid input: absent vector has 2 entries but the instance has 5 columns\n"
+    refusals = {
+        "1,2": "absent vector has 2 entries but the instance has 5 columns",
+        "": "--absent: expected comma-separated integers, got ''",
+    }
+    for absent, text in refusals.items():
+        code, out, err = run_cli(capsys, "oracle", "certify", "--instance", path, "--absent", absent)
+        assert (code, out) == (2, ""), absent
+        assert err == f"invalid input: {text}\n"
 
 
 def test_huge_ceiling_is_feasible_and_certified(tmp_path, capsys):
@@ -570,28 +575,7 @@ def _large_payload():
     return payload, text
 
 
-def test_emit_ignores_a_pipe_it_cannot_grow(tmp_path, monkeypatch):
-    fcntl = pytest.importorskip("fcntl")
-    asked = []
-
-    def refuse(fd, cmd, *arg):
-        asked.append(cmd)
-        raise OSError(1, "Operation not permitted")
-
-    monkeypatch.setattr(fcntl, "fcntl", refuse)
-    payload, text = _large_payload()
-    path = tmp_path / "out.json"
-    with open(path, "w", encoding="ascii") as out:
-        monkeypatch.setattr(sys, "stdout", out)
-        _emit(payload)
-    assert asked, "the pipe size was never asked for"
-    assert path.read_bytes() == text
-
-
-def test_emit_grows_the_pipe_it_writes_to(monkeypatch):
-    fcntl = pytest.importorskip("fcntl")
-    if not hasattr(fcntl, "F_GETPIPE_SZ"):
-        pytest.skip("no F_GETPIPE_SZ on this platform")
+def test_emit_delivers_a_large_payload_through_a_pipe(monkeypatch):
     payload, text = _large_payload()
     read_end, write_end = os.pipe()
     received = []
@@ -605,10 +589,8 @@ def test_emit_grows_the_pipe_it_writes_to(monkeypatch):
     with os.fdopen(write_end, "w", encoding="ascii") as out:
         monkeypatch.setattr(sys, "stdout", out)
         _emit(payload)
-        capacity = fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ)
     reader.join()
     assert received == [text]
-    assert capacity >= len(text)
 
 
 def test_zero_row_solve_prints_empty_matrix(tmp_path, capsys):
@@ -674,6 +656,11 @@ def test_emit_of_any_memory_order_matches_json_dumps(capsys, shape):
     for name, matrix in layouts.items():
         assert matrix.shape == shape, name
         assert _emitted(capsys, {"matrix": matrix}) == _reference_text({"matrix": matrix.tolist()}), name
+    # C-contiguous, with a stride other than the row-major one on a dimension
+    # of length 1.  numpy exports its arrays with the row-major strides; a
+    # memoryview's row slice keeps its own.
+    for matrix in (a[::2][:1], np.asfortranarray(b[:, :1]), memoryview(a)[::2][:1]):
+        assert _emitted(capsys, {"matrix": matrix}) == _reference_text({"matrix": matrix.tolist()}), matrix.strides
     cells = Cells(b.tobytes(), shape)
     assert _emitted(capsys, {"matrix": cells}) == _reference_text({"matrix": b.tolist()})
 

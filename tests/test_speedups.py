@@ -610,7 +610,14 @@ def test_write_matrix_stops_before_the_chunk_of_a_bad_row():
         _speedups.write_matrix(bytes(cells), 3, 40_000, lambda chunk: chunks.append(chunk) or len(chunk))
     row = "[" + ",".join("0" * 40_000) + "]"
     assert chunks == [("[" + row).encode(), ("," + row).encode()]
-    for refused in ((b"\0" * 5, 2, 3), (np.zeros((2, 3), dtype=np.int64), 2, 3), (b"", -1, 0)):
+    refusals = (
+        (b"\0" * 5, 2, 3),
+        (np.zeros((2, 3), dtype=np.int64), 2, 3),
+        (b"", -1, 0),
+        (memoryview(np.zeros((2, 6), dtype=np.uint8)[:, ::2]), 2, 3),
+        (memoryview(b"\0" * 12)[::2], 2, 3),
+    )
+    for refused in refusals:
         with pytest.raises(ValueError):
             _speedups.write_matrix(*refused, None)
 
