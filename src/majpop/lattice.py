@@ -5,10 +5,11 @@ are comparable inside the fixed-sum, fixed-length family ordered by
 majorization.  The meet comes from pairwise minima of prefix sums.  The join
 is computed two independent ways: through conjugates of the meet, which costs
 O(len + total), and through a direct recursive formula, which costs O(len^2)
-whatever the total.  ``join`` takes the conjugate route while the total is at
-most ``len**2`` and the recursive one above it, so a total such as 10^12 runs
-in memory.  Both routes stay, and the test suite checks that they agree with
-each other and with exhaustive scans.
+whatever the total.  ``join`` takes the conjugate route while twice the total
+is at most ``len**2`` and the recursive one above it, where the recursive
+route is the faster, so a total such as 10^12 runs in memory.  Both routes
+stay, and the test suite checks that they agree with each other and with
+exhaustive scans.
 
 The public functions validate their inputs and then call a private core
 (``_meet``, ``_join``, ``_join_recursive``) that checks nothing.
@@ -93,8 +94,8 @@ def _conjugates(rows, dim: int):
 def join(x: Sequence[int], y: Sequence[int]) -> IntVector:
     """Least upper bound via conjugates: dualize, meet, dualize back.
 
-    Totals above ``len(x) ** 2`` go to ``join_recursive`` instead, whose cost
-    does not grow with the total.
+    Totals above ``len(x) ** 2 / 2`` go to ``join_recursive`` instead, whose
+    cost does not grow with the total.
     """
     return _join(*_check_pair(x, y))
 
@@ -103,7 +104,7 @@ def _join(a: IntVector, b: IntVector) -> IntVector:
     if a == b:
         return a
     total = sum(a)
-    if total > len(a) ** 2:
+    if 2 * total > len(a) ** 2:
         return _join_recursive(a, b)
     # No part exceeds the total, so the total is always a safe conjugate dim.
     d = max(total, 1)

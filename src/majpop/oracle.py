@@ -13,20 +13,29 @@ sums, so the search space stays polynomial in the totals while the matrix
 witnesses are materialized only on demand.
 
 The enumeration works on whole arrays: every vector in the box the caps
-allow is generated column by column in numpy, each is tested by the prefix
-sums of its sorted form, and the objective vectors are the profile plus or
-minus those rows, in int64 or, where an entry could pass int64, as Python
-ints in object arrays.  Every tuple that leaves this module holds Python
-ints.  Nothing here comes from the solvers.
+allow is generated in numpy, column by column on the columns ordered by
+cap, each is tested by the prefix sums of its sorted form, and the
+objective vectors are the profile plus or minus those vectors, in int64
+or, where an entry could pass int64, as Python ints in object arrays.  The
+vectors are held as n x k arrays, one line per column, so that each pass
+runs along the long axis.  Every tuple that leaves this module holds
+Python ints.  Nothing here comes from the solvers.
 
 The public helpers here validate what they are given, like the rest of the
 package.  Inside :func:`certify` the enumerated vectors are valid by
-construction, so its claims read only the distinct sorted forms, as whole
-arrays: the distinct rows come from one ``lexsort`` in tuple order, "a is
-majorized by b" is one ``<=`` over rows of prefix sums, taken in blocks of
-at most ``_BLOCK`` matrix entries, and the closure check sends the
-incomparable pairs, in blocks, to one unchecked array core for their meets
-and joins.  Object arrays take the same path, so entries past int64 stay
+construction, and its claims read whole arrays.  In the cap-ordered box the
+sorted forms are exactly the nonincreasing vectors, and they come out in
+tuple order, so the distinct feasible column forms need no sort.  The
+objective vectors share one total, so the least one, when it exists, is
+the one whose prefix sums are the column minimum: essential uniqueness, the
+solver's bound, the optimal set and the least sum of squares come from one
+pass over the sorted objective vectors.  Only when no vector attains that
+minimum are the distinct objectives sorted with ``lexsort`` and compared
+as a majorization matrix, for the witness.  "a is majorized by b" is one
+``<=`` over rows of prefix sums, taken in blocks of at most ``_BLOCK``
+matrix entries, and the closure check sends the incomparable pairs of
+column forms, in blocks, to one unchecked array core for their meets and
+joins.  Object arrays take the same path, so entries past int64 stay
 exact.
 """
 
@@ -115,18 +124,32 @@ def _distinct_rows(a: np.ndarray) -> np.ndarray:
     return a[order[first]]
 
 
+def _exact(a: np.ndarray, terms: int, power: int = 1) -> np.ndarray:
+    """``a``, as Python ints in an object array when a sum of ``terms`` of
+    its entries' ``power``-th powers could pass int64: an int64 entry need
+    not leave room for such a sum."""
+    if a.dtype != object and a.size:
+        if max(int(a.max()), -int(a.min())) ** power * terms >= 2**63:
+            return a.astype(object)
+    return a
+
+
 def _prefix_sums(forms: np.ndarray) -> np.ndarray:
     """Prefix sums of each sorted form, with the negated total appended, so
     that "a is majorized by b" reads as one elementwise ``<=`` of their rows:
     ``a``'s prefix sums stay at or below ``b``'s and the totals agree.
-
-    An int64 entry need not leave room for a sum of n of them, so int64
-    forms whose sums could pass it are summed as Python ints."""
-    if forms.dtype != object and forms.size:
-        if max(int(forms.max()), -int(forms.min())) * forms.shape[1] >= 2**63:
-            forms = forms.astype(object)
-    prefix = np.cumsum(forms, axis=1)
+    Forms whose sums could pass int64 are summed as Python ints."""
+    prefix = np.cumsum(_exact(forms, forms.shape[1]), axis=1)
     return np.concatenate((prefix, -prefix[:, -1:]), axis=1)
+
+
+def _line_sums(lines: np.ndarray) -> np.ndarray:
+    """Prefix sums down the lines of an n x k array: one add of two lines per
+    step, where ``np.cumsum`` on axis 0 would run k loops of length n."""
+    out = lines.copy()
+    for j in range(1, len(out)):
+        out[j] += out[j - 1]
+    return out
 
 
 # Entries of the majorization matrix, and pairs sent to the lattice core,
@@ -166,43 +189,64 @@ def _column_array(
     n: int, total: int, upper: Sequence[int], threshold: IntVector
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every x >= 0 with the given total, x <= upper and x majorized by
-    threshold, one per row of an int64 array, and the sorted forms of those
-    rows, row for row.
+    threshold, one per row of an int64 array, and the distinct sorted forms
+    of those rows, one per row in tuple order.
 
-    ``n`` is at least 1.  The box is expanded column by column: each partial
-    row takes every value its column admits that leaves a remainder the
-    later columns can hold, and the last column takes the remainder.  Then
-    every row is tested by the prefix sums of its sorted form; the totals are
+    ``n`` is at least 1.  The rows are the transpose of an n x k array, one
+    line per column, so that a pass over every vector runs along the long
+    axis; nothing reads their order.  The box is expanded on the columns
+    ordered by cap, descending: each partial vector takes every value its
+    column admits that leaves a remainder the later columns can hold, and
+    the last column takes the remainder, so the vectors come out in tuple
+    order.  Each level keeps its values and a pointer to the partial vector
+    each extends, and the columns are read back along the pointers.  Every
+    vector is tested by the prefix sums of its sorted form; the totals are
     equal by construction.
+
+    With the caps nonincreasing, x <= caps gives sort_desc(x) <= caps, so
+    the sorted forms in the box are exactly its nonincreasing vectors, and
+    the distinct feasible forms are read off the box in the order it was
+    expanded.  The vectors then go back to the caller's column order.
     """
-    suffix = [*accumulate(upper[::-1], initial=0)][::-1]  # suffix[j] = sum(upper[j:])
+    order = sorted(range(n), key=lambda j: -upper[j])
+    caps = [upper[j] for j in order]
+    suffix = [*accumulate(caps[::-1], initial=0)][::-1]  # suffix[j] = sum(caps[j:])
     if total > suffix[0]:
         return np.zeros((0, n), dtype=np.int64), np.zeros((0, n), dtype=np.int64)
-    xs = np.zeros((1, n), dtype=np.int64)
     rem = np.array([total], dtype=np.int64)
+    levels: list[tuple[np.ndarray, np.ndarray]] = []  # (values, parents) per column
     for j in range(n - 1):
         if not rem.any():  # the later columns stay 0
             break
         lo = np.maximum(rem - suffix[j + 1], 0)
-        hi = np.minimum(rem, upper[j])
-        values = np.arange(int(hi.max()) + 1)
-        rows, v = np.nonzero((values >= lo[:, None]) & (values <= hi[:, None]))
-        xs = xs[rows]
-        xs[:, j] = v
-        rem = rem[rows] - v
-    xs[:, n - 1] = rem
-    forms = _sorted_rows(xs)
-    keep = (np.cumsum(forms, axis=1) <= np.cumsum(threshold)).all(axis=1)
-    return xs[keep], forms[keep]
+        count = np.minimum(rem, caps[j]) - lo + 1
+        parents = np.repeat(np.arange(len(rem)), count)
+        values = np.arange(len(parents)) - np.repeat(np.cumsum(count) - count - lo, count)
+        levels.append((values, parents))
+        rem = rem[parents] - values
+    box = np.zeros((n, len(rem)), dtype=np.int64)
+    box[n - 1] = rem
+    at = np.arange(len(rem))
+    for j in range(len(levels) - 1, -1, -1):
+        values, parents = levels[j]
+        box[j] = values[at]
+        at = parents[at]
+    prefix = _line_sums(np.sort(box, axis=0)[::-1])
+    keep = (prefix <= np.cumsum(threshold)[:, None]).all(axis=0)
+    forms = np.compress(keep & (box[:-1] >= box[1:]).all(axis=0), box, axis=1)
+    cols = np.empty((n, int(keep.sum())), dtype=np.int64)
+    cols[order] = np.compress(keep, box, axis=1)
+    return cols.T, np.ascontiguousarray(forms.T)
 
 
 def _attainable_arrays(
     inst: Instance, max_cols: int, max_total: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The feasible column-sum vectors of ``inst``, the objective vectors
-    they induce, and the sorted forms of the column-sum vectors, row for
-    row: int64 arrays, but the objective vectors are an array of Python ints
-    when an entry could pass int64."""
+    """The feasible column-sum vectors of ``inst`` and the objective vectors
+    they induce, row for row, each the transpose of an n x k array, and the
+    distinct sorted forms of the column-sum vectors in tuple order: int64
+    arrays, but the objective vectors are an array of Python ints when an
+    entry could pass int64."""
     r = inst.row_sums
     n = inst.n
     total = sum(r)
@@ -228,7 +272,8 @@ def _attainable_arrays(
         xs, forms = _column_array(n, total, upper, t)
     # Against an object profile the int64 rows are added as Python ints.
     dtype = np.int64 if max(profile) + total < 2**63 else object
-    return xs, np.array(profile, dtype=dtype) + sign * xs, forms
+    vectors = np.array(profile, dtype=dtype)[:, None] + sign * xs.T
+    return xs, vectors.T, forms
 
 
 def enumerate_attainable(
@@ -394,9 +439,9 @@ def _sumsq(v: Sequence[int]) -> int:
 
 def _closure_witness(forms: np.ndarray) -> str:
     """The closure record's witness for the distinct sorted feasible forms,
-    in lexicographic order: empty when every meet and join of two forms is
-    a form, else the text for the first pair in ``combinations`` order whose
-    meet or join is not.
+    in lexicographic order as :func:`_column_array` reads them off the box:
+    empty when every meet and join of two forms is a form, else the text for
+    the first pair in ``combinations`` order whose meet or join is not.
 
     Only the incomparable pairs reach ``lattice._meet_join_pairs`` (see
     :func:`certify`), at most ``_BLOCK`` at a time, and no block after a
@@ -442,7 +487,8 @@ def certify(
     test agrees with enumeration; the solver's negativity certificate agrees
     with enumeration; the canonical optimum minimizes the sum of squares;
     and, when a candidate is supplied, that its sorted form is absent from
-    the canonical attainable set.
+    the canonical attainable set.  The candidate must be a vector of
+    nonnegative ints, one per column.
 
     The solver-optimality and tie-completeness claims are guaranteed only
     for the uncapped variants; for ``general_min`` and ``general_max`` those
@@ -453,16 +499,28 @@ def certify(
     (The least-majorized element that ``general_min`` needs exists on any
     M-convex set; Tamir 1995.)
 
-    The closure check sends only the incomparable pairs of distinct sorted
-    column-sum forms to ``lattice._meet_join_pairs``, in ``combinations``
-    order and in blocks of at most ``_BLOCK`` pairs, and tests every meet
-    and join for membership in one pass of row ids per block; its witness
-    is the first failing pair.  Sorted forms of one total that satisfy
-    a ≼ b also satisfy a ≤ b lexicographically, so in sorted order the
-    only comparable case is a ≼ b, whose meet is a and whose join is b:
-    both are in the set, and such a pair cannot fail.
+    The objective vectors all have one total, and the poset of their
+    sorted forms is finite, so a least form exists exactly when some
+    vector's prefix sums equal the column-wise minimum over all of them.
+    That one pass decides essential uniqueness, the solver's bound (which
+    then holds by construction), the optimal vectors that tie branching
+    must reach, and the least sum of squares.  Only when no vector attains
+    the minimum are the distinct sorted objectives sorted and compared as a
+    majorization matrix, to name the minimal ones in the witness.
+
+    The distinct sorted column-sum forms come off the cap-ordered box in
+    tuple order (see :func:`_column_array`).  The closure check sends only
+    their incomparable pairs to ``lattice._meet_join_pairs``, in
+    ``combinations`` order and in blocks of at most ``_BLOCK`` pairs, and
+    tests every meet and join for membership in one pass of row ids per
+    block; its witness is the first failing pair.  Sorted forms of one
+    total that satisfy a ≼ b also satisfy a ≤ b lexicographically, so in
+    sorted order the only comparable case is a ≼ b, whose meet is a and
+    whose join is b: both are in the set, and such a pair cannot fail.
     """
     exact_scope = inst.variant in ("min_remaining", "min_combined")
+    if absent_canonical is not None:
+        absent_canonical = as_vector(absent_canonical, "absent_canonical", nonnegative=True)
     if absent_canonical is not None and len(absent_canonical) != inst.n:
         raise LengthMismatchError(
             f"absent vector has {len(absent_canonical)} entries but the instance has {inst.n} columns"
@@ -481,24 +539,27 @@ def certify(
     except InfeasibleError as exc:
         solve_error = str(exc)
 
-    # The claims below read the distinct sorted forms, in lexicographic
-    # order, and match whole rows of the arrays otherwise.  The objective
-    # rows are sorted once, and ``general_max`` without an absent vector
-    # reads no sorted objective row.
+    # The sorted objective vectors, as the lines of an n x k array; the
+    # claims for ``general_max`` without an absent vector read none.
     if inst.variant != "general_max" or absent_canonical is not None:
-        sorted_vectors = _sorted_rows(vectors)
+        sorted_lines = _sorted_rows(vectors).T
     star: Optional[IntVector] = None
     if inst.variant == "general_max":
         pass  # several incomparable maximal elements are possible; see above
     elif nonempty:
-        canonical = _distinct_rows(sorted_vectors)
-        prefix = _prefix_sums(canonical)
-        least = np.flatnonzero(_extremal_mask(prefix, lowest=True))
-        ok = len(least) == 1
-        witness = "" if ok else f"distinct sorted optima: {list(map(tuple, canonical[least].tolist()))}"
-        record("essential_uniqueness", ok, witness)
-        if ok:
-            star = tuple(canonical[least[0]].tolist())
+        prefix = _line_sums(_exact(sorted_lines, inst.n))
+        optimal = (prefix == prefix.min(axis=1)[:, None]).all(axis=0)
+        if optimal.any():
+            star = tuple(sorted_lines[:, optimal.argmax()].tolist())
+            record("essential_uniqueness", True)
+        else:
+            canonical = _distinct_rows(sorted_lines.T)
+            least = _extremal_mask(_prefix_sums(canonical), lowest=True)
+            record(
+                "essential_uniqueness",
+                False,
+                f"distinct sorted optima: {list(map(tuple, canonical[least].tolist()))}",
+            )
     else:
         record("essential_uniqueness", True, _VACUOUS)
 
@@ -510,22 +571,19 @@ def certify(
             # A stopped sweep is the documented outcome when caps strand a
             # row, so there is no output to judge here.
             record("solver_output_attainable", True, solve_error or _VACUOUS)
-    elif star is not None:
-        bound_ok = all(below.all() for _, below in _majorized_blocks(prefix[least], prefix))
+    elif star is not None:  # star is majorized by every attainable vector
         if result is None:
             ok, witness = False, f"solver refused a nonempty instance: {solve_error}"
         else:
-            ok = bound_ok and result.canonical_objective == star
-            witness = "" if ok else (
-                f"expected {star}, solver gave {result.canonical_objective}, bound_ok={bound_ok}"
-            )
+            ok = result.canonical_objective == star
+            witness = "" if ok else f"expected {star}, solver gave {result.canonical_objective}"
         record("canonical_extremum_matches_solver", ok, witness)
     else:
         record("canonical_extremum_matches_solver", True, _VACUOUS)
 
     if exact_scope:
         if star is not None:
-            want = set(map(tuple, vectors[_rows_equal(sorted_vectors, star)].tolist()))
+            want = set(map(tuple, vectors[optimal].tolist()))
             got = set(enumerate_optima(inst, cap=branch_cap))
             ok = got == want
             record(
@@ -537,7 +595,7 @@ def certify(
             record("tie_branch_completeness", True, _VACUOUS)
 
     if nonempty:
-        bad = _closure_witness(_distinct_rows(forms))
+        bad = _closure_witness(forms)
         record("canonical_column_lattice_closed", bad == "", bad)
     else:
         record("canonical_column_lattice_closed", True, _VACUOUS)
@@ -564,7 +622,8 @@ def certify(
         )
 
     if star is not None and exact_scope:
-        best = min(map(_sumsq, canonical.tolist()))
+        lines = _exact(vectors.T, inst.n, power=2)
+        best = int((lines * lines).sum(axis=0).min())
         ok = _sumsq(star) == best
         record(
             "sum_of_squares_scalarization",
@@ -576,7 +635,7 @@ def certify(
 
     if absent_canonical is not None:
         key = sort_desc(absent_canonical)
-        ok = key not in map(tuple, sorted_vectors.tolist())
+        ok = key not in map(tuple, sorted_lines.T.tolist())
         record("claimed_absent_vector", ok, "" if ok else f"{key} is attainable")
 
     return CertificationReport(inst.variant, tuple(records))
